@@ -9,11 +9,9 @@ Taylor predictions, active-set domains and piecewise continuation, and
 numerically through brute-force re-optimization and mismatch-loss
 accounting.
 
-The scalar evaluation kernels exist both as a compiled extension and as
-pure Python; see ``cpt_sense.kernel_backend``.
+The scalar evaluation kernels are plain Python (``cpt_sense._core``).
 """
 
-from cpt_sense._core import backend_name as kernel_backend
 from cpt_sense.errors import (
     BracketingError,
     ContinuationError,
@@ -94,6 +92,15 @@ from cpt_sense.sweeps import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the scalar kernel implementation, recorded in run metadata.
+
+    The kernels are pure Python, so this is always ``"python"``.
+    """
+    return "python"
+
 
 __all__ = [
     "ActiveSet", "BEST_CASE", "BinaryProspect", "BindingEvent",

@@ -1,9 +1,8 @@
-"""Pure-Python scalar kernels for the rider-choice revenue model.
+"""Scalar kernels of the rider-choice revenue model.
 
-These functions are the hot inner loop of every solve, sweep and oracle run.
-A compiled twin with identical signatures and semantics lives in
-``_speed.pyx``; the package selects between them at import time (see
-``cpt_sense._core``).  Keep the two implementations in lockstep.
+These functions are the hot inner loop of every solve, sweep and oracle run;
+``model`` and ``pricing`` reach the value, weighting and acceptance chain
+only through them.
 
 Model summary, with a best-case reference point R = u_high:
 

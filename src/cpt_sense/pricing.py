@@ -37,12 +37,21 @@ from cpt_sense.errors import (
 from cpt_sense.model import (
     BEST_CASE,
     PARAM_NAMES,
+    BinaryProspect,
     CptParams,
     PolicyKind,
     ReferencePolicy,
     acceptance_probability,
+    resolve_reference,
 )
-from cpt_sense.numerics import ScalarFunctionHandle, bracket_root, grid_golden_maximize
+from cpt_sense.numerics import (
+    ScalarFunctionHandle,
+    bracket_root,
+    central_difference,
+    cross_difference,
+    grid_golden_maximize,
+    second_difference,
+)
 from cpt_sense.scenario import TravelScenario, require_valid
 
 logger = logging.getLogger(__name__)
@@ -343,39 +352,46 @@ def concavity_certificate(scenario: TravelScenario, params: CptParams,
                            consistent=consistent)
 
 
-def _richardson(estimates: list[float]) -> float:
-    """Extrapolate a halving-step sequence whose error starts at O(h^2)."""
-    level = 1
-    while len(estimates) > 1:
-        factor = 4.0 ** level
-        estimates = [(factor * estimates[i + 1] - estimates[i]) / (factor - 1.0)
-                     for i in range(len(estimates) - 1)]
-        level += 1
-    return estimates[0]
+def _fd_tariff_step(gamma: float, scenario: TravelScenario,
+                    params: CptParams, policy: ReferencePolicy) -> float:
+    """Tariff step of the finite-difference stencils at gamma.
 
+    The default step is 2.5e-3*max(|gamma|, 1).  The choice set is valid
+    while u_low <= u0 <= u_high, i.e. for tariffs between (u0 - x_low)/b and
+    (u0 - x_high)/b, and a bound-pinned optimum can sit closer to an edge
+    than that.  The step then becomes half the distance to the nearer edge:
+    a step onto the edge itself can land outside the range by a rounding
+    error.
 
-def _fd_second(fn: Callable[[float], float], x: float, h: float) -> float:
-    """Richardson-extrapolated central second difference (three levels)."""
-    def d2(step: float) -> float:
-        return (fn(x + step) - 2.0 * fn(x) + fn(x - step)) / (step * step)
-    return _richardson([d2(h), d2(h / 2.0), d2(h / 4.0)])
-
-
-def _fd_cross(fn: Callable[[float, float], float], x: float, y: float,
-              hx: float, hy: float) -> float:
-    """Richardson-extrapolated four-corner cross partial (three levels)."""
-    def cross(sx: float, sy: float) -> float:
-        return (fn(x + sx, y + sy) - fn(x + sx, y - sy)
-                - fn(x - sx, y + sy) + fn(x - sx, y - sy)) / (4.0 * sx * sy)
-    return _richardson([cross(hx, hy), cross(hx / 2.0, hy / 2.0),
-                        cross(hx / 4.0, hy / 4.0)])
-
-
-def _fd_first(fn: Callable[[float], float], x: float, h: float) -> float:
-    """Richardson-extrapolated central first difference (two levels)."""
-    d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    d2 = (fn(x + h / 2.0) - fn(x - h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+    Raises:
+        SingularPointError: the default step does not fit and either half
+            the distance is below 1e-4*max(|gamma|, 1), where rounding error
+            swamps the three-level second difference, or the reference
+            meets u0 at that edge, where a utility base vanishes and l_gg
+            and l_gtheta diverge.
+    """
+    scale = max(abs(gamma), 1.0)
+    u0, x_low, x_high, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
+    to_low_edge = gamma - (u0 - x_low) / b
+    to_high_edge = (u0 - x_high) / b - gamma
+    room = min(to_low_edge, to_high_edge)
+    if room > 2.5e-3 * scale:
+        return 2.5e-3 * scale
+    if 0.5 * room < 1e-4 * scale:
+        raise SingularPointError(
+            "l_gg and l_gtheta need a tariff step of at least %r at gamma=%r, "
+            "but the valid tariff range leaves %r"
+            % (1e-4 * scale, gamma, 0.5 * room))
+    # on the edge u0 coincides with one ride outcome
+    edge = (BinaryProspect(u0, u0 + (x_high - x_low), params.p_worst)
+            if to_low_edge <= to_high_edge
+            else BinaryProspect(u0 - (x_high - x_low), u0, params.p_worst))
+    if resolve_reference(policy, edge, u0) == u0:
+        raise SingularPointError(
+            "l_gg and l_gtheta diverge towards the edge of the valid tariff "
+            "range %r away from gamma=%r, where the reference meets u0"
+            % (room, gamma))
+    return 0.5 * room
 
 
 def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
@@ -425,22 +441,24 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
                           "p": -f_pp},
         )
     else:
-        def f_at(g: float, override: CptParams) -> float:
-            return revenue_function(scenario, override, policy)(g)
-
-        h_g = 2.5e-3 * max(abs(gamma), 1.0)
-        l_gg = -_fd_second(lambda g: f_at(g, params), gamma, h_g)
+        h_g = _fd_tariff_step(gamma, scenario, params, policy)
+        l_gg = -second_difference(revenue_function(scenario, params, policy),
+                                  gamma, h_g)
         l_gtheta, l_theta, l_thetatheta = {}, {}, {}
         for name in PARAM_NAMES:
             theta0 = params.get(name)
             h_t1 = 1e-5 * max(abs(theta0), 1e-3)
             h_t2 = 2.5e-3 * max(abs(theta0), 1e-3)
-            l_theta[name] = -_fd_first(
-                lambda t: f_at(gamma, params.replace(name, t)), theta0, h_t1)
-            l_thetatheta[name] = -_fd_second(
-                lambda t: f_at(gamma, params.replace(name, t)), theta0, h_t2)
-            l_gtheta[name] = -_fd_cross(
-                lambda g, t: f_at(g, params.replace(name, t)),
+
+            def f_theta(t: float) -> float:
+                return revenue_function(scenario, params.replace(name, t),
+                                        policy)(gamma)
+
+            l_theta[name] = -central_difference(f_theta, theta0, h_t1)
+            l_thetatheta[name] = -second_difference(f_theta, theta0, h_t2)
+            l_gtheta[name] = -cross_difference(
+                lambda g, t: revenue_function(
+                    scenario, params.replace(name, t), policy)(g),
                 gamma, theta0, h_g, h_t2)
         result = LagrangianDerivatives(gamma=gamma, l_gg=l_gg,
                                        l_gtheta=l_gtheta, l_theta=l_theta,

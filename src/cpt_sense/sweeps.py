@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from cpt_sense.errors import ContinuationError
+from cpt_sense.errors import ContinuationError, CptSenseError, SolverDisagreementError
 from cpt_sense.model import BEST_CASE, CptParams, ReferencePolicy
 from cpt_sense.pricing import ActiveSet, OptimumRecord, revenue_function, solve
 from cpt_sense.scenario import TravelScenario
@@ -142,13 +142,17 @@ def mismatch_loss(scenario: TravelScenario, theta_true: CptParams,
 
     Both problems are solved exactly; both tariffs are then valued under
     the true parameters.  The gap is nonnegative up to solver tolerance.
+
+    Raises:
+        SolverDisagreementError: the gap is below -1e-9, so the
+            true-parameter solve missed the maximum.
     """
     opt_true = solve(scenario, theta_true, policy)
     opt_assumed = solve(scenario, theta_assumed, policy)
     f_true = revenue_function(scenario, theta_true, policy)
     delta = opt_true.f_star - f_true(opt_assumed.gamma_star)
     if delta < -1e-9:
-        raise AssertionError(
+        raise SolverDisagreementError(
             "mismatch loss %r below -1e-9; the true-parameter solve is not "
             "the maximum" % delta)
     return MismatchResult(delta_f=delta, gamma_true=opt_true.gamma_star,
@@ -165,8 +169,8 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
 
     Every grid value is solved from scratch; Taylor rows come from the
     nominal differentials; the mismatch loss treats the nominal parameters
-    as the rider's true ones.  Solver failures are recorded per row and do
-    not abort the sweep.
+    as the rider's true ones.  Solver failures (any ``CptSenseError``) are
+    recorded per row and do not abort the sweep; other exceptions propagate.
     """
     if spec is None:
         raise ValueError("spec is required")
@@ -191,7 +195,7 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
                 gamma_star_taylor1=g1, f_star_taylor1=f1, f_star_taylor2=f2,
                 mu_low=opt.mu_low, mu_high=opt.mu_high, active=opt.active,
                 mismatch_loss=mismatch, clamped=clamped))
-        except Exception as exc:  # row-level marker, sweep completes
+        except CptSenseError as exc:  # row-level marker, sweep completes
             rows.append(SweepRow(
                 theta_name=spec.theta_name, theta_value=theta,
                 gamma_star_numeric=math.nan, f_star_numeric=math.nan,

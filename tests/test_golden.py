@@ -1,0 +1,43 @@
+"""CLI outputs on the fixtures, byte for byte against committed golden files.
+
+The files under ``tests/data/golden/<reference>/<command>/`` are the output
+of::
+
+    cpt-sense solve    --reference REF --out DIR
+    cpt-sense domain   --reference REF --out DIR
+    cpt-sense mismatch --reference REF --assume lambda=2.7 --out DIR
+    cpt-sense sweep    --reference REF --param all --steps 5 --out DIR
+
+for REF in best and expected.  A refactor that keeps the numbers must keep
+these bytes; a change that moves them on purpose regenerates the files with
+the same commands and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cpt_sense.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+COMMANDS = {
+    "solve": ["solve"],
+    "domain": ["domain"],
+    "mismatch": ["mismatch", "--assume", "lambda=2.7"],
+    "sweep": ["sweep", "--param", "all", "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("reference", ["best", "expected"])
+def test_cli_output_matches_golden(reference, command, tmp_path, monkeypatch):
+    monkeypatch.delenv("CPT_SENSE_WORKERS", raising=False)
+    assert main(COMMANDS[command] + ["--reference", reference,
+                                     "--out", str(tmp_path)]) == 0
+    golden = GOLDEN / reference / command
+    want = {p.name: p.read_bytes() for p in golden.iterdir()}
+    got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(got) == sorted(want), "file sets differ under %s" % golden
+    differing = sorted(name for name in want if got[name] != want[name])
+    assert not differing, "differ from %s: %s" % (golden, ", ".join(differing))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpt_sense import _core
 from cpt_sense import (
     BEST_CASE,
     BinaryProspect,
@@ -14,6 +15,7 @@ from cpt_sense import (
     InvalidScenarioError,
     PolicyKind,
     ReferencePolicy,
+    SingularPointError,
     TravelScenario,
     acceptance_probability,
     closed_form_revenue_bestcase,
@@ -330,3 +332,23 @@ class TestExpectedRevenue:
         bad_gamma = (s1.x_high - s1.u0) / -s1.b_sm + 1.0
         with pytest.raises(InvalidScenarioError):
             closed_form_revenue_bestcase(bad_gamma, s1, NOM)
+
+
+class TestBestCaseKernels:
+    # loss base x_high + b*gamma - u0: 6 - 0.5*2 - 5 = 0 and 6 - 0.5*20 - 5 < 0
+    ZERO_BASE = (2.0, 5.0, 0.0, 6.0, -0.5, 0.82, 0.8, 2.25, 0.75)
+    NEGATIVE_BASE = (20.0, 5.0, 0.0, 6.0, -0.5, 0.82, 0.8, 2.25, 0.75)
+
+    def test_negative_loss_base_rejected(self):
+        for kernel in (_core.bestcase_revenue, _core.bestcase_revenue_gradient,
+                       _core.bestcase_partials):
+            with pytest.raises(InvalidScenarioError):
+                kernel(*self.NEGATIVE_BASE)
+
+    def test_zero_loss_base_singular_below_unit_beta(self):
+        with pytest.raises(SingularPointError):
+            _core.bestcase_revenue_gradient(*self.ZERO_BASE)
+        with pytest.raises(SingularPointError):
+            _core.bestcase_partials(*self.ZERO_BASE)
+        unit_beta = self.ZERO_BASE[:6] + (1.0,) + self.ZERO_BASE[7:]
+        assert math.isfinite(_core.bestcase_revenue_gradient(*unit_beta))

@@ -13,9 +13,11 @@ from cpt_sense import (
     CptParams,
     NOMINAL_PARAMS,
     SingularPointError,
+    PARAM_NAMES,
     TravelScenario,
     UnsupportedPolicyError,
     ReferencePolicy,
+    central_derivative,
     concavity_certificate,
     generate_random,
     kkt_residuals,
@@ -23,6 +25,7 @@ from cpt_sense import (
     revenue_function,
     solve,
 )
+from cpt_sense.cli import main
 from cpt_sense.pricing import KKT_TOL
 
 # frozen from an independent dense-grid + golden-section oracle run
@@ -190,6 +193,81 @@ class TestLagrangianDerivatives:
                            gamma_min=0.5, gamma_max=2.0)
         with pytest.raises(SingularPointError, match="singular"):
             lagrangian_derivatives(2.0, s, NOMINAL_PARAMS, method="analytic")
+
+    def test_fd_tariff_step_stays_in_valid_range(self, tmp_path):
+        # R0003 of gen:5 seed 900025 is pinned to gamma_min under the
+        # expected reference, 1.7e-3 from the edge of the valid tariff range
+        # where u0 = u_low; the default tariff step of 9.7e-3 would cross it
+        expected = ReferencePolicy.expected_utility()
+        s = generate_random(count=5, seed=900025)[2]
+        opt = solve(s, NOMINAL_PARAMS, expected)
+        assert opt.active is ActiveSet.LOWER_BOUND
+        derivs = lagrangian_derivatives(opt.gamma_star, s, NOMINAL_PARAMS,
+                                        expected)
+        for name in PARAM_NAMES:
+            # at the lower bound dmu_low/dtheta = +l_gtheta
+            fd = central_derivative(
+                lambda t: solve(s, NOMINAL_PARAMS.replace(name, t),
+                                expected).mu_low,
+                NOMINAL_PARAMS.get(name), rel_step=1e-4)
+            assert derivs.l_gtheta[name] == pytest.approx(fd, rel=1e-4)
+        assert main(["domain", "--scenarios", "gen:5", "--seed", "900025",
+                     "--reference", "expected", "--out", str(tmp_path)]) == 0
+
+    def test_fd_at_validity_edge_is_singular(self):
+        # gamma = 2 puts u0 on the best ride outcome: no room for a stencil
+        s = TravelScenario("edge", u0=5.0, x_low=0.0, x_high=6.0, b_sm=-0.5,
+                           gamma_min=0.5, gamma_max=2.0)
+        with pytest.raises(SingularPointError, match="l_gg"):
+            lagrangian_derivatives(2.0, s, NOMINAL_PARAMS,
+                                   ReferencePolicy.expected_utility())
+
+    def test_fd_tariff_step_has_a_floor(self):
+        # the optimum sits 1e-6 below the edge gamma = 2: a stencil that fits
+        # would drown l_gg in rounding error
+        expected = ReferencePolicy.expected_utility()
+        s = TravelScenario("near-edge", u0=5.0, x_low=0.0, x_high=6.0,
+                           b_sm=-0.5, gamma_min=0.5, gamma_max=2.0 - 1e-6)
+        opt = solve(s, NOMINAL_PARAMS, expected)
+        assert opt.gamma_star == s.gamma_max
+        with pytest.raises(SingularPointError, match="l_gg.*at least"):
+            lagrangian_derivatives(opt.gamma_star, s, NOMINAL_PARAMS, expected)
+
+    def test_fd_tariff_step_near_the_floor_is_accurate(self):
+        # half the room, 2.5e-4, is just above the floor 1e-4*gamma; compare
+        # with one-sided O(h^4) stencils that stay inside the valid range
+        expected = ReferencePolicy.expected_utility()
+        gamma, h = 2.0 - 5e-4, 1e-3
+        s = TravelScenario("near-edge", u0=5.0, x_low=0.0, x_high=6.0,
+                           b_sm=-0.5, gamma_min=0.5, gamma_max=gamma)
+        derivs = lagrangian_derivatives(gamma, s, NOMINAL_PARAMS, expected)
+
+        def backward(params, weights):
+            f = revenue_function(s, params, expected)
+            return sum(w * f(gamma - k * h) for k, w in enumerate(weights))
+
+        f_gg = backward(NOMINAL_PARAMS,
+                        (45, -154, 214, -156, 61, -10)) / (12.0 * h * h)
+        assert -derivs.l_gg == pytest.approx(f_gg, rel=1e-4)
+        for name in PARAM_NAMES:
+            theta0 = NOMINAL_PARAMS.get(name)
+            h_t = 1e-3 * theta0
+
+            def f_g(t: float) -> float:
+                return backward(NOMINAL_PARAMS.replace(name, t),
+                                (25, -48, 36, -16, 3)) / (12.0 * h)
+
+            f_gt = (f_g(theta0 + h_t) - f_g(theta0 - h_t)) / (2.0 * h_t)
+            assert -derivs.l_gtheta[name] == pytest.approx(f_gt, rel=1e-4)
+
+    def test_fd_at_singular_validity_edge(self):
+        # the static reference is u0 itself, so at the edge gamma = 2 the
+        # base u_high - u0 of the value function vanishes: no step is safe
+        s = TravelScenario("near-edge", u0=5.0, x_low=0.0, x_high=6.0,
+                           b_sm=-0.5, gamma_min=0.5, gamma_max=2.0 - 5e-4)
+        with pytest.raises(SingularPointError, match="reference meets u0"):
+            lagrangian_derivatives(s.gamma_max, s, NOMINAL_PARAMS,
+                                   ReferencePolicy.static_alternative())
 
     def test_method_validation(self, s1):
         with pytest.raises(ValueError):

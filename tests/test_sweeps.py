@@ -6,13 +6,18 @@ import pytest
 
 from cpt_sense import (
     ActiveSet,
+    BracketingError,
     NOMINAL_PARAMS,
+    SolverDisagreementError,
     SweepSpec,
+    differentials,
     mismatch_loss,
     numeric_sweep,
     piecewise_continuation,
     solve,
+    sweeps,
 )
+from cpt_sense.cli import main
 from cpt_sense.model import BEST_CASE
 
 # frozen from an independent dense-grid double-solve oracle
@@ -120,6 +125,38 @@ class TestMismatchLoss:
                         name, NOMINAL_PARAMS.get(name) * factor)
                     res = mismatch_loss(s, NOMINAL_PARAMS, assumed)
                     assert res.delta_f >= -1e-9
+
+
+class TestTypedFailures:
+    def test_negative_mismatch_is_solver_failure(self, s1, monkeypatch,
+                                                 tmp_path):
+        # a true-parameter valuation above f*: the solve missed the maximum
+        monkeypatch.setattr(sweeps, "revenue_function",
+                            lambda *args: (lambda gamma: 1e9))
+        with pytest.raises(SolverDisagreementError):
+            mismatch_loss(s1, NOMINAL_PARAMS, NOMINAL_PARAMS)
+        assert main(["mismatch", "--out", str(tmp_path)]) == 3
+
+    def test_sweep_rows_record_only_package_errors(self, s1, monkeypatch):
+        nominal = solve(s1, NOMINAL_PARAMS)
+        diffs = differentials(nominal, s1, NOMINAL_PARAMS)
+        spec = SweepSpec("alpha", steps=3)
+
+        def solve_raising(exc):
+            def fake_solve(*args):
+                raise exc
+            return fake_solve
+
+        monkeypatch.setattr(sweeps, "solve",
+                            solve_raising(BracketingError("no sign change")))
+        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec,
+                             nominal=nominal, diffs=diffs)
+        assert [r.error for r in rows] == ["BracketingError: no sign change"] * 3
+        monkeypatch.setattr(sweeps, "solve",
+                            solve_raising(ZeroDivisionError("a bug")))
+        with pytest.raises(ZeroDivisionError):
+            numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec,
+                          nominal=nominal, diffs=diffs)
 
 
 class TestPiecewiseContinuation:
