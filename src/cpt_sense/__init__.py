@@ -33,9 +33,9 @@ from cpt_sense.model import (
     ReferencePolicy,
     SubjectiveEvaluation,
     acceptance_probability,
-    closed_form_revenue_bestcase,
     expected_revenue,
     rank_dependent_weights,
+    reference_line,
     resolve_reference,
     subjective_utilities,
     value,
@@ -113,12 +113,12 @@ __all__ = [
     "SingularPointError", "SolverDisagreementError", "SubjectiveEvaluation",
     "SweepRow", "SweepSpec", "TravelScenario", "UnsupportedPolicyError",
     "acceptance_probability", "all_domains", "bracket_root",
-    "central_derivative", "closed_form_revenue_bestcase",
-    "concavity_certificate", "differentials", "expected_revenue", "fixtures",
-    "generate_random", "grid_golden_maximize", "is_valid", "kernel_backend",
-    "kkt_residuals", "lagrangian_derivatives", "local_domain", "mismatch_loss",
-    "numeric_sweep", "piecewise_continuation", "rank_dependent_weights",
-    "require_valid", "resolve_reference", "revenue_function",
-    "revenue_gradient", "solve", "subjective_utilities", "taylor_predict",
-    "utilities_at", "validate", "value", "weight",
+    "central_derivative", "concavity_certificate", "differentials",
+    "expected_revenue", "fixtures", "generate_random", "grid_golden_maximize",
+    "is_valid", "kernel_backend", "kkt_residuals", "lagrangian_derivatives",
+    "local_domain", "mismatch_loss", "numeric_sweep", "piecewise_continuation",
+    "rank_dependent_weights", "reference_line", "require_valid",
+    "resolve_reference", "revenue_function", "revenue_gradient", "solve",
+    "subjective_utilities", "taylor_predict", "utilities_at", "validate",
+    "value", "weight",
 ]

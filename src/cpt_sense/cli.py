@@ -24,8 +24,14 @@ from pathlib import Path
 
 from cpt_sense import scenario as scn
 from cpt_sense.errors import CptSenseError, InvalidScenarioError
-from cpt_sense.model import NOMINAL_PARAMS, PARAM_NAMES, CptParams, ReferencePolicy
-from cpt_sense.pricing import solve
+from cpt_sense.model import (
+    NOMINAL_PARAMS,
+    PARAM_NAMES,
+    CptParams,
+    PolicyKind,
+    ReferencePolicy,
+)
+from cpt_sense.pricing import certificate_margin, solve
 from cpt_sense.sensitivity import all_domains, differentials
 from cpt_sense.sweeps import SWEEP_COLUMNS, SweepSpec, mismatch_loss, numeric_sweep
 
@@ -145,7 +151,7 @@ def _validate_all(config: RunConfig) -> int:
     return code
 
 
-def _record_row(label: str, opt) -> dict:
+def _record_row(label: str, opt, certified: bool) -> dict:
     return {
         "label": label,
         "gamma_star": opt.gamma_star,
@@ -154,7 +160,7 @@ def _record_row(label: str, opt) -> dict:
         "mu_high": opt.mu_high,
         "active": opt.active.value,
         "kkt_residual": opt.kkt_residual,
-        "concave_certified": opt.concave_certified,
+        "concave_certified": certified,
         "degenerate": opt.degenerate,
     }
 
@@ -180,7 +186,9 @@ def cmd_solve(config: RunConfig) -> int:
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
             return EXIT_SOLVER_FAILURE
-        rows.append(_record_row(s.label, opt))
+        certified = (config.policy.kind is PolicyKind.BEST_CASE
+                     and certificate_margin(s, config.params)[0])
+        rows.append(_record_row(s.label, opt, certified))
     path = _emit(config, "solutions", list(rows[0].keys()), rows)
     print("wrote %s (%d scenarios)" % (path, len(rows)))
     return EXIT_OK

@@ -203,6 +203,26 @@ def resolve_reference(policy: ReferencePolicy, prospect: BinaryProspect,
     return float(policy.level)  # FIXED_VALUE
 
 
+def reference_line(policy: ReferencePolicy,
+                   scenario: "TravelScenario") -> tuple[float, float, float]:
+    """Coefficients (c, r_g, r_p) of the reference R = c + r_g*gamma + r_p*p.
+
+    Every policy's reference is affine in the tariff and the worst-outcome
+    probability p, which is what lets the ``_core`` slope and partials be
+    closed forms for every policy; ``resolve_reference`` gives the same
+    level from a prospect.
+    """
+    if policy.kind is PolicyKind.STATIC_ALTERNATIVE:
+        return scenario.u0, 0.0, 0.0
+    if policy.kind is PolicyKind.EXPECTED_UTILITY:
+        return scenario.x_high, scenario.b_sm, scenario.x_low - scenario.x_high
+    if policy.kind is PolicyKind.BEST_CASE:
+        return scenario.x_high, scenario.b_sm, 0.0
+    if policy.kind is PolicyKind.WORST_CASE:
+        return scenario.x_low, scenario.b_sm, 0.0
+    return float(policy.level), 0.0, 0.0  # FIXED_VALUE
+
+
 def rank_dependent_weights(prospect: BinaryProspect, reference: float,
                            alpha: float) -> tuple[float, float]:
     """Decision weights (w_low, w_high) for the two prospect outcomes.
@@ -283,17 +303,3 @@ def expected_revenue(gamma: float, scenario: "TravelScenario",
                      policy: ReferencePolicy = BEST_CASE) -> float:
     """Expected revenue per offer: gamma times the acceptance probability."""
     return gamma * acceptance_probability(gamma, scenario, params, policy)
-
-
-def closed_form_revenue_bestcase(gamma: float, scenario: "TravelScenario",
-                                 params: CptParams) -> float:
-    """Expected revenue under the best-case reference, single closed form.
-
-    Fast path and anchor for the analytic derivatives; must agree with
-    ``expected_revenue`` under the best-case policy to machine precision.
-    """
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite, got %r" % gamma)
-    return _core.bestcase_revenue(
-        gamma, scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm,
-        params.alpha, params.beta, params.lam, params.p_worst)

@@ -1,5 +1,5 @@
 """Generic scalar numerics: bounded maximization oracle, bracketed root
-finding, and Richardson-extrapolated finite differences.
+finding, and a Richardson-extrapolated central difference.
 
 The maximizer is deliberately derivative-free (pattern presieve plus
 golden-section refinement) so that it shares no code path or failure mode
@@ -120,56 +120,14 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     return best_x, best_y
 
 
-def richardson(difference: Callable[[float], float], levels: int) -> float:
-    """Richardson extrapolation of a difference quotient over halving steps.
-
-    ``difference(s)`` is the quotient at its base step(s) scaled by
-    s = 1, 1/2, 1/4, ...; its truncation error must run in even powers of
-    the step from O(h^2) on, which holds for the central stencils below.
-    With L levels the extrapolated error is O(h^(2L)).  Scaling by powers of
-    two keeps every step exact.
-    """
-    estimates = [difference(0.5 ** k) for k in range(levels)]
-    for level in range(1, levels):
-        factor = 4.0 ** level
-        estimates = [(factor * estimates[i + 1] - estimates[i]) / (factor - 1.0)
-                     for i in range(len(estimates) - 1)]
-    return estimates[0]
-
-
-def central_difference(f: Callable[[float], float], x: float, h: float,
-                       levels: int = 2) -> float:
-    """Richardson-extrapolated central first difference with absolute step h."""
-    return richardson(
-        lambda s: (f(x + h * s) - f(x - h * s)) / (2.0 * (h * s)), levels)
-
-
-def second_difference(f: Callable[[float], float], x: float, h: float
-                      ) -> float:
-    """Three-level Richardson central second difference with absolute step h."""
-    fx = f(x)
-    return richardson(
-        lambda s: (f(x + h * s) - 2.0 * fx + f(x - h * s)) / ((h * s) * (h * s)),
-        3)
-
-
-def cross_difference(f: Callable[[float, float], float], x: float, y: float,
-                     hx: float, hy: float) -> float:
-    """Three-level Richardson four-corner cross partial d2f/dxdy."""
-    def quotient(s: float) -> float:
-        sx, sy = hx * s, hy * s
-        return (f(x + sx, y + sy) - f(x + sx, y - sy)
-                - f(x - sx, y + sy) + f(x - sx, y - sy)) / (4.0 * sx * sy)
-    return richardson(quotient, 3)
-
-
 def central_derivative(f: Callable[[float], float], x: float,
                        rel_step: float = 1e-5, richardson_levels: int = 2
                        ) -> float:
     """Richardson-extrapolated central difference of ``f`` at ``x``.
 
     The step is rel_step*|x|, falling back to an absolute 1e-6 when x is
-    zero.  With L levels the truncation error is O(h^(2L)) for smooth f.
+    zero.  Each level halves the step, which keeps every step exact, and
+    with L levels the truncation error is O(h^(2L)) for smooth f.
 
     Raises:
         ValueError: bad level count, or a non-finite value of ``f``.
@@ -178,8 +136,17 @@ def central_derivative(f: Callable[[float], float], x: float,
         raise ValueError("richardson_levels must be in [1, 4]")
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
     h = rel_step * abs(x) if x != 0.0 else 1e-6
-    return central_difference(lambda t: _checked(handle, t), x, h,
-                              richardson_levels)
+
+    def quotient(s: float) -> float:
+        return ((_checked(handle, x + h * s) - _checked(handle, x - h * s))
+                / (2.0 * (h * s)))
+
+    estimates = [quotient(0.5 ** k) for k in range(richardson_levels)]
+    for level in range(1, richardson_levels):
+        factor = 4.0 ** level
+        estimates = [(factor * estimates[i + 1] - estimates[i]) / (factor - 1.0)
+                     for i in range(len(estimates) - 1)]
+    return estimates[0]
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float,

@@ -1,6 +1,6 @@
 """Bounded expected-revenue maximization over the tariff, with KKT
-multipliers, residual diagnostics, Lagrangian partials and a concavity
-certificate.
+multipliers, residual diagnostics, closed-form Lagrangian partials and a
+concavity certificate.
 
 The solver is a bracketed one-dimensional method: a presieve grid locates
 sign changes of the revenue slope, each is polished by bracketed root
@@ -37,20 +37,16 @@ from cpt_sense.errors import (
 from cpt_sense.model import (
     BEST_CASE,
     PARAM_NAMES,
-    BinaryProspect,
     CptParams,
     PolicyKind,
     ReferencePolicy,
     acceptance_probability,
-    resolve_reference,
+    reference_line,
 )
 from cpt_sense.numerics import (
     ScalarFunctionHandle,
     bracket_root,
-    central_difference,
-    cross_difference,
     grid_golden_maximize,
-    second_difference,
 )
 from cpt_sense.scenario import TravelScenario, require_valid
 
@@ -81,7 +77,6 @@ class OptimumRecord:
     mu_high: float
     active: ActiveSet
     kkt_residual: float
-    concave_certified: bool
     degenerate: bool
     gamma_min: float
     gamma_max: float
@@ -145,23 +140,22 @@ def revenue_function(scenario: TravelScenario, params: CptParams,
 def revenue_gradient(scenario: TravelScenario, params: CptParams,
                      policy: ReferencePolicy = BEST_CASE
                      ) -> Callable[[float], float]:
-    """Tariff derivative of the expected revenue.
+    """Tariff derivative of the expected revenue, in closed form.
 
-    Closed form under the best-case policy; a short central difference of
-    the revenue otherwise.
+    The best-case kernel under the best-case policy; the general slope on
+    the policy's reference line otherwise.
     """
+    u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
+    a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
     if policy.kind is PolicyKind.BEST_CASE:
-        u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
-        a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
-
         def fgrad(gamma: float) -> float:
             return _core.bestcase_revenue_gradient(gamma, u0, xl, xh, b, a, be, lam, p)
     else:
-        f = revenue_function(scenario, params, policy)
+        c, r_g, r_p = reference_line(policy, scenario)
 
         def fgrad(gamma: float) -> float:
-            h = 3e-7 * max(abs(gamma), 1.0)
-            return (f(gamma + h) - f(gamma - h)) / (2.0 * h)
+            return _core.revenue_slope(gamma, u0, xl, xh, b, c, r_g, r_p,
+                                       a, be, lam, p)
     return fgrad
 
 
@@ -236,14 +230,11 @@ def solve(scenario: TravelScenario, params: CptParams,
             "scenario %r: solver gamma*=%r vs oracle %r exceeds 2 presieve "
             "cells" % (scenario.label, gamma_star, gamma_oracle))
 
-    certified, _ = (_certificate_margin(scenario, params)
-                    if policy.kind is PolicyKind.BEST_CASE else (False, 0.0))
-
     record = OptimumRecord(
         gamma_star=gamma_star, f_star=f_star, mu_low=mu_low, mu_high=mu_high,
-        active=active, kkt_residual=0.0, concave_certified=certified,
-        degenerate=degenerate, gamma_min=lo, gamma_max=hi,
-        gamma_oracle=gamma_oracle, evaluations=f.evaluations)
+        active=active, kkt_residual=0.0, degenerate=degenerate,
+        gamma_min=lo, gamma_max=hi, gamma_oracle=gamma_oracle,
+        evaluations=f.evaluations)
     residual = kkt_residuals(record, scenario, params, policy).max_residual
     return dataclasses.replace(record, kkt_residual=residual)
 
@@ -276,8 +267,8 @@ class ConcavityReport:
     consistent: bool
 
 
-def _certificate_margin(scenario: TravelScenario, params: CptParams,
-                        grid_points: int = 101) -> tuple[bool, float]:
+def certificate_margin(scenario: TravelScenario, params: CptParams,
+                       grid_points: int = 101) -> tuple[bool, float]:
     """Evaluate the printed concavity inequality on a tariff grid.
 
     The inequality compares, at each tariff,
@@ -326,7 +317,7 @@ def concavity_certificate(scenario: TravelScenario, params: CptParams,
         raise UnsupportedPolicyError(
             "concavity certificate is defined for the best-case reference only")
     require_valid(scenario)
-    certified, margin = _certificate_margin(scenario, params, grid_points)
+    certified, margin = certificate_margin(scenario, params, grid_points)
 
     f = revenue_function(scenario, params, policy)
     lo, hi = scenario.gamma_min, scenario.gamma_max
@@ -352,117 +343,41 @@ def concavity_certificate(scenario: TravelScenario, params: CptParams,
                            consistent=consistent)
 
 
-def _fd_tariff_step(gamma: float, scenario: TravelScenario,
-                    params: CptParams, policy: ReferencePolicy) -> float:
-    """Tariff step of the finite-difference stencils at gamma.
-
-    The default step is 2.5e-3*max(|gamma|, 1).  The choice set is valid
-    while u_low <= u0 <= u_high, i.e. for tariffs between (u0 - x_low)/b and
-    (u0 - x_high)/b, and a bound-pinned optimum can sit closer to an edge
-    than that.  The step then becomes half the distance to the nearer edge:
-    a step onto the edge itself can land outside the range by a rounding
-    error.
-
-    Raises:
-        SingularPointError: the default step does not fit and either half
-            the distance is below 1e-4*max(|gamma|, 1), where rounding error
-            swamps the three-level second difference, or the reference
-            meets u0 at that edge, where a utility base vanishes and l_gg
-            and l_gtheta diverge.
-    """
-    scale = max(abs(gamma), 1.0)
-    u0, x_low, x_high, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
-    to_low_edge = gamma - (u0 - x_low) / b
-    to_high_edge = (u0 - x_high) / b - gamma
-    room = min(to_low_edge, to_high_edge)
-    if room > 2.5e-3 * scale:
-        return 2.5e-3 * scale
-    if 0.5 * room < 1e-4 * scale:
-        raise SingularPointError(
-            "l_gg and l_gtheta need a tariff step of at least %r at gamma=%r, "
-            "but the valid tariff range leaves %r"
-            % (1e-4 * scale, gamma, 0.5 * room))
-    # on the edge u0 coincides with one ride outcome
-    edge = (BinaryProspect(u0, u0 + (x_high - x_low), params.p_worst)
-            if to_low_edge <= to_high_edge
-            else BinaryProspect(u0 - (x_high - x_low), u0, params.p_worst))
-    if resolve_reference(policy, edge, u0) == u0:
-        raise SingularPointError(
-            "l_gg and l_gtheta diverge towards the edge of the valid tariff "
-            "range %r away from gamma=%r, where the reference meets u0"
-            % (room, gamma))
-    return 0.5 * room
-
-
 def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
                            params: CptParams,
-                           policy: ReferencePolicy = BEST_CASE,
-                           method: str = "auto") -> LagrangianDerivatives:
+                           policy: ReferencePolicy = BEST_CASE
+                           ) -> LagrangianDerivatives:
     """Partials of the minimization Lagrangian at (gamma, params).
 
-    Under the best-case policy the partials come from hand-derived closed
-    forms of the revenue (docs/derivatives.md); for every policy a central
-    finite-difference evaluator is available (relative step 1e-5 for first
-    derivatives, wider Richardson-improved stencils for second derivatives,
-    where a 1e-5 step would drown in rounding error).  The bound terms of
-    the Lagrangian contribute nothing to any of these partials.
-
-    Args:
-        method: 'auto' (analytic when available), 'analytic' or 'fd'.
+    The partials are the negated closed-form revenue partials of the
+    ``_core`` kernel on the policy's reference line (docs/derivatives.md).
+    The bound terms of the Lagrangian contribute nothing to any of them.
 
     Raises:
-        UnsupportedPolicyError: analytic method requested for a policy
-            without closed forms.
-        SingularPointError: a derivative is non-finite at this point; the
-            message names the offending term.
+        SingularPointError: a value-function base vanishes at this point or
+            a derivative is non-finite; the message names the offending
+            base or term.
     """
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError("method must be 'auto', 'analytic' or 'fd'")
-    if method == "auto":
-        method = "analytic" if policy.kind is PolicyKind.BEST_CASE else "fd"
-
-    if method == "analytic":
-        if policy.kind is not PolicyKind.BEST_CASE:
-            raise UnsupportedPolicyError(
-                "closed-form partials exist for the best-case reference only")
-        (f, f_g, f_gg,
-         f_a, f_ga, f_aa,
-         f_b, f_gb, f_bb,
-         f_l, f_gl, f_ll,
-         f_p, f_gp, f_pp) = _core.bestcase_partials(
-            gamma, scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm,
-            params.alpha, params.beta, params.lam, params.p_worst)
-        result = LagrangianDerivatives(
-            gamma=gamma,
-            l_gg=-f_gg,
-            l_gtheta={"alpha": -f_ga, "beta": -f_gb, "lambda": -f_gl, "p": -f_gp},
-            l_theta={"alpha": -f_a, "beta": -f_b, "lambda": -f_l, "p": -f_p},
-            l_thetatheta={"alpha": -f_aa, "beta": -f_bb, "lambda": -f_ll,
-                          "p": -f_pp},
-        )
+    args = (gamma, scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm)
+    theta = (params.alpha, params.beta, params.lam, params.p_worst)
+    if policy.kind is PolicyKind.BEST_CASE:
+        partials = _core.bestcase_partials(*args, *theta)
     else:
-        h_g = _fd_tariff_step(gamma, scenario, params, policy)
-        l_gg = -second_difference(revenue_function(scenario, params, policy),
-                                  gamma, h_g)
-        l_gtheta, l_theta, l_thetatheta = {}, {}, {}
-        for name in PARAM_NAMES:
-            theta0 = params.get(name)
-            h_t1 = 1e-5 * max(abs(theta0), 1e-3)
-            h_t2 = 2.5e-3 * max(abs(theta0), 1e-3)
-
-            def f_theta(t: float) -> float:
-                return revenue_function(scenario, params.replace(name, t),
-                                        policy)(gamma)
-
-            l_theta[name] = -central_difference(f_theta, theta0, h_t1)
-            l_thetatheta[name] = -second_difference(f_theta, theta0, h_t2)
-            l_gtheta[name] = -cross_difference(
-                lambda g, t: revenue_function(
-                    scenario, params.replace(name, t), policy)(g),
-                gamma, theta0, h_g, h_t2)
-        result = LagrangianDerivatives(gamma=gamma, l_gg=l_gg,
-                                       l_gtheta=l_gtheta, l_theta=l_theta,
-                                       l_thetatheta=l_thetatheta)
+        partials = _core.revenue_partials(
+            *args, *reference_line(policy, scenario), *theta)
+    (f, f_g, f_gg,
+     f_a, f_ga, f_aa,
+     f_b, f_gb, f_bb,
+     f_l, f_gl, f_ll,
+     f_p, f_gp, f_pp) = partials
+    result = LagrangianDerivatives(
+        gamma=gamma,
+        l_gg=-f_gg,
+        l_gtheta={"alpha": -f_ga, "beta": -f_gb, "lambda": -f_gl, "p": -f_gp},
+        l_theta={"alpha": -f_a, "beta": -f_b, "lambda": -f_l, "p": -f_p},
+        l_thetatheta={"alpha": -f_aa, "beta": -f_bb, "lambda": -f_ll,
+                      "p": -f_pp},
+    )
 
     entries = [("l_gg", result.l_gg)]
     for name in PARAM_NAMES:

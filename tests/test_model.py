@@ -18,11 +18,11 @@ from cpt_sense import (
     SingularPointError,
     TravelScenario,
     acceptance_probability,
-    closed_form_revenue_bestcase,
     expected_revenue,
     generate_random,
     rank_dependent_weights,
     resolve_reference,
+    revenue_function,
     subjective_utilities,
     value,
     weight,
@@ -304,7 +304,7 @@ class TestExpectedRevenue:
 
     def test_matches_closed_form_on_s1(self, s1):
         general = expected_revenue(6.0, s1, NOM, BEST_CASE)
-        closed = closed_form_revenue_bestcase(6.0, s1, NOM)
+        closed = revenue_function(s1, NOM)(6.0)
         assert general == pytest.approx(closed, rel=1e-12)
 
     def test_matches_closed_form_on_random_pairs(self):
@@ -315,23 +315,23 @@ class TestExpectedRevenue:
             scenario = rng.choice(scenarios)
             g = rng.uniform(scenario.gamma_min, scenario.gamma_max)
             general = expected_revenue(g, scenario, NOM, BEST_CASE)
-            closed = closed_form_revenue_bestcase(g, scenario, NOM)
+            closed = revenue_function(scenario, NOM)(g)
             assert general == pytest.approx(closed, rel=1e-12, abs=1e-300)
             checked += 1
 
     def test_s2_frozen_value(self, s2):
-        assert closed_form_revenue_bestcase(10.0, s2, NOM) == pytest.approx(
+        assert revenue_function(s2, NOM)(10.0) == pytest.approx(
             S2_G10_REVENUE, rel=1e-13)
 
     def test_deep_loss_aversion_kills_revenue(self, s1):
         heavy = CptParams(alpha=0.82, beta=0.8, lam=50.0, p_worst=0.75)
-        assert closed_form_revenue_bestcase(6.0, s1, heavy) < 1e-12
+        assert revenue_function(s1, heavy)(6.0) < 1e-12
 
     def test_alternative_above_best_outcome_rejected(self, s1):
         # a tariff high enough that u0 exceeds the best ride outcome
         bad_gamma = (s1.x_high - s1.u0) / -s1.b_sm + 1.0
         with pytest.raises(InvalidScenarioError):
-            closed_form_revenue_bestcase(bad_gamma, s1, NOM)
+            revenue_function(s1, NOM)(bad_gamma)
 
 
 class TestBestCaseKernels:
