@@ -15,8 +15,8 @@ the ride outcomes, u0 the certain alternative and R the reference,
 
 where w_low and w_high are the rank-dependent weights.  Every reference
 policy puts R on a line R = ref_c + ref_g*gamma + ref_p*p_worst, so z has one
-closed form per branch; ``revenue_slope`` and ``revenue_partials`` take that
-line as input.  Under the best-case reference (R = u_high) z reduces to
+closed form per branch; ``revenue_evaluator`` and ``revenue_partials`` take
+that line as input.  Under the best-case reference (R = u_high) z reduces to
 lam*(w(p)*D^beta - G^beta) with the tariff-independent spread
 D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
 best-case kernels evaluate directly.
@@ -127,14 +127,9 @@ def bestcase_revenue_gradient(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_w
     return sig + gamma * s1 * z_g
 
 
-def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
-    """Bases u - R of the three value-function terms of z at one point.
-
-    The reference is the line R = ref_c + ref_g*gamma + ref_p*p_worst.
-    Returns (name, base, d base/d gamma, d base/d p_worst, identically zero)
-    for the alternative, the worst and the best ride outcome, in that order.
-    A base is identically zero when its own line is the reference line; its
-    term then vanishes together with every partial.
+def _bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_pp):
+    """Bases (u0 - R, u_low - R, u_high - R) of the three value-function
+    terms of z, for the reference line R = ref_c + ref_g*gamma + ref_pp.
 
     Raises InvalidScenarioError when u0 lies outside [u_low, u_high], where
     the choice set is trivial.
@@ -145,46 +140,116 @@ def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
         raise InvalidScenarioError(
             "u0=%r outside the ride outcomes [%r, %r] at gamma=%r"
             % (u0, u_low, u_high, gamma))
-    reference = ref_c + ref_g * gamma + ref_p * p_worst
+    reference = ref_c + ref_g * gamma + ref_pp
+    return u0 - reference, u_low - reference, u_high - reference
+
+
+def _zero_bases(u0, x_low, x_high, b, ref_c, ref_g, ref_p):
+    """Which bases are identically zero, as (alternative, worst, best): a
+    base whose own line is the reference line.  Its term vanishes together
+    with every partial."""
     flat = ref_p == 0.0
-    return (("u0 - R", u0 - reference, -ref_g, -ref_p,
-             flat and ref_g == 0.0 and u0 == ref_c),
-            ("u_low - R", u_low - reference, b - ref_g, -ref_p,
-             flat and ref_g == b and x_low == ref_c),
-            ("u_high - R", u_high - reference, b - ref_g, -ref_p,
-             flat and ref_g == b and x_high == ref_c))
+    return (flat and ref_g == 0.0 and u0 == ref_c,
+            flat and ref_g == b and x_low == ref_c,
+            flat and ref_g == b and x_high == ref_c)
 
 
-def revenue_slope(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p,
-                  alpha, beta, lam, p_worst):
-    """d/dgamma of the expected revenue under the reference line
-    R = ref_c + ref_g*gamma + ref_p*p_worst, in closed form.
+def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
+    """Bases of the three value-function terms of z at one point.
 
-    Raises:
-        InvalidScenarioError: u0 outside [u_low, u_high] at gamma.
-        SingularPointError: a base that is not identically zero vanishes
-            with beta < 1, where the slope is infinite; names the base.
+    Returns (name, base, d base/d gamma, d base/d p_worst, identically zero)
+    for the alternative, the worst and the best ride outcome, in that order.
     """
-    alt, low, high = _value_bases(gamma, u0, x_low, x_high, b,
-                                  ref_c, ref_g, ref_p, p_worst)
-    w_low, w_high = rank_weights(p_worst, alpha, low[1] < 0.0, high[1] >= 0.0)
-    z = z_g = 0.0
-    for (name, d, d_g, _, zero), k in ((alt, 1.0), (low, -w_low),
-                                       (high, -w_high)):
-        if zero:
-            continue
-        if d == 0.0 and beta < 1.0:
-            raise SingularPointError(
-                "(%s)**(beta-1) is singular at a zero base, gamma=%r"
-                % (name, gamma))
-        if d >= 0.0:
-            z += k * d ** beta
-            z_g += k * beta * d ** (beta - 1.0) * d_g
-        else:
-            z -= k * lam * (-d) ** beta
-            z_g += k * lam * beta * (-d) ** (beta - 1.0) * d_g
-    sig = _stable_logistic(z)
-    return sig - gamma * sig * (1.0 - sig) * z_g
+    d_alt, d_low, d_high = _bases(gamma, u0, x_low, x_high, b,
+                                  ref_c, ref_g, ref_p * p_worst)
+    alt_zero, low_zero, high_zero = _zero_bases(u0, x_low, x_high, b,
+                                                ref_c, ref_g, ref_p)
+    return (("u0 - R", d_alt, -ref_g, -ref_p, alt_zero),
+            ("u_low - R", d_low, b - ref_g, -ref_p, low_zero),
+            ("u_high - R", d_high, b - ref_g, -ref_p, high_zero))
+
+
+def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
+                      alpha, beta, lam, p_worst):
+    """Expected revenue and its tariff slope under the reference line
+    R = ref_c + ref_g*gamma + ref_p*p_worst, as a (value, slope) pair of
+    closures of the tariff.
+
+    Everything that does not depend on the tariff is computed here once:
+    the distorted probabilities w(p) and w(1-p), the line's p-term, which
+    bases are identically zero, and each branch's coefficients.  A call
+    then forms the three bases, picks each branch and does one power per
+    term (two for the slope) and one logistic.
+
+    The value evaluates z = v(u0-R) - (w_low*v(u_low-R) + w_high*v(u_high-R))
+    in the order of ``acceptance_from_utilities``, so on a reference that
+    ``model.resolve_reference`` computes to the same bits the two agree
+    exactly.  The slope is the closed form of docs/derivatives.md.
+
+    Both closures raise InvalidScenarioError when u0 lies outside
+    [u_low, u_high] at the tariff; the slope raises SingularPointError,
+    naming the base, where a base that is not identically zero vanishes
+    with beta < 1 and the slope is infinite.
+    """
+    w_p = prelec_weight(p_worst, alpha)
+    w_q = prelec_weight(1.0 - p_worst, alpha)
+    ref_pp = ref_p * p_worst
+    alt_zero, low_zero, high_zero = _zero_bases(u0, x_low, x_high, b,
+                                                ref_c, ref_g, ref_p)
+    # rank weights by branch: the worst outcome below the reference takes
+    # w(p), at or above it 1 - w(1-p); the best outcome at or above takes
+    # w(1-p), below it 1 - w(p)
+    w_low_loss, w_low_gain = w_p, 1.0 - w_q
+    w_high_gain, w_high_loss = w_q, 1.0 - w_p
+    neg_lam = -lam
+    beta_1 = beta - 1.0
+    singular = beta < 1.0
+    # slope terms that are not identically zero, as (index of the base,
+    # name, d base/d gamma, gain coefficient k and k*beta, loss coefficient
+    # k*lam and k*lam*beta), with k = 1 for the alternative and -w for a
+    # ride outcome; grouped as the slope's products associate
+    terms = tuple(
+        (i, name, d_g, k_g, k_g * beta, k_l * lam, k_l * lam * beta)
+        for i, (name, d_g, zero, k_g, k_l) in enumerate((
+            ("u0 - R", -ref_g, alt_zero, 1.0, 1.0),
+            ("u_low - R", b - ref_g, low_zero, -w_low_gain, -w_low_loss),
+            ("u_high - R", b - ref_g, high_zero, -w_high_gain, -w_high_loss)))
+        if not zero)
+
+    def value(gamma):
+        d_alt, d_low, d_high = _bases(gamma, u0, x_low, x_high, b,
+                                      ref_c, ref_g, ref_pp)
+        a_s = 0.0
+        if not alt_zero:
+            a_s = d_alt ** beta if d_alt >= 0.0 else neg_lam * (-d_alt) ** beta
+        u_s = 0.0
+        if not low_zero:
+            u_s = (w_low_gain * d_low ** beta if d_low >= 0.0
+                   else w_low_loss * (neg_lam * (-d_low) ** beta))
+        if not high_zero:
+            u_s += (w_high_gain * d_high ** beta if d_high >= 0.0
+                    else w_high_loss * (neg_lam * (-d_high) ** beta))
+        return gamma * _stable_logistic(a_s - u_s)
+
+    def slope(gamma):
+        ds = _bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_pp)
+        z = z_g = 0.0
+        for i, name, d_g, k_g, k_gb, k_l, k_lb in terms:
+            d = ds[i]
+            if d >= 0.0:
+                if d == 0.0 and singular:
+                    raise SingularPointError(
+                        "(%s)**(beta-1) is singular at a zero base, gamma=%r"
+                        % (name, gamma))
+                z += k_g * d ** beta
+                z_g += k_gb * d ** beta_1 * d_g
+            else:
+                z -= k_l * (-d) ** beta
+                z_g += k_lb * (-d) ** beta_1 * d_g
+        sig = _stable_logistic(z)
+        return sig - gamma * sig * (1.0 - sig) * z_g
+
+    return value, slope
 
 
 def _prelec_partials(q, alpha):

@@ -2,7 +2,8 @@
 validate.
 
 All numeric CSV fields are written with 12 significant digits and a '.'
-decimal separator regardless of locale; files are written atomically
+decimal separator regardless of locale, and an absent value (a sweep row's
+``error`` when it has none) as an empty field; files are written atomically
 (temp + rename) in a deterministic order, so identical configurations and
 seeds produce byte-identical outputs.  Exit codes: 0 success, 2 invalid
 scenario, 3 solver failure, 64 usage error.  ``CPT_SENSE_WORKERS`` caps the
@@ -53,6 +54,8 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
+    if x is None:
+        return ""
     return str(x)
 
 
@@ -248,6 +251,8 @@ def _sweep_row_dict(row) -> dict:
         "mu_high": row.mu_high,
         "active": row.active.value if row.error is None else "error",
         "mismatch_loss": row.mismatch_loss,
+        "clamped": row.clamped,
+        "error": row.error,
     }
 
 

@@ -301,5 +301,10 @@ def acceptance_probability(gamma: float, scenario: "TravelScenario",
 def expected_revenue(gamma: float, scenario: "TravelScenario",
                      params: CptParams,
                      policy: ReferencePolicy = BEST_CASE) -> float:
-    """Expected revenue per offer: gamma times the acceptance probability."""
+    """Expected revenue per offer: gamma times the acceptance probability.
+
+    This is the general chain, one prospect per call.  The solver takes the
+    same quantity from the closed forms behind ``pricing.revenue_function``,
+    which the tests check against this function.
+    """
     return gamma * acceptance_probability(gamma, scenario, params, policy)

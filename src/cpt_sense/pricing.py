@@ -40,7 +40,6 @@ from cpt_sense.model import (
     CptParams,
     PolicyKind,
     ReferencePolicy,
-    acceptance_probability,
     reference_line,
 )
 from cpt_sense.numerics import (
@@ -121,42 +120,45 @@ class LagrangianDerivatives:
     l_thetatheta: dict[str, float]
 
 
+def _revenue_pair(scenario: TravelScenario, params: CptParams,
+                  policy: ReferencePolicy
+                  ) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """Expected revenue and its tariff slope as functions of the tariff.
+
+    The best-case kernels under the best-case policy; one reference-line
+    evaluator from ``_core`` otherwise.
+    """
+    u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
+    a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
+    if policy.kind is not PolicyKind.BEST_CASE:
+        return _core.revenue_evaluator(u0, xl, xh, b,
+                                       *reference_line(policy, scenario),
+                                       a, be, lam, p)
+
+    def f(gamma: float) -> float:
+        return _core.bestcase_revenue(gamma, u0, xl, xh, b, a, be, lam, p)
+
+    def fgrad(gamma: float) -> float:
+        return _core.bestcase_revenue_gradient(gamma, u0, xl, xh, b, a, be, lam, p)
+    return f, fgrad
+
+
 def revenue_function(scenario: TravelScenario, params: CptParams,
                      policy: ReferencePolicy = BEST_CASE
                      ) -> Callable[[float], float]:
-    """Expected revenue as a plain function of the tariff."""
-    if policy.kind is PolicyKind.BEST_CASE:
-        u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
-        a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
+    """Expected revenue as a plain function of the tariff, in closed form.
 
-        def f(gamma: float) -> float:
-            return _core.bestcase_revenue(gamma, u0, xl, xh, b, a, be, lam, p)
-    else:
-        def f(gamma: float) -> float:
-            return gamma * acceptance_probability(gamma, scenario, params, policy)
-    return f
+    ``model.expected_revenue`` is the same quantity through the general
+    acceptance chain.
+    """
+    return _revenue_pair(scenario, params, policy)[0]
 
 
 def revenue_gradient(scenario: TravelScenario, params: CptParams,
                      policy: ReferencePolicy = BEST_CASE
                      ) -> Callable[[float], float]:
-    """Tariff derivative of the expected revenue, in closed form.
-
-    The best-case kernel under the best-case policy; the general slope on
-    the policy's reference line otherwise.
-    """
-    u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
-    a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
-    if policy.kind is PolicyKind.BEST_CASE:
-        def fgrad(gamma: float) -> float:
-            return _core.bestcase_revenue_gradient(gamma, u0, xl, xh, b, a, be, lam, p)
-    else:
-        c, r_g, r_p = reference_line(policy, scenario)
-
-        def fgrad(gamma: float) -> float:
-            return _core.revenue_slope(gamma, u0, xl, xh, b, c, r_g, r_p,
-                                       a, be, lam, p)
-    return fgrad
+    """Tariff derivative of the expected revenue, in closed form."""
+    return _revenue_pair(scenario, params, policy)[1]
 
 
 def solve(scenario: TravelScenario, params: CptParams,
@@ -180,8 +182,8 @@ def solve(scenario: TravelScenario, params: CptParams,
     span = hi - lo
     gtol = gamma_tol if gamma_tol is not None else 1e-9 * span
 
-    f = ScalarFunctionHandle(revenue_function(scenario, params, policy))
-    fgrad = revenue_gradient(scenario, params, policy)
+    value, fgrad = _revenue_pair(scenario, params, policy)
+    f = ScalarFunctionHandle(value)
 
     xs = [lo + span * i / presieve for i in range(presieve + 1)]
     xs[-1] = hi
@@ -202,17 +204,17 @@ def solve(scenario: TravelScenario, params: CptParams,
         stationary.append(xs[-1])
 
     # Endpoints first so that they win value ties exactly on the bound.
-    gamma_star, f_star = lo, f(lo)
-    for cand in [hi] + stationary:
-        y = f(cand)
+    f_lo, f_hi = f(lo), f(hi)
+    gamma_star, f_star = lo, f_lo
+    for cand, y in [(hi, f_hi)] + [(x, f(x)) for x in stationary]:
         if y > f_star:
             gamma_star, f_star = cand, y
 
     if gamma_star <= lo + gtol:
-        gamma_star, f_star = lo, f(lo)
+        gamma_star, f_star = lo, f_lo
         active = ActiveSet.LOWER_BOUND
     elif gamma_star >= hi - gtol:
-        gamma_star, f_star = hi, f(hi)
+        gamma_star, f_star = hi, f_hi
         active = ActiveSet.UPPER_BOUND
     else:
         active = ActiveSet.INTERIOR

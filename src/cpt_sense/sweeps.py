@@ -26,11 +26,13 @@ from cpt_sense.sensitivity import (
     taylor_predict,
 )
 
-#: Sweep CSV column order.
+#: Sweep CSV column order.  ``clamped`` marks a probability grid value
+#: moved into the clamp range; ``error`` holds the exception of a failed
+#: re-solve, whose ``active`` reads "error".
 SWEEP_COLUMNS = ("theta_name", "theta_value", "gamma_star_numeric",
                  "f_star_numeric", "gamma_star_taylor1", "f_star_taylor1",
                  "f_star_taylor2", "mu_low", "mu_high", "active",
-                 "mismatch_loss")
+                 "mismatch_loss", "clamped", "error")
 
 MAX_SEGMENTS = 32
 _BP_OSCILLATION = 1e-10
@@ -42,7 +44,8 @@ class SweepSpec:
 
     ``rel_range`` is the +- fraction of the nominal value covered;
     probability sweeps are clamped into ``clamp`` to keep the distortion
-    well defined, and clamped rows are marked.
+    well defined, and clamped rows are marked (``SweepRow.clamped``, the
+    ``clamped`` column of the sweep files).
     """
 
     theta_name: str

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+from cpt_sense import sweeps
 from cpt_sense.cli import main
+from cpt_sense.errors import BracketingError
 from cpt_sense.scenario import fixtures, scenarios_to_csv
 from cpt_sense.sweeps import SWEEP_COLUMNS
 
@@ -105,6 +109,38 @@ class TestSweepCommand:
         assert run(["sweep", "--steps", "5", "--out", str(out)]) == 0
         sweep_files = [p for p in out.iterdir() if p.name.startswith("sweep_")]
         assert len(sweep_files) == 20  # 5 scenarios x 4 parameters
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_clamped_and_error_columns(self, tmp_path, s1_csv, monkeypatch,
+                                       fmt):
+        # p = 0.75 * (1 +- 0.5) in 7 steps: the last two grid values exceed
+        # the clamp 0.999 and are both written as 0.999; the re-solve at
+        # p = 0.5 fails
+        real_solve = sweeps.solve
+
+        def failing_solve(scenario, params, policy):
+            if params.p_worst == 0.5:
+                raise BracketingError("no sign change")
+            return real_solve(scenario, params, policy)
+
+        monkeypatch.setattr(sweeps, "solve", failing_solve)
+        out = tmp_path / "out"
+        assert run(["sweep", "--scenarios", str(s1_csv), "--param", "p",
+                    "--range", "0.5", "--steps", "7", "--format", fmt,
+                    "--out", str(out)]) == 0
+        if fmt == "csv":
+            text = (out / "sweep_S1_p.csv").read_text()
+            rows = list(csv.DictReader(io.StringIO(text)))
+            assert {r["clamped"] for r in rows} == {"False", "True"}
+            marks = [(r["clamped"] == "True", r["error"] or None) for r in rows]
+        else:
+            rows = json.loads((out / "sweep_S1_p.json").read_text())
+            marks = [(r["clamped"], r["error"]) for r in rows]
+        failed = "BracketingError: no sign change"
+        assert marks == ([(False, None), (False, failed)] + [(False, None)] * 3
+                         + [(True, None)] * 2)
+        assert [float(r["theta_value"]) for r in rows][-2:] == [0.999] * 2
+        assert [r["active"] for r in rows][1] == "error"
 
     def test_worker_pool_output_identical(self, tmp_path, s1_csv, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"

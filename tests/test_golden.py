@@ -10,7 +10,8 @@ of::
 
 for REF in best and expected.  A refactor that keeps the numbers must keep
 these bytes; a change that moves them on purpose regenerates the files with
-the same commands and says why.
+the same commands (``python tests/golden_tool.py regen``, after
+``python tests/golden_tool.py diff`` has shown what moves) and says why.
 """
 
 from pathlib import Path
@@ -27,14 +28,19 @@ COMMANDS = {
     "mismatch": ["mismatch", "--assume", "lambda=2.7"],
     "sweep": ["sweep", "--param", "all", "--steps", "5"],
 }
+REFERENCES = ("best", "expected")
+
+
+def golden_argv(reference: str, command: str, out: Path) -> list[str]:
+    """CLI arguments that write the golden files of one (reference, command)."""
+    return COMMANDS[command] + ["--reference", reference, "--out", str(out)]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("reference", ["best", "expected"])
+@pytest.mark.parametrize("reference", REFERENCES)
 def test_cli_output_matches_golden(reference, command, tmp_path, monkeypatch):
     monkeypatch.delenv("CPT_SENSE_WORKERS", raising=False)
-    assert main(COMMANDS[command] + ["--reference", reference,
-                                     "--out", str(tmp_path)]) == 0
+    assert main(golden_argv(reference, command, tmp_path)) == 0
     golden = GOLDEN / reference / command
     want = {p.name: p.read_bytes() for p in golden.iterdir()}
     got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

@@ -9,12 +9,15 @@ import re
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpt_sense import (
     BEST_CASE,
     ActiveSet,
     BinaryProspect,
     CptParams,
+    InvalidScenarioError,
     NOMINAL_PARAMS,
     SingularPointError,
     PARAM_NAMES,
@@ -277,8 +280,8 @@ VANISHING_BASES = {
 class TestLagrangianDerivatives:
     def test_analytic_matches_fd_on_random_points(self):
         # FD validator: nested Richardson central differences of the
-        # revenue, which off the best-case reference runs the general
-        # acceptance chain rather than any closed-form derivative
+        # revenue through the general acceptance chain, which shares no
+        # code with the closed forms
         rng = random.Random(2024)
         scenarios = generate_random(count=40, seed=21)
 
@@ -299,7 +302,7 @@ class TestLagrangianDerivatives:
                     continue  # a kink or cusp near enough to spoil the stencils
 
                 def f(gamma, params=NOMINAL_PARAMS):
-                    return revenue_function(s, params, policy)(gamma)
+                    return expected_revenue(gamma, s, params, policy)
 
                 want = [None, None, d(lambda x: d(f, x), g)]
                 for name in PARAM_NAMES:
@@ -418,6 +421,122 @@ class TestLagrangianDerivatives:
                                       mp_partials(s, static, gamma, theta))
                 checked += 1
         assert checked >= 20
+
+
+def evaluator(s, policy, params):
+    """The (value, slope) closures of ``_core.revenue_evaluator``."""
+    return _core.revenue_evaluator(
+        s.u0, s.x_low, s.x_high, s.b_sm, *reference_line(policy, s),
+        params.alpha, params.beta, params.lam, params.p_worst)
+
+
+EVAL_SCENARIOS = generate_random(count=50, seed=31)
+
+
+@st.composite
+def evaluation_points(draw, edges=True):
+    """(scenario, gamma, theta, policy) over generated scenarios and wide
+    theta: tariffs across the box, fixed levels across and beyond the ride
+    outcomes.  With ``edges``, also tariffs 1e-6 inside either edge of the
+    valid tariff range and fixed levels on a base's kink or just to either
+    side of it."""
+    s = draw(st.sampled_from(EVAL_SCENARIOS))
+    theta = CptParams(alpha=draw(st.floats(0.2, 1.0)),
+                      beta=draw(st.floats(0.2, 1.5)),
+                      lam=draw(st.floats(0.3, 4.0)),
+                      p_worst=draw(st.floats(0.02, 0.98)))
+    where = draw(st.sampled_from(["box", "lower edge", "upper edge"])
+                 if edges else st.just("box"))
+    if where == "box":
+        gamma = s.gamma_min + draw(st.floats(0.0, 1.0)) * s.gamma_span
+    else:
+        # u0 = u_low on the lower edge and u0 = u_high on the upper
+        edge = (s.u0 - (s.x_low if where == "lower edge" else s.x_high)) / s.b_sm
+        inward = 1.0 if where == "lower edge" else -1.0
+        gamma = edge + inward * 1e-6 * max(1.0, abs(edge))
+    assume(gamma > 0.0)
+    name = draw(st.sampled_from(sorted(POLICIES)))
+    if name != "fixed":
+        return s, gamma, theta, POLICIES[name](s, gamma)
+    u_low, u_high, u0 = utilities_at(s, gamma)
+    if edges and draw(st.booleans()):
+        level = draw(st.sampled_from([u0, u_low, u_high]))
+        gamma *= 1.0 + draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6,
+                                             1e-3, -1e-3]))
+    else:
+        level = u_low + draw(st.floats(-0.25, 1.25)) * (u_high - u_low)
+    return s, gamma, theta, ReferencePolicy.fixed(level)
+
+
+class TestRevenueEvaluator:
+    @given(evaluation_points())
+    @settings(max_examples=400, deadline=None)
+    def test_value_matches_general_chain(self, point):
+        s, gamma, theta, policy = point
+        u_low, u_high, u0 = utilities_at(s, gamma)
+        assume(u_low <= u0 <= u_high)
+        value, _ = evaluator(s, policy, theta)
+        got, want = value(gamma), expected_revenue(gamma, s, theta, policy)
+        c, r_g, r_p = reference_line(policy, s)
+        ref_line = c + r_g * gamma + r_p * theta.p_worst
+        ref_chain = resolve_reference(
+            policy, BinaryProspect(u_low, u_high, theta.p_worst), u0)
+        if ref_line == ref_chain:
+            # same reference bits, same arithmetic as the acceptance chain
+            assert got == want
+            return
+        # the expected reference rounds differently on its line; a base
+        # moved by delta moves v by at most (1+lam)*((|d|+delta)^beta -
+        # (|d|-delta)^beta), steep near a cusp, and the logistic passes at
+        # most a quarter of z's change
+        delta = 2.0 * abs(ref_line - ref_chain)
+        dz = sum((1.0 + theta.lam) * ((abs(d) + delta) ** theta.beta
+                                      - max(abs(d) - delta, 0.0) ** theta.beta)
+                 for d in (u0 - ref_chain, u_low - ref_chain,
+                           u_high - ref_chain))
+        assert abs(got - want) <= 1e-13 * abs(want) + 0.25 * gamma * dz
+
+    @given(evaluation_points(edges=False))
+    @settings(max_examples=400, deadline=None)
+    def test_slope_matches_central_derivative(self, point):
+        s, gamma, theta, policy = point
+        c, r_g, r_p = reference_line(policy, s)
+        ref = c + r_g * gamma + r_p * theta.p_worst
+        u_low, u_high, u0 = utilities_at(s, gamma)
+        h = 1e-5 * gamma  # central_derivative's first step
+        # every base is affine in the tariff: keep its kink, and the edges
+        # of the valid tariff range, 100 steps away from the stencil
+        for d, d_g in ((u0 - ref, -r_g), (u_low - ref, s.b_sm - r_g),
+                       (u_high - ref, s.b_sm - r_g)):
+            if d_g != 0.0:
+                assume(abs(d) > 100.0 * h * abs(d_g))
+        assume(min(u0 - u_low, u_high - u0) > 100.0 * h * abs(s.b_sm))
+        value, slope = evaluator(s, policy, theta)
+        got = slope(gamma)
+        fd = central_derivative(value, gamma)
+        assert abs(got - fd) <= 1e-6 * (abs(got) + value(gamma) / gamma)
+
+    @pytest.mark.parametrize("policy_name", sorted(VANISHING_BASES))
+    def test_vanishing_base_is_named(self, policy_name):
+        s, gamma, p, policy, base = VANISHING_BASES[policy_name]
+        params = NOMINAL_PARAMS.replace("p", p)
+        value, slope = evaluator(s, policy, params)
+        with pytest.raises(SingularPointError, match=re.escape(base)):
+            slope(gamma)
+        # the value stays finite at the zero base, and so does the slope
+        # with beta = 1
+        assert value(gamma) == expected_revenue(gamma, s, params, policy)
+        assert math.isfinite(evaluator(s, policy, params.replace("beta", 1.0))[1](gamma))
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_outside_valid_range_is_invalid(self, policy_name):
+        # EDGE is valid for gamma in [-10, 2]
+        policy = POLICIES[policy_name](EDGE, 2.0)
+        value, slope = evaluator(EDGE, policy, NOMINAL_PARAMS)
+        for gamma in (2.0 + 1e-9, -10.5):
+            for fn in (value, slope):
+                with pytest.raises(InvalidScenarioError, match="outside"):
+                    fn(gamma)
 
 
 class TestConcavityCertificate:
