@@ -21,7 +21,6 @@ from cpt_sense.errors import (
     SingularHessianError,
     SingularPointError,
     SolverDisagreementError,
-    UnsupportedPolicyError,
 )
 from cpt_sense.model import (
     BEST_CASE,
@@ -111,8 +110,8 @@ __all__ = [
     "PiecewiseApprox", "PolicyKind", "ReferencePolicy", "ScalarFunctionHandle",
     "Segment", "SensitivityDifferentials", "SingularHessianError",
     "SingularPointError", "SolverDisagreementError", "SubjectiveEvaluation",
-    "SweepRow", "SweepSpec", "TravelScenario", "UnsupportedPolicyError",
-    "acceptance_probability", "all_domains", "bracket_root",
+    "SweepRow", "SweepSpec", "TravelScenario", "acceptance_probability",
+    "all_domains", "bracket_root",
     "central_derivative", "concavity_certificate", "differentials",
     "expected_revenue", "fixtures", "generate_random", "grid_golden_maximize",
     "is_valid", "kernel_backend", "kkt_residuals", "lagrangian_derivatives",

@@ -5,9 +5,11 @@ All numeric CSV fields are written with 12 significant digits and a '.'
 decimal separator regardless of locale, and an absent value (a sweep row's
 ``error`` when it has none) as an empty field; files are written atomically
 (temp + rename) in a deterministic order, so identical configurations and
-seeds produce byte-identical outputs.  Exit codes: 0 success, 2 invalid
-scenario, 3 solver failure, 64 usage error.  ``CPT_SENSE_WORKERS`` caps the
-process pool used to fan out sweep work (default 1, sequential).
+seeds produce byte-identical outputs.  Every command runs in one process;
+a sweep works through its (scenario, parameter) pairs in order.  Exit
+codes: 0 success, 2 invalid scenario, 3 solver failure, 64 usage error
+(an unknown flag, a malformed argument or scenario file, or an empty
+scenario set).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         sys.exit(EXIT_USAGE)
+
+
+def _usage_error(message) -> int:
+    """Report malformed input on one stderr line; the usage exit code."""
+    print("usage error: %s" % message, file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _fmt(x) -> str:
@@ -114,7 +121,6 @@ class RunConfig:
     param_names: list[str]
     rel_range: float
     steps: int
-    seed: int
     out_dir: Path
     out_format: str
 
@@ -133,13 +139,23 @@ def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
 
 
 def _config_from(args) -> RunConfig:
+    """Resolve the parsed arguments into a run.
+
+    Raises:
+        ValueError: an invalid parameter value, sweep range or step count,
+            a malformed scenario source or file, or no scenarios at all.
+    """
     params = CptParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
                        p_worst=args.p)
     names = PARAM_NAMES if args.param == "all" else (args.param,)
+    # the sweep grid's own check of --range and --steps, for every command
+    SweepSpec(theta_name=names[0], rel_range=args.range, steps=args.steps)
+    scenarios = _load_scenarios(args.scenarios, args.seed)
+    if not scenarios:
+        raise ValueError("no scenarios in %r" % args.scenarios)
     return RunConfig(
-        scenarios=_load_scenarios(args.scenarios, args.seed),
-        params=params, policy=args.reference, param_names=list(names),
-        rel_range=args.range, steps=args.steps, seed=args.seed,
+        scenarios=scenarios, params=params, policy=args.reference,
+        param_names=list(names), rel_range=args.range, steps=args.steps,
         out_dir=Path(args.out), out_format=args.format)
 
 
@@ -197,14 +213,15 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_task(task):
-    """Worker body: one (scenario, parameter) sweep.  Picklable."""
-    s, params, policy, name, rel_range, steps = task
+def _sweep_task(s: scn.TravelScenario, config: RunConfig, name: str):
+    """One (scenario, parameter) sweep: its rows and the scenario summary."""
+    params, policy = config.params, config.policy
     nominal = solve(s, params, policy)
     diffs = differentials(nominal, s, params, policy)
-    spec = SweepSpec(theta_name=name, rel_range=rel_range, steps=steps)
+    spec = SweepSpec(theta_name=name, rel_range=config.rel_range,
+                     steps=config.steps)
     rows = numeric_sweep(s, params, policy, spec, nominal=nominal, diffs=diffs)
-    domains = all_domains(nominal, diffs, s, params)
+    domains = all_domains(nominal, diffs)
     summary = {
         "gamma_star": nominal.gamma_star,
         "f_star": nominal.f_star,
@@ -227,15 +244,7 @@ def _sweep_task(task):
             } for n, dom in domains.items()
         },
     }
-    return s.label, name, rows, summary
-
-
-def _workers() -> int:
-    raw = os.environ.get("CPT_SENSE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return rows, summary
 
 
 def _sweep_row_dict(row) -> dict:
@@ -260,16 +269,9 @@ def cmd_sweep(config: RunConfig) -> int:
     code = _validate_all(config)
     if code != EXIT_OK:
         return code
-    tasks = [(s, config.params, config.policy, name, config.rel_range,
-              config.steps)
-             for s in config.scenarios for name in config.param_names]
     try:
-        workers = _workers()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_task, tasks))
-        else:
-            results = [_sweep_task(t) for t in tasks]
+        results = [(s.label, name, *_sweep_task(s, config, name))
+                   for s in config.scenarios for name in config.param_names]
     except CptSenseError as exc:
         print("sweep failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER_FAILURE
@@ -295,7 +297,7 @@ def cmd_domain(config: RunConfig) -> int:
         try:
             opt = solve(s, config.params, config.policy)
             diffs = differentials(opt, s, config.params, config.policy)
-            domains = all_domains(opt, diffs, s, config.params)
+            domains = all_domains(opt, diffs)
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
             return EXIT_SOLVER_FAILURE
@@ -318,14 +320,13 @@ def cmd_mismatch(config: RunConfig, overrides: list[str]) -> int:
     for item in overrides:
         name, _, raw = item.partition("=")
         if name not in PARAM_NAMES or not raw:
-            print("unknown or malformed override %r (use name=value with "
-                  "name in %s)" % (item, "/".join(PARAM_NAMES)), file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(
+                "unknown or malformed override %r (use name=value with name "
+                "in %s)" % (item, "/".join(PARAM_NAMES)))
         try:
             assumed = assumed.replace(name, float(raw))
         except ValueError as exc:
-            print("bad override %r: %s" % (item, exc), file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("bad override %r: %s" % (item, exc))
     code = _validate_all(config)
     if code != EXIT_OK:
         return code
@@ -346,6 +347,8 @@ def cmd_mismatch(config: RunConfig, overrides: list[str]) -> int:
 
 
 def cmd_gen_scenarios(args) -> int:
+    if args.count < 1:
+        return _usage_error("--count must be >= 1, got %d" % args.count)
     scenarios = scn.generate_random(count=args.count, seed=args.seed)
     out_dir = Path(args.out)
     if args.format == "json":
@@ -411,7 +414,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "gen-scenarios":
             return cmd_gen_scenarios(args)
-        config = _config_from(args)
+        try:
+            config = _config_from(args)
+        except ValueError as exc:
+            return _usage_error(exc)
         if args.command == "solve":
             return cmd_solve(config)
         if args.command == "sweep":

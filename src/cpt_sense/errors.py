@@ -9,10 +9,6 @@ class InvalidScenarioError(CptSenseError):
     """A travel scenario violates its validity conditions."""
 
 
-class UnsupportedPolicyError(CptSenseError):
-    """An operation was requested for a reference policy it does not support."""
-
-
 class SingularPointError(CptSenseError):
     """A derivative is non-finite at the evaluation point.
 

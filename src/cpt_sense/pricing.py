@@ -2,11 +2,13 @@
 multipliers, residual diagnostics, closed-form Lagrangian partials and a
 concavity certificate.
 
-The solver is a bracketed one-dimensional method: a presieve grid locates
-sign changes of the revenue slope, each is polished by bracketed root
-finding, and the stationary candidates are compared against both box
-endpoints.  Every solve is cross-checked against the derivative-free
+The solver is a bracketed one-dimensional method: a presieve grid of
+``PRESIEVE`` cells locates sign changes of the revenue slope, each is
+polished by bracketed root finding, and the stationary candidates are
+compared against both box endpoints, which win within 1e-9 of the tariff
+span.  Every solve is cross-checked against the derivative-free
 grid/golden oracle in ``numerics``; the two methods share no search logic.
+The concavity certificate is defined for the best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
 minimizes -f.  The Lagrangian of the minimization form is
@@ -29,11 +31,7 @@ from enum import Enum
 from typing import Callable
 
 from cpt_sense import _core
-from cpt_sense.errors import (
-    SingularPointError,
-    SolverDisagreementError,
-    UnsupportedPolicyError,
-)
+from cpt_sense.errors import SingularPointError, SolverDisagreementError
 from cpt_sense.model import (
     BEST_CASE,
     PARAM_NAMES,
@@ -58,6 +56,10 @@ KKT_TOL = 1e-7
 DEGENERATE_MU = 1e-6
 #: Numeric curvature threshold used by the concavity consistency check.
 CURVATURE_TOL = 1e-8
+#: Presieve cells of the solver's slope scan and of its oracle cross-check.
+PRESIEVE = 64
+#: Tariff points of the concavity certificate and of its curvature scan.
+CERTIFICATE_POINTS = 101
 
 
 class ActiveSet(Enum):
@@ -162,8 +164,7 @@ def revenue_gradient(scenario: TravelScenario, params: CptParams,
 
 
 def solve(scenario: TravelScenario, params: CptParams,
-          policy: ReferencePolicy = BEST_CASE, presieve: int = 64,
-          gamma_tol: float | None = None) -> OptimumRecord:
+          policy: ReferencePolicy = BEST_CASE) -> OptimumRecord:
     """Maximize expected revenue over the tariff box.
 
     Stationary points of the revenue slope are located by sign scan on a
@@ -180,12 +181,12 @@ def solve(scenario: TravelScenario, params: CptParams,
     require_valid(scenario)
     lo, hi = scenario.gamma_min, scenario.gamma_max
     span = hi - lo
-    gtol = gamma_tol if gamma_tol is not None else 1e-9 * span
+    gtol = 1e-9 * span
 
     value, fgrad = _revenue_pair(scenario, params, policy)
     f = ScalarFunctionHandle(value)
 
-    xs = [lo + span * i / presieve for i in range(presieve + 1)]
+    xs = [lo + span * i / PRESIEVE for i in range(PRESIEVE + 1)]
     xs[-1] = hi
     slopes = [fgrad(x) for x in xs]
 
@@ -194,7 +195,7 @@ def solve(scenario: TravelScenario, params: CptParams,
     # roughly tol/|curvature| when the revenue is flat
     polish_tol = 1e-3 * gtol
     stationary: list[float] = []
-    for i in range(presieve):
+    for i in range(PRESIEVE):
         s0, s1 = slopes[i], slopes[i + 1]
         if s0 == 0.0:
             stationary.append(xs[i])
@@ -225,9 +226,9 @@ def solve(scenario: TravelScenario, params: CptParams,
     degenerate = (active is not ActiveSet.INTERIOR
                   and max(mu_low, mu_high) < DEGENERATE_MU)
 
-    gamma_oracle, _ = grid_golden_maximize(f, lo, hi, presieve=presieve,
+    gamma_oracle, _ = grid_golden_maximize(f, lo, hi, presieve=PRESIEVE,
                                            tol=1e-6 * span)
-    if abs(gamma_star - gamma_oracle) > 2.0 * span / presieve:
+    if abs(gamma_star - gamma_oracle) > 2.0 * span / PRESIEVE:
         raise SolverDisagreementError(
             "scenario %r: solver gamma*=%r vs oracle %r exceeds 2 presieve "
             "cells" % (scenario.label, gamma_star, gamma_oracle))
@@ -269,8 +270,8 @@ class ConcavityReport:
     consistent: bool
 
 
-def certificate_margin(scenario: TravelScenario, params: CptParams,
-                       grid_points: int = 101) -> tuple[bool, float]:
+def certificate_margin(scenario: TravelScenario,
+                       params: CptParams) -> tuple[bool, float]:
     """Evaluate the printed concavity inequality on a tariff grid.
 
     The inequality compares, at each tariff,
@@ -288,8 +289,8 @@ def certificate_margin(scenario: TravelScenario, params: CptParams,
     rhs = -e_term * e_term
 
     margin = math.inf
-    for i in range(grid_points):
-        gamma = lo + (hi - lo) * i / (grid_points - 1)
+    for i in range(CERTIFICATE_POINTS):
+        gamma = lo + (hi - lo) * i / (CERTIFICATE_POINTS - 1)
         big_g = scenario.x_high + scenario.b_sm * gamma - scenario.u0
         if big_g == 0.0:
             lhs = -math.inf  # b < 0 drives the bracket to -inf as G -> 0+
@@ -300,37 +301,31 @@ def certificate_margin(scenario: TravelScenario, params: CptParams,
     return margin >= 0.0, margin
 
 
-def concavity_certificate(scenario: TravelScenario, params: CptParams,
-                          policy: ReferencePolicy = BEST_CASE,
-                          grid_points: int = 101) -> ConcavityReport:
-    """Concavity certificate plus an independent numeric curvature scan.
+def concavity_certificate(scenario: TravelScenario,
+                          params: CptParams) -> ConcavityReport:
+    """Concavity certificate plus an independent curvature scan, best case.
 
     The certificate inequality is evaluated verbatim on a 101-point tariff
-    grid.  Separately, the second derivative of the revenue is scanned with
-    a five-point stencil on an inset grid.  A certificate that claims
-    concavity the scan does not confirm is reported as inconsistent and
-    logged, never silently passed.
-
-    Raises:
-        UnsupportedPolicyError: for any policy other than best-case, where
-            the certificate is not defined.
+    grid.  Separately, the closed-form second tariff derivative f_gg of the
+    best-case revenue (``_core.bestcase_partials``) is scanned on 101
+    points inset from each bound by 0.4% of the span.  A certificate that
+    claims concavity the scan does not confirm is reported as inconsistent
+    and logged, never silently passed.
     """
-    if policy.kind is not PolicyKind.BEST_CASE:
-        raise UnsupportedPolicyError(
-            "concavity certificate is defined for the best-case reference only")
     require_valid(scenario)
-    certified, margin = certificate_margin(scenario, params, grid_points)
+    certified, margin = certificate_margin(scenario, params)
 
-    f = revenue_function(scenario, params, policy)
+    theta = (params.alpha, params.beta, params.lam, params.p_worst)
     lo, hi = scenario.gamma_min, scenario.gamma_max
-    h = 2e-3 * (hi - lo)
-    inner_lo, inner_hi = lo + 2.0 * h, hi - 2.0 * h
+    inset = 4e-3 * (hi - lo)
+    inner_lo, inner_hi = lo + inset, hi - inset
     max_curv = -math.inf
-    for i in range(grid_points):
-        x = inner_lo + (inner_hi - inner_lo) * i / (grid_points - 1)
-        curv = (-f(x - 2 * h) + 16.0 * f(x - h) - 30.0 * f(x)
-                + 16.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h * h)
-        max_curv = max(max_curv, curv)
+    for i in range(CERTIFICATE_POINTS):
+        x = inner_lo + (inner_hi - inner_lo) * i / (CERTIFICATE_POINTS - 1)
+        f_gg = _core.bestcase_partials(x, scenario.u0, scenario.x_low,
+                                       scenario.x_high, scenario.b_sm,
+                                       *theta)[2]
+        max_curv = max(max_curv, f_gg)
 
     numerically_concave = max_curv <= CURVATURE_TOL
     consistent = (not certified) or numerically_concave

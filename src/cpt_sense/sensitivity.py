@@ -25,7 +25,6 @@ from cpt_sense.model import BEST_CASE, PARAM_NAMES, CptParams, ReferencePolicy
 from cpt_sense.pricing import (
     KKT_TOL,
     ActiveSet,
-    LagrangianDerivatives,
     OptimumRecord,
     lagrangian_derivatives,
 )
@@ -100,8 +99,7 @@ class LocalDomain:
 
 
 def differentials(opt: OptimumRecord, scenario: TravelScenario,
-                  params: CptParams, policy: ReferencePolicy = BEST_CASE,
-                  derivs: LagrangianDerivatives | None = None
+                  params: CptParams, policy: ReferencePolicy = BEST_CASE
                   ) -> SensitivityDifferentials:
     """Analytic differentials of gamma*, the active multiplier and f*.
 
@@ -118,8 +116,7 @@ def differentials(opt: OptimumRecord, scenario: TravelScenario,
         raise ValueError(
             "record has KKT residual %r above the %r acceptance gate"
             % (opt.kkt_residual, KKT_TOL))
-    if derivs is None:
-        derivs = lagrangian_derivatives(opt.gamma_star, scenario, params, policy)
+    derivs = lagrangian_derivatives(opt.gamma_star, scenario, params, policy)
 
     interior = opt.active is ActiveSet.INTERIOR
     if interior and abs(derivs.l_gg) < 1e-10:
@@ -196,7 +193,6 @@ def _directional(events: list[tuple[float, BindingEvent]], theta0: float
 
 
 def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
-                 scenario: TravelScenario, params: CptParams,
                  theta_name: str) -> LocalDomain:
     """Largest first-order parameter perturbation preserving the active set.
 
@@ -244,9 +240,8 @@ def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
                        event_pos=e_pos, event_neg=e_neg, binding_event=binding)
 
 
-def all_domains(opt: OptimumRecord, diffs: SensitivityDifferentials,
-                scenario: TravelScenario, params: CptParams
+def all_domains(opt: OptimumRecord, diffs: SensitivityDifferentials
                 ) -> dict[str, LocalDomain]:
     """Local domains for every behavioral parameter."""
-    return {name: local_domain(opt, diffs, scenario, params, name)
+    return {name: local_domain(opt, diffs, name)
             for name in PARAM_NAMES}

@@ -209,9 +209,9 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
     return rows
 
 
-def _domain_step(opt, diffs, scenario, params, name, direction):
+def _domain_step(opt, diffs, name, direction):
     """Signed raw perturbation to the next predicted event, +-inf if none."""
-    dom = local_domain(opt, diffs, scenario, params, name)
+    dom = local_domain(opt, diffs, name)
     if direction > 0:
         return dom.delta_pos if dom.event_pos is not BindingEvent.NONE else math.inf
     return dom.delta_neg if dom.event_neg is not BindingEvent.NONE else -math.inf
@@ -262,8 +262,7 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
         limit = hi_range if direction > 0 else lo_range
 
         while len(anchors) <= 2 * MAX_SEGMENTS:
-            step = _domain_step(anchor_opt, anchor_diffs, scenario, params,
-                                name, direction)
+            step = _domain_step(anchor_opt, anchor_diffs, name, direction)
             target = anchor_theta + step if math.isfinite(step) else limit
             if math.isfinite(step) and abs(step) < bp_tol:
                 # prediction stalled at the anchor: probe one tolerance ahead

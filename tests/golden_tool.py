@@ -3,9 +3,8 @@
     python tests/golden_tool.py diff    # what moved, per file and column
     python tests/golden_tool.py regen   # rewrite tests/data/golden/
 
-Both modes run ``test_golden.COMMANDS`` afresh under every reference, with
-``CPT_SENSE_WORKERS`` unset, exactly as the test does.  ``diff`` compares
-the fresh files with the goldens field by field: CSV rows by position and
+Both modes run ``test_golden.COMMANDS`` afresh under every reference,
+exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
 column, JSON by key path (the top-level key, a scenario label or a row
 index, plays the row).  For every file and column that moved it prints the
 largest relative and absolute change of its numbers; it lists each
@@ -23,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
@@ -38,7 +36,6 @@ from test_golden import COMMANDS, GOLDEN, REFERENCES, golden_argv  # noqa: E402
 
 def run_commands(out: Path) -> None:
     """Write every golden command's files under out/<reference>/<command>/."""
-    os.environ.pop("CPT_SENSE_WORKERS", None)
     for reference in REFERENCES:
         for command in sorted(COMMANDS):
             with contextlib.redirect_stdout(io.StringIO()):

@@ -242,7 +242,7 @@ def test_criterion_04_domains_s1_s4(nominal_solutions):
         opt, diffs = nominal_solutions[label]
         from cpt_sense import local_domain
         for name in PARAM_NAMES:
-            dom = local_domain(opt, diffs, s, NOMINAL_PARAMS, name)
+            dom = local_domain(opt, diffs, name)
             want = DOMAIN_TABLE_PCT[label][name]
             rel = abs(dom.min_pct - want) / want
             worst = max(worst, rel)
@@ -263,7 +263,7 @@ def test_criterion_04_domains_s5_literal(nominal_solutions):
     s = SCENARIOS["S5"]
     opt, diffs = nominal_solutions["S5"]
     for name in PARAM_NAMES:
-        dom = local_domain(opt, diffs, s, NOMINAL_PARAMS, name)
+        dom = local_domain(opt, diffs, name)
         assert dom.min_pct < 1e-4, (name, dom.min_pct)
 
 
@@ -281,7 +281,7 @@ def test_criterion_04_s5_faithful_domains(nominal_solutions):
         dmu = central_derivative(mu_of, theta0, rel_step=1e-5,
                                  richardson_levels=2)
         expect_pct = abs(-opt.mu_high / dmu) / theta0 * 100.0
-        dom = local_domain(opt, diffs, s, NOMINAL_PARAMS, name)
+        dom = local_domain(opt, diffs, name)
         assert dom.min_pct == pytest.approx(expect_pct, rel=1e-5), name
     report(4, "S5 multiplier-release domains confirmed against a "
               "finite-difference oracle (8.8-31.5%)")

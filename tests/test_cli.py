@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,18 @@ from cpt_sense.scenario import fixtures, scenarios_to_csv
 from cpt_sense.sweeps import SWEEP_COLUMNS
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(args):
     return main(args)
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter importing cpt_sense from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
 
 
 def read_all_outputs(directory: Path) -> dict[str, bytes]:
@@ -142,16 +154,6 @@ class TestSweepCommand:
         assert [float(r["theta_value"]) for r in rows][-2:] == [0.999] * 2
         assert [r["active"] for r in rows][1] == "error"
 
-    def test_worker_pool_output_identical(self, tmp_path, s1_csv, monkeypatch):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.delenv("CPT_SENSE_WORKERS", raising=False)
-        assert run(["sweep", "--scenarios", str(s1_csv), "--steps", "7",
-                    "--out", str(out1)]) == 0
-        monkeypatch.setenv("CPT_SENSE_WORKERS", "2")
-        assert run(["sweep", "--scenarios", str(s1_csv), "--steps", "7",
-                    "--out", str(out2)]) == 0
-        assert read_all_outputs(out1) == read_all_outputs(out2)
-
 
 class TestMismatchCommand:
     def test_no_overrides_zero_loss(self, tmp_path):
@@ -210,6 +212,53 @@ class TestValidateCommand:
 
     def test_missing_file_usage_error(self, capsys):
         assert run(["validate", "--scenarios", "no/such/file.csv"]) == 64
+
+
+HEADER_ONLY = "{header_only}"
+NON_NUMERIC = "{non_numeric}"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scenarios", "gen:abc"],
+        ["solve", "--scenarios", "gen:0"],
+        ["solve", "--alpha", "-1"],
+        ["domain", "--beta", "0"],
+        ["mismatch", "--lambda", "nan"],
+        ["sweep", "--p", "1.5"],
+        ["sweep", "--steps", "2"],
+        ["sweep", "--range", "-1"],
+        ["gen-scenarios", "--count", "0"],
+        ["solve", "--scenarios", HEADER_ONLY],
+        ["sweep", "--scenarios", HEADER_ONLY],
+        ["domain", "--scenarios", HEADER_ONLY],
+        ["mismatch", "--scenarios", HEADER_ONLY],
+        ["validate", "--scenarios", HEADER_ONLY],
+        ["solve", "--scenarios", NON_NUMERIC],
+    ], ids=" ".join)
+    def test_malformed_input_exits_64(self, tmp_path, argv):
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(scenarios_to_csv([]), encoding="utf-8")
+        non_numeric = tmp_path / "bad.csv"
+        non_numeric.write_text(scenarios_to_csv([fixtures()[0]])
+                               .replace("4.66", "abc"), encoding="utf-8")
+        argv = [a.format(header_only=header_only, non_numeric=non_numeric)
+                for a in argv]
+        proc = run_python("-m", "cpt_sense.cli", *argv, "--out",
+                          str(tmp_path / "out"), cwd=tmp_path)
+        assert proc.returncode == 64, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_import_starts_no_process_machinery():
+    """The CLI runs in one process, so importing it loads no pool code."""
+    proc = run_python("-c", "import sys, cpt_sense.cli; print(sorted("
+                      "m for m in sys.modules if m.startswith(("
+                      "'multiprocessing', 'concurrent'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -38,8 +38,7 @@ def golden_argv(reference: str, command: str, out: Path) -> list[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("reference", REFERENCES)
-def test_cli_output_matches_golden(reference, command, tmp_path, monkeypatch):
-    monkeypatch.delenv("CPT_SENSE_WORKERS", raising=False)
+def test_cli_output_matches_golden(reference, command, tmp_path):
     assert main(golden_argv(reference, command, tmp_path)) == 0
     golden = GOLDEN / reference / command
     want = {p.name: p.read_bytes() for p in golden.iterdir()}

@@ -23,7 +23,6 @@ from cpt_sense import (
     PARAM_NAMES,
     PolicyKind,
     TravelScenario,
-    UnsupportedPolicyError,
     ReferencePolicy,
     _core,
     central_derivative,
@@ -559,8 +558,3 @@ class TestConcavityCertificate:
         report = concavity_certificate(s2, NOMINAL_PARAMS)
         # the near-linear scenario: curvature stays small across the box
         assert abs(report.max_numeric_curvature) < 0.05
-
-    def test_policy_restriction(self, s1):
-        with pytest.raises(UnsupportedPolicyError):
-            concavity_certificate(s1, NOMINAL_PARAMS,
-                                  ReferencePolicy.expected_utility())
