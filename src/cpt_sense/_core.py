@@ -20,20 +20,37 @@ that line as input.  Under the best-case reference (R = u_high) z reduces to
 lam*(w(p)*D^beta - G^beta) with the tariff-independent spread
 D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
 best-case kernels evaluate directly.
+
+Hot-path contract.  Each revenue value a solve counts is one kernel call:
+``bestcase_revenue`` under the best-case reference, the value closure of
+``revenue_evaluator`` under every other.  ``prelec_weight`` is cached per
+(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
+best-case kernels pay for w(p) once per rider rather than once per tariff.
+The two best-case kernels inline the clamped logistic of
+``_stable_logistic``, and both evaluator closures inline it and ``_bases``,
+each in the same arithmetic order, so a call costs one Python frame and
+returns the same bits.
 """
 
+import functools
 import math
 
 from cpt_sense.errors import InvalidScenarioError, SingularPointError
 
 EXP_CLAMP = 700.0  # |exponent| cap before math.exp, avoids overflow
+#: Bound of the per-(p, alpha) Prelec weight cache.  The rank weights ask
+#: for w(p) and w(1-p), so 256 keys hold a cycle of 128 distinct (p, alpha).
+PRELEC_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=PRELEC_CACHE_SIZE)
 def prelec_weight(p, alpha):
     """Distorted probability exp(-(-ln p)^alpha), with w(0)=0 and w(1)=1.
 
     The endpoints are fixed by definition rather than evaluated, so no
-    logarithm of zero is ever taken.
+    logarithm of zero is ever taken.  Results are cached per (p, alpha): the
+    weight depends on the rider's parameters only, while the best-case
+    kernels ask for it at every tariff.
     """
     if p == 0.0:
         return 0.0
@@ -103,10 +120,14 @@ def bestcase_revenue(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
     if big_g < 0.0:
         raise InvalidScenarioError(
             "alternative utility exceeds the best ride outcome at gamma=%r" % gamma)
-    big_d = x_high - x_low
-    w = prelec_weight(p_worst, alpha)
-    z = lam * (w * big_d ** beta - big_g ** beta)
-    return gamma * _stable_logistic(z)
+    z = lam * (prelec_weight(p_worst, alpha) * (x_high - x_low) ** beta
+               - big_g ** beta)
+    # _stable_logistic(z), inlined
+    if z > EXP_CLAMP:
+        z = EXP_CLAMP
+    elif z < -EXP_CLAMP:
+        z = -EXP_CLAMP
+    return gamma * (1.0 / (1.0 + math.exp(z)))
 
 
 def bestcase_revenue_gradient(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
@@ -118,10 +139,14 @@ def bestcase_revenue_gradient(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_w
     if big_g == 0.0 and beta < 1.0:
         raise SingularPointError(
             "(x_high + b*gamma - u0)**(beta-1) is singular at a zero base")
-    big_d = x_high - x_low
-    w = prelec_weight(p_worst, alpha)
-    z = lam * (w * big_d ** beta - big_g ** beta)
-    sig = _stable_logistic(z)
+    z = lam * (prelec_weight(p_worst, alpha) * (x_high - x_low) ** beta
+               - big_g ** beta)
+    # _stable_logistic(z), inlined
+    if z > EXP_CLAMP:
+        z = EXP_CLAMP
+    elif z < -EXP_CLAMP:
+        z = -EXP_CLAMP
+    sig = 1.0 / (1.0 + math.exp(z))
     s1 = -sig * (1.0 - sig)
     z_g = -lam * beta * b * big_g ** (beta - 1.0)
     return sig + gamma * s1 * z_g
@@ -137,11 +162,16 @@ def _bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_pp):
     u_low = x_low + b * gamma
     u_high = x_high + b * gamma
     if not u_low <= u0 <= u_high:
-        raise InvalidScenarioError(
-            "u0=%r outside the ride outcomes [%r, %r] at gamma=%r"
-            % (u0, u_low, u_high, gamma))
+        raise _outside(u0, u_low, u_high, gamma)
     reference = ref_c + ref_g * gamma + ref_pp
     return u0 - reference, u_low - reference, u_high - reference
+
+
+def _outside(u0, u_low, u_high, gamma):
+    """The error for a u0 outside the ride outcomes [u_low, u_high]."""
+    return InvalidScenarioError(
+        "u0=%r outside the ride outcomes [%r, %r] at gamma=%r"
+        % (u0, u_low, u_high, gamma))
 
 
 def _zero_bases(u0, x_low, x_high, b, ref_c, ref_g, ref_p):
@@ -216,9 +246,17 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             ("u_high - R", b - ref_g, high_zero, -w_high_gain, -w_high_loss)))
         if not zero)
 
+    # each closure inlines _bases and _stable_logistic, in their arithmetic
+    # order, so that a call costs one Python frame
     def value(gamma):
-        d_alt, d_low, d_high = _bases(gamma, u0, x_low, x_high, b,
-                                      ref_c, ref_g, ref_pp)
+        u_low = x_low + b * gamma
+        u_high = x_high + b * gamma
+        if not u_low <= u0 <= u_high:
+            raise _outside(u0, u_low, u_high, gamma)
+        reference = ref_c + ref_g * gamma + ref_pp
+        d_alt = u0 - reference
+        d_low = u_low - reference
+        d_high = u_high - reference
         a_s = 0.0
         if not alt_zero:
             a_s = d_alt ** beta if d_alt >= 0.0 else neg_lam * (-d_alt) ** beta
@@ -229,10 +267,20 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
         if not high_zero:
             u_s += (w_high_gain * d_high ** beta if d_high >= 0.0
                     else w_high_loss * (neg_lam * (-d_high) ** beta))
-        return gamma * _stable_logistic(a_s - u_s)
+        z = a_s - u_s
+        if z > EXP_CLAMP:
+            z = EXP_CLAMP
+        elif z < -EXP_CLAMP:
+            z = -EXP_CLAMP
+        return gamma * (1.0 / (1.0 + math.exp(z)))
 
     def slope(gamma):
-        ds = _bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_pp)
+        u_low = x_low + b * gamma
+        u_high = x_high + b * gamma
+        if not u_low <= u0 <= u_high:
+            raise _outside(u0, u_low, u_high, gamma)
+        reference = ref_c + ref_g * gamma + ref_pp
+        ds = (u0 - reference, u_low - reference, u_high - reference)
         z = z_g = 0.0
         for i, name, d_g, k_g, k_gb, k_l, k_lb in terms:
             d = ds[i]
@@ -246,7 +294,11 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             else:
                 z -= k_l * (-d) ** beta
                 z_g += k_lb * (-d) ** beta_1 * d_g
-        sig = _stable_logistic(z)
+        if z > EXP_CLAMP:
+            z = EXP_CLAMP
+        elif z < -EXP_CLAMP:
+            z = -EXP_CLAMP
+        sig = 1.0 / (1.0 + math.exp(z))
         return sig - gamma * sig * (1.0 - sig) * z_g
 
     return value, slope

@@ -132,7 +132,10 @@ def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
         count = int(source.split(":", 1)[1])
         return scn.generate_random(count=count, seed=seed)
     path = Path(source)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError("cannot read scenarios: %s" % exc) from None
     if path.suffix.lower() == ".json":
         return scn.scenarios_from_json(text)
     return scn.scenarios_from_csv(text)
@@ -143,7 +146,8 @@ def _config_from(args) -> RunConfig:
 
     Raises:
         ValueError: an invalid parameter value, sweep range or step count,
-            a malformed scenario source or file, or no scenarios at all.
+            a malformed scenario source or file, a scenario path that cannot
+            be read, or no scenarios at all.
     """
     params = CptParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
                        p_worst=args.p)
@@ -431,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidScenarioError as exc:
         print("invalid scenario: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    except FileNotFoundError as exc:
-        print("cannot read scenarios: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except CptSenseError as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER_FAILURE

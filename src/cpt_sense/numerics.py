@@ -21,7 +21,9 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 class ScalarFunctionHandle:
     """Callable of one real argument with an evaluation counter.
 
-    Evaluations must be side-effect-free on the underlying problem state.
+    Every call counts, and a non-finite value raises ValueError naming the
+    probe location.  Evaluations must be side-effect-free on the underlying
+    problem state.
     """
 
     def __init__(self, fn: Callable[[float], float]):
@@ -30,40 +32,37 @@ class ScalarFunctionHandle:
 
     def __call__(self, x: float) -> float:
         self.evaluations += 1
-        return self._fn(x)
+        y = self._fn(x)
+        if not math.isfinite(y):
+            raise ValueError("objective returned non-finite value %r at x=%r"
+                             % (y, x))
+        return y
 
 
-def _checked(handle, x):
-    y = handle(x)
-    if not math.isfinite(y):
-        raise ValueError("objective returned non-finite value %r at x=%r" % (y, x))
-    return y
-
-
-def _golden_section_max(handle, lo, hi, tol):
+def _golden_section_max(f, lo, hi, tol):
     """Golden-section maximization on [lo, hi] down to interval width tol."""
     a, b = lo, hi
     h = b - a
     if h <= tol:
         x = 0.5 * (a + b)
-        return x, _checked(handle, x)
+        return x, f(x)
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc = _checked(handle, c)
-    yd = _checked(handle, d)
+    yc = f(c)
+    yd = f(d)
     while h > tol:
         if yc > yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INV_PHI2 * h
-            yc = _checked(handle, c)
+            yc = f(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
-            yd = _checked(handle, d)
+            yd = f(d)
     x = 0.5 * (a + b)
-    return x, _checked(handle, x)
+    return x, f(x)
 
 
 def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
@@ -96,19 +95,23 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % tol)
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
+    # the bound method skips the instance-call lookup on each of the ~125
+    # evaluations of a solve's cross-check
+    evaluate = handle.__call__
 
     xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
     xs[-1] = hi
-    ys = [_checked(handle, x) for x in xs]
+    ys = [evaluate(x) for x in xs]
 
-    best_x, best_y = max(zip(xs, ys), key=lambda t: t[1])
+    best_y = max(ys)
+    best_x = xs[ys.index(best_y)]  # the first maximum, as max keeps it
 
     brackets = [(xs[0], xs[1]), (xs[-2], xs[-1])]
     for i in range(1, presieve):
         if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]:
             brackets.append((xs[i - 1], xs[i + 1]))
     for a, b in brackets:
-        x, y = _golden_section_max(handle, a, b, tol)
+        x, y = _golden_section_max(evaluate, a, b, tol)
         if y > best_y:
             best_x, best_y = x, y
 
@@ -138,8 +141,7 @@ def central_derivative(f: Callable[[float], float], x: float,
     h = rel_step * abs(x) if x != 0.0 else 1e-6
 
     def quotient(s: float) -> float:
-        return ((_checked(handle, x + h * s) - _checked(handle, x - h * s))
-                / (2.0 * (h * s)))
+        return (handle(x + h * s) - handle(x - h * s)) / (2.0 * (h * s))
 
     estimates = [quotient(0.5 ** k) for k in range(richardson_levels)]
     for level in range(1, richardson_levels):
@@ -161,8 +163,8 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float,
         BracketingError: when f(lo) and f(hi) have the same sign.
     """
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
-    f_lo = _checked(handle, lo)
-    f_hi = _checked(handle, hi)
+    f_lo = handle(lo)
+    f_hi = handle(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -181,7 +183,7 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float,
             width = b - a
             if a + 0.01 * width < secant < b - 0.01 * width:
                 mid = secant
-        fm = _checked(handle, mid)
+        fm = handle(mid)
         if abs(fm) <= tol:
             return mid
         if fa * fm <= 0.0:

@@ -137,11 +137,15 @@ def _revenue_pair(scenario: TravelScenario, params: CptParams,
                                        *reference_line(policy, scenario),
                                        a, be, lam, p)
 
+    # looked up per call, not bound at import, so that a wrapper installed
+    # on the module (a tracer, a test's counter) sees every evaluation
+    kernel, gradient = _core.bestcase_revenue, _core.bestcase_revenue_gradient
+
     def f(gamma: float) -> float:
-        return _core.bestcase_revenue(gamma, u0, xl, xh, b, a, be, lam, p)
+        return kernel(gamma, u0, xl, xh, b, a, be, lam, p)
 
     def fgrad(gamma: float) -> float:
-        return _core.bestcase_revenue_gradient(gamma, u0, xl, xh, b, a, be, lam, p)
+        return gradient(gamma, u0, xl, xh, b, a, be, lam, p)
     return f, fgrad
 
 

@@ -195,17 +195,34 @@ def scenarios_to_csv(scenarios: list[TravelScenario] | tuple[TravelScenario, ...
 
 
 def scenarios_from_csv(text: str) -> list[TravelScenario]:
+    """Scenarios from CSV text with a header row naming ``CSV_COLUMNS``.
+
+    Raises:
+        ValueError: a missing column, a row with a missing or extra cell, or
+            a field that is not a number; the message names the data row,
+            counted from 1 after the header.
+    """
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError("scenario CSV missing columns: %s" % sorted(missing))
-    return [
-        TravelScenario(label=row["label"], u0=float(row["u0"]),
-                       b_sm=float(row["b_sm"]), gamma_min=float(row["gamma_min"]),
-                       gamma_max=float(row["gamma_max"]), x_low=float(row["x_low"]),
-                       x_high=float(row["x_high"]))
-        for row in reader
-    ]
+    out = []
+    for i, row in enumerate(reader, 1):
+        # DictReader fills a short row with None and puts extra cells under
+        # the key None
+        if None in row.values():
+            raise ValueError("scenario CSV row %d has a missing cell" % i)
+        if None in row:
+            raise ValueError("scenario CSV row %d has an extra cell" % i)
+        try:
+            out.append(TravelScenario(
+                label=row["label"], u0=float(row["u0"]),
+                b_sm=float(row["b_sm"]), gamma_min=float(row["gamma_min"]),
+                gamma_max=float(row["gamma_max"]), x_low=float(row["x_low"]),
+                x_high=float(row["x_high"])))
+        except ValueError as exc:
+            raise ValueError("scenario CSV row %d: %s" % (i, exc)) from None
+    return out
 
 
 def scenarios_to_json(scenarios: list[TravelScenario] | tuple[TravelScenario, ...]) -> str:
@@ -220,4 +237,34 @@ def scenarios_to_json(scenarios: list[TravelScenario] | tuple[TravelScenario, ..
 
 
 def scenarios_from_json(text: str) -> list[TravelScenario]:
-    return [TravelScenario(**row) for row in json.loads(text)]
+    """Scenarios from a JSON array of objects with exactly the
+    ``CSV_COLUMNS`` fields.
+
+    Raises:
+        ValueError: text that is not JSON or not an array, or an entry that
+            is not an object, lacks a field, has an unknown one or holds a
+            non-number in a numeric field; the message names the entry,
+            counted from 1.
+    """
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("scenario JSON must be an array of objects")
+    out = []
+    for i, row in enumerate(data, 1):
+        if not isinstance(row, dict):
+            raise ValueError("scenario JSON entry %d is not an object" % i)
+        missing = sorted(set(CSV_COLUMNS) - row.keys())
+        if missing:
+            raise ValueError("scenario JSON entry %d lacks fields %s"
+                             % (i, missing))
+        unknown = sorted(row.keys() - set(CSV_COLUMNS))
+        if unknown:
+            raise ValueError("scenario JSON entry %d has unknown fields %s"
+                             % (i, unknown))
+        for name in CSV_COLUMNS[1:]:
+            v = row[name]
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError("scenario JSON entry %d: %s=%r is not a "
+                                 "number" % (i, name, v))
+        out.append(TravelScenario(**row))
+    return out

@@ -1,17 +1,28 @@
-"""Diff or regenerate the CLI golden files that ``test_golden`` compares.
+"""Diff or regenerate the CLI golden files that ``test_golden`` compares,
+or fingerprint the solver's records bit for bit.
 
     python tests/golden_tool.py diff    # what moved, per file and column
     python tests/golden_tool.py regen   # rewrite tests/data/golden/
+    python tests/golden_tool.py records [--count N] [--seed S]
 
-Both modes run ``test_golden.COMMANDS`` afresh under every reference,
-exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
+``diff`` and ``regen`` run ``test_golden.COMMANDS`` afresh under every
+reference, exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
 column, JSON by key path (the top-level key, a scenario label or a row
 index, plays the row).  For every file and column that moved it prints the
 largest relative and absolute change of its numbers; it lists each
 non-numeric difference (text, a flag, an added or missing row, column or
 file) on its own line.  ``regen`` replaces every golden file with the fresh
-one.  The module name does not match pytest's ``test_*.py``, so it is not
-collected.
+one.
+
+``records`` solves N generated scenarios under all five reference
+policies, each (scenario, policy) with its own seeded random rider
+parameters, takes the differentials of every solved record, and prints one
+SHA-256 over the ``repr`` of every ``OptimumRecord`` field and every
+differential, in a fixed order; a solve or differential that raises is
+hashed as its error type and message.  ``repr`` keeps every bit of a
+float, so two trees that print the same digest computed the same answers
+and the same evaluation counts.  The module name does not match pytest's
+``test_*.py``, so it is not collected.
 """
 
 from __future__ import annotations
@@ -19,9 +30,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
+import random
 import shutil
 import sys
 import tempfile
@@ -31,6 +45,11 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from cpt_sense.cli import main  # noqa: E402
+from cpt_sense.errors import CptSenseError  # noqa: E402
+from cpt_sense.model import CptParams, ReferencePolicy  # noqa: E402
+from cpt_sense.pricing import solve  # noqa: E402
+from cpt_sense.scenario import generate_random  # noqa: E402
+from cpt_sense.sensitivity import differentials  # noqa: E402
 from test_golden import COMMANDS, GOLDEN, REFERENCES, golden_argv  # noqa: E402
 
 
@@ -148,10 +167,69 @@ def regen(fresh: Path) -> None:
             print("rewrote %s" % target)
 
 
+#: (field, low, high) of the rider parameters ``records`` draws: wide, so
+#: that bound optima, kinks and raising solves all occur.
+RECORD_THETA = (("alpha", 0.2, 1.0), ("beta", 0.2, 1.5), ("lam", 0.3, 4.0),
+                ("p_worst", 0.02, 0.98))
+
+
+def record_digest(count: int, seed: int) -> tuple[str, int, int]:
+    """(SHA-256 hex digest, records hashed, errors hashed) of ``records``."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    records = errors = 0
+
+    def feed(*parts) -> None:
+        digest.update(("\x1f".join(parts) + "\n").encode())
+
+    for s in generate_random(count=count, seed=seed):
+        policies = (ReferencePolicy.static_alternative(),
+                    ReferencePolicy.expected_utility(),
+                    ReferencePolicy.best_case(), ReferencePolicy.worst_case(),
+                    ReferencePolicy.fixed(rng.uniform(
+                        s.x_low + s.b_sm * s.gamma_max - 1.0,
+                        s.x_high + s.b_sm * s.gamma_min + 1.0)))
+        for policy in policies:
+            theta = CptParams(**{name: rng.uniform(lo, hi)
+                                 for name, lo, hi in RECORD_THETA})
+            feed(s.label, repr(policy), repr(theta))
+            try:
+                record = solve(s, theta, policy)
+            except (CptSenseError, ValueError) as exc:
+                feed("solve", type(exc).__name__, str(exc))
+                errors += 1
+                continue
+            records += 1
+            for field in dataclasses.fields(record):
+                feed(field.name, repr(getattr(record, field.name)))
+            try:
+                diffs = differentials(record, s, theta, policy)
+            except (CptSenseError, ValueError) as exc:
+                feed("differentials", type(exc).__name__, str(exc))
+                errors += 1
+                continue
+            for name, sens in diffs.items():
+                for field in dataclasses.fields(sens):
+                    feed(name, field.name, repr(getattr(sens, field.name)))
+    return digest.hexdigest(), records, errors
+
+
 def main_tool(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=["diff", "regen"])
+    parser.add_argument("mode", choices=["diff", "regen", "records"])
+    parser.add_argument("--count", type=int, default=320,
+                        help="records: generated scenarios (default 320)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="records: scenario and parameter seed (default 0)")
     args = parser.parse_args(argv)
+    if args.mode == "records":
+        if args.count < 1:
+            parser.error("--count must be at least 1")
+        hexdigest, records, errors = record_digest(args.count, args.seed)
+        print(hexdigest)
+        print("%d scenarios x 5 policies: %d records, %d errors hashed"
+              % (args.count, records, errors), file=sys.stderr)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)
         run_commands(fresh)

@@ -13,7 +13,7 @@ import pytest
 from cpt_sense import sweeps
 from cpt_sense.cli import main
 from cpt_sense.errors import BracketingError
-from cpt_sense.scenario import fixtures, scenarios_to_csv
+from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
 from cpt_sense.sweeps import SWEEP_COLUMNS
 
 
@@ -235,21 +235,53 @@ class TestUsageErrors:
         ["mismatch", "--scenarios", HEADER_ONLY],
         ["validate", "--scenarios", HEADER_ONLY],
         ["solve", "--scenarios", NON_NUMERIC],
+        ["solve", "--scenarios", "{short_row}"],
+        ["sweep", "--scenarios", "{extra_cell}"],
+        ["solve", "--scenarios", "{json_missing}"],
+        ["domain", "--scenarios", "{json_unknown}"],
+        ["solve", "--scenarios", "{json_not_object}"],
+        ["solve", "--scenarios", "{directory}"],
     ], ids=" ".join)
     def test_malformed_input_exits_64(self, tmp_path, argv):
-        header_only = tmp_path / "empty.csv"
-        header_only.write_text(scenarios_to_csv([]), encoding="utf-8")
-        non_numeric = tmp_path / "bad.csv"
-        non_numeric.write_text(scenarios_to_csv([fixtures()[0]])
-                               .replace("4.66", "abc"), encoding="utf-8")
-        argv = [a.format(header_only=header_only, non_numeric=non_numeric)
-                for a in argv]
+        s1_csv = scenarios_to_csv([fixtures()[0]])
+        s1_json = json.loads(scenarios_to_json([fixtures()[0]]))[0]
+        files = {
+            "header_only.csv": scenarios_to_csv([]),
+            "non_numeric.csv": s1_csv.replace("4.66", "abc"),
+            "short_row.csv": s1_csv.replace(",15.45", ""),
+            "extra_cell.csv": s1_csv.replace("15.45", "15.45,1"),
+            "json_missing.json": json.dumps([{"label": "x"}]),
+            "json_unknown.json": json.dumps([dict(s1_json, speed=1.0)]),
+            "json_not_object.json": json.dumps([list(s1_json.values())]),
+        }
+        paths = {"directory": tmp_path / "a_directory"}
+        paths["directory"].mkdir()
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            paths[path.stem] = path
+        argv = [a.format(**paths) for a in argv]
         proc = run_python("-m", "cpt_sense.cli", *argv, "--out",
                           str(tmp_path / "out"), cwd=tmp_path)
         assert proc.returncode == 64, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_unreadable_scenario_file_exits_64(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a chmod-000 file stays readable to root, so the denial is simulated
+        path = tmp_path / "locked.csv"
+        path.write_text(scenarios_to_csv([fixtures()[0]]), encoding="utf-8")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "out"
+        assert run(["solve", "--scenarios", str(path), "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_import_starts_no_process_machinery():

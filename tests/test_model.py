@@ -352,3 +352,90 @@ class TestBestCaseKernels:
             _core.bestcase_partials(*self.ZERO_BASE)
         unit_beta = self.ZERO_BASE[:6] + (1.0,) + self.ZERO_BASE[7:]
         assert math.isfinite(_core.bestcase_revenue_gradient(*unit_beta))
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _reference_weight(p, alpha):
+    return 0.0 if p == 0.0 else math.exp(-((-math.log(p)) ** alpha))
+
+
+def _reference_bestcase(gamma, u0, x_low, x_high, b, alpha, beta, lam, p):
+    """The best-case kernel pair written with ``_stable_logistic`` and an
+    uncached weight, in the kernels' arithmetic order."""
+    big_g = x_high + b * gamma - u0
+    z = lam * (_reference_weight(p, alpha) * (x_high - x_low) ** beta
+               - big_g ** beta)
+    sig = _core._stable_logistic(z)
+    z_g = -lam * beta * b * big_g ** (beta - 1.0)
+    return gamma * sig, sig + gamma * (-sig * (1.0 - sig)) * z_g
+
+
+def _clamp_cases():
+    """(z, best-case kernel arguments, evaluator arguments) whose exponent z
+    comes out exactly: with beta = lam = 1 and w in {0, 1} every term is a
+    plain sum, and the tariff coefficient is zero."""
+    big = [700.0, math.nextafter(700.0, math.inf), 1e300]
+    cases = []
+    for z in big:
+        # z = w(1)*D - G with D = z, G = 0; evaluator: one loss term
+        cases.append((z, (1.0, 0.0, -z, 0.0, 0.0, 0.8, 1.0, 1.0, 1.0),
+                      (0.0, -z, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8, 1.0, 1.0, 1.0)))
+        # z = w(0)*D - G with G = z; evaluator: one gain term
+        cases.append((-z, (1.0, 0.0, 0.0, z, 0.0, 0.8, 1.0, 1.0, 0.0),
+                      (0.0, 0.0, z, 0.0, 0.0, 0.0, 0.0, 0.8, 1.0, 1.0, 0.0)))
+    return cases
+
+
+CLAMP_CASES = _clamp_cases()
+
+
+class TestHotPathContract:
+    """The cached Prelec weight and the kernels' inlined clamp give the bits
+    of the uncached, un-inlined arithmetic."""
+
+    @given(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           st.floats(0.0, 2.0, exclude_min=True))
+    @settings(max_examples=500)
+    def test_cached_weight_is_bit_identical(self, p, alpha):
+        _core.prelec_weight.cache_clear()
+        want = _bits(_reference_weight(p, alpha))
+        assert _bits(_core.prelec_weight(p, alpha)) == want
+        hits = _core.prelec_weight.cache_info().hits
+        assert _bits(_core.prelec_weight(p, alpha)) == want
+        assert _core.prelec_weight.cache_info().hits == hits + 1
+
+    def test_cache_stays_bounded(self):
+        info = _core.prelec_weight.cache_info()
+        assert info.maxsize == _core.PRELEC_CACHE_SIZE >= 128
+        rng = random.Random(5)
+        for _ in range(10_000):
+            _core.prelec_weight(rng.random(), rng.uniform(0.2, 2.0))
+            assert _core.prelec_weight.cache_info().currsize <= info.maxsize
+
+    @given(st.sampled_from(generate_random(count=30, seed=2)),
+           st.floats(0.0, 1.0), st.floats(0.2, 1.0), st.floats(0.2, 1.5),
+           st.floats(0.3, 4.0), st.floats(0.02, 0.98))
+    @settings(max_examples=300)
+    def test_bestcase_kernels_match_reference(self, s, at, alpha, beta, lam, p):
+        args = (s.gamma_min + at * s.gamma_span, s.u0, s.x_low, s.x_high,
+                s.b_sm, alpha, beta, lam, p)
+        value, slope = _reference_bestcase(*args)
+        assert _bits(_core.bestcase_revenue(*args)) == _bits(value)
+        assert _bits(_core.bestcase_revenue_gradient(*args)) == _bits(slope)
+
+    @pytest.mark.parametrize("z, kernel_args, evaluator_args", CLAMP_CASES,
+                             ids=["z=%r" % case[0] for case in CLAMP_CASES])
+    def test_inlined_clamp_matches_stable_logistic(self, z, kernel_args,
+                                                   evaluator_args):
+        sig = _core._stable_logistic(z)
+        assert sig == _core._stable_logistic(math.copysign(700.0, z))
+        value, slope = _reference_bestcase(*kernel_args)
+        assert _bits(value) == _bits(sig)  # gamma = 1
+        assert _bits(_core.bestcase_revenue(*kernel_args)) == _bits(sig)
+        assert _bits(_core.bestcase_revenue_gradient(*kernel_args)) == _bits(slope)
+        ev_value, ev_slope = _core.revenue_evaluator(*evaluator_args)
+        assert _bits(ev_value(1.0)) == _bits(sig)
+        assert _bits(ev_slope(1.0)) == _bits(sig)  # the tariff slope of z is 0

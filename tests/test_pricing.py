@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import re
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -28,9 +29,11 @@ from cpt_sense import (
     central_derivative,
     concavity_certificate,
     expected_revenue,
+    fixtures,
     generate_random,
     kkt_residuals,
     lagrangian_derivatives,
+    pricing,
     reference_line,
     resolve_reference,
     revenue_function,
@@ -558,3 +561,65 @@ class TestConcavityCertificate:
         report = concavity_certificate(s2, NOMINAL_PARAMS)
         # the near-linear scenario: curvature stays small across the box
         assert abs(report.max_numeric_curvature) < 0.05
+
+
+class TestEvaluationContract:
+    """The call counts a traced benchmark run checks, from outside the
+    package: under the best-case reference each revenue value of a solve is
+    one ``_core.bestcase_revenue`` call, looked up through the module so that
+    a wrapper installed there sees it, and each solve runs its oracle and its
+    KKT check once; under every other reference no best-case kernel runs."""
+
+    BESTCASE_KERNELS = ("bestcase_revenue", "bestcase_revenue_gradient",
+                        "bestcase_partials")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in self.BESTCASE_KERNELS:
+            count(_core, name)
+        count(pricing, "grid_golden_maximize")
+        count(pricing, "kkt_residuals")
+        return calls
+
+    @staticmethod
+    def inputs():
+        """(scenario, theta): the fixtures and 50 generated scenarios, each
+        with its own random rider parameters."""
+        rng = random.Random(23)
+        for s in list(fixtures()) + generate_random(count=50, seed=23):
+            yield s, CptParams(alpha=rng.uniform(0.4, 1.0),
+                               beta=rng.uniform(0.4, 1.2),
+                               lam=rng.uniform(1.0, 3.5),
+                               p_worst=rng.uniform(0.2, 0.9))
+
+    def test_best_case_counts(self, calls):
+        solved = 0
+        for s, theta in self.inputs():
+            calls.clear()
+            record = solve(s, theta)
+            assert calls["bestcase_revenue"] == record.evaluations, s.label
+            assert calls["bestcase_revenue_gradient"] > pricing.PRESIEVE
+            assert calls["grid_golden_maximize"] == 1
+            assert calls["kkt_residuals"] == 1
+            solved += 1
+        assert solved == 55
+
+    @pytest.mark.parametrize("name", ["static", "expected", "worst", "fixed"])
+    def test_other_policies_leave_bestcase_kernels_unused(self, calls, name):
+        for s, theta in self.inputs():
+            calls.clear()
+            policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
+            solve(s, theta, policy)
+            assert sum(calls[k] for k in self.BESTCASE_KERNELS) == 0, s.label
+            assert calls["grid_golden_maximize"] == 1
+            assert calls["kkt_residuals"] == 1

@@ -1,5 +1,6 @@
 """Unit tests for scenario validity, fixtures, generation and IO."""
 
+import json
 import math
 import random
 import time
@@ -171,3 +172,40 @@ class TestScenarioIO:
         for field in ("u0", "x_low", "x_high", "b_sm", "gamma_min", "gamma_max"):
             assert getattr(back, field) == pytest.approx(
                 getattr(s, field), rel=1e-11)
+
+
+class TestMalformedScenarioFiles:
+    """Malformed files raise ValueError naming the row or entry, which the
+    CLI reports as a usage error."""
+
+    @pytest.mark.parametrize("row, problem", [
+        ("S1,8.17,-0.14,4.66,8.41,2.46", "missing cell"),
+        ("S1,8.17,-0.14,4.66,8.41,2.46,15.45,1", "extra cell"),
+        ("S1,8.17,-0.14,abc,8.41,2.46,15.45", "could not convert"),
+    ])
+    def test_csv_row_named(self, row, problem):
+        text = "%s\nS0,8.17,-0.14,4.66,8.41,2.46,15.45\n%s\n" % (
+            ",".join(CSV_COLUMNS), row)
+        with pytest.raises(ValueError, match="row 2.*" + problem):
+            scenarios_from_csv(text)
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda e: {"label": e["label"]}, "lacks fields"),
+        (lambda e: {k: v for k, v in e.items() if k != "x_high"},
+         r"lacks fields \['x_high'\]"),
+        (lambda e: dict(e, speed=1.0), r"unknown fields \['speed'\]"),
+        (lambda e: list(e.values()), "is not an object"),
+        (lambda e: None, "is not an object"),
+        (lambda e: dict(e, u0="8.17"), "u0='8.17' is not a number"),
+        (lambda e: dict(e, b_sm=True), "b_sm=True is not a number"),
+    ])
+    def test_json_entry_named(self, s1, change, problem):
+        good = json.loads(scenarios_to_json([s1]))[0]
+        text = json.dumps([good, change(good)])
+        with pytest.raises(ValueError, match="entry 2.*" + problem):
+            scenarios_from_json(text)
+
+    def test_json_top_level_must_be_array(self, s1):
+        good = json.loads(scenarios_to_json([s1]))[0]
+        with pytest.raises(ValueError, match="array"):
+            scenarios_from_json(json.dumps(good))
