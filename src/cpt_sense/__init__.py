@@ -43,7 +43,6 @@ from cpt_sense.model import (
 from cpt_sense.numerics import (
     ScalarFunctionHandle,
     bracket_root,
-    central_derivative,
     grid_golden_maximize,
 )
 from cpt_sense.pricing import (
@@ -111,8 +110,7 @@ __all__ = [
     "Segment", "SensitivityDifferentials", "SingularHessianError",
     "SingularPointError", "SolverDisagreementError", "SubjectiveEvaluation",
     "SweepRow", "SweepSpec", "TravelScenario", "acceptance_probability",
-    "all_domains", "bracket_root",
-    "central_derivative", "concavity_certificate", "differentials",
+    "all_domains", "bracket_root", "concavity_certificate", "differentials",
     "expected_revenue", "fixtures", "generate_random", "grid_golden_maximize",
     "is_valid", "kernel_backend", "kkt_residuals", "lagrangian_derivatives",
     "local_domain", "mismatch_loss", "numeric_sweep", "piecewise_continuation",

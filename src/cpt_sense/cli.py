@@ -1,6 +1,13 @@
 """Command-line surface: solve, sweep, domain, mismatch, gen-scenarios,
 validate.
 
+Each command takes only the flags it reads: ``solve`` the scenario source
+(``--scenarios --seed``), rider (``--alpha --beta --lambda --p
+--reference``) and output (``--out --format``) groups, ``domain`` these
+and ``--param``, ``sweep`` these and ``--param --range --steps``,
+``mismatch`` these and ``--assume``, ``validate`` the source group alone
+and ``gen-scenarios`` ``--count --seed --out --format``.
+
 All numeric CSV fields are written with 12 significant digits and a '.'
 decimal separator regardless of locale, and an absent value (a sweep row's
 ``error`` when it has none) as an empty field; files are written atomically
@@ -8,8 +15,9 @@ decimal separator regardless of locale, and an absent value (a sweep row's
 seeds produce byte-identical outputs.  Every command runs in one process;
 a sweep works through its (scenario, parameter) pairs in order.  Exit
 codes: 0 success, 2 invalid scenario, 3 solver failure, 64 usage error
-(an unknown flag, a malformed argument or scenario file, or an empty
-scenario set).
+(an unknown flag, a flag the command does not take among them, a
+malformed argument or scenario file, or an empty scenario set) on one
+stderr line.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from cpt_sense import scenario as scn
@@ -44,12 +51,14 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with the usage code on bad input."""
+    """ArgumentParser that reports bad input on one line with the usage code."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        sys.exit(EXIT_USAGE)
+        sys.exit(_usage_error("%s: %s" % (self.prog, message)))
+
+
+class _UsageError(Exception):
+    """Malformed input found after parsing, reported as a usage error."""
 
 
 def _usage_error(message) -> int:
@@ -88,10 +97,6 @@ def _rows_to_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _rows_to_json(rows) -> str:
-    return json.dumps(list(rows), indent=2) + "\n"
-
-
 def _parse_reference(text: str) -> ReferencePolicy:
     kinds = {
         "static": ReferencePolicy.static_alternative,
@@ -111,20 +116,6 @@ def _parse_reference(text: str) -> ReferencePolicy:
         "reference must be static|expected|best|worst|fixed:VALUE, got %r" % text)
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: scenarios, parameters, policy, sweep and output."""
-
-    scenarios: list[scn.TravelScenario]
-    params: CptParams
-    policy: ReferencePolicy
-    param_names: list[str]
-    rel_range: float
-    steps: int
-    out_dir: Path
-    out_format: str
-
-
 def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
     if source == "fixtures":
         return list(scn.fixtures())
@@ -133,7 +124,8 @@ def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
         return scn.generate_random(count=count, seed=seed)
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig also reads the byte-order mark spreadsheet programs write
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError("cannot read scenarios: %s" % exc) from None
     if path.suffix.lower() == ".json":
@@ -141,31 +133,29 @@ def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
     return scn.scenarios_from_csv(text)
 
 
-def _config_from(args) -> RunConfig:
-    """Resolve the parsed arguments into a run.
-
-    Raises:
-        ValueError: an invalid parameter value, sweep range or step count,
-            a malformed scenario source or file, a scenario path that cannot
-            be read, or no scenarios at all.
-    """
-    params = CptParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
-                       p_worst=args.p)
-    names = PARAM_NAMES if args.param == "all" else (args.param,)
-    # the sweep grid's own check of --range and --steps, for every command
-    SweepSpec(theta_name=names[0], rel_range=args.range, steps=args.steps)
-    scenarios = _load_scenarios(args.scenarios, args.seed)
+def _scenarios(args) -> list[scn.TravelScenario]:
+    """The non-empty scenario set that ``--scenarios`` and ``--seed`` name."""
+    try:
+        scenarios = _load_scenarios(args.scenarios, args.seed)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
     if not scenarios:
-        raise ValueError("no scenarios in %r" % args.scenarios)
-    return RunConfig(
-        scenarios=scenarios, params=params, policy=args.reference,
-        param_names=list(names), rel_range=args.range, steps=args.steps,
-        out_dir=Path(args.out), out_format=args.format)
+        raise _UsageError("no scenarios in %r" % args.scenarios)
+    return scenarios
 
 
-def _validate_all(config: RunConfig) -> int:
+def _rider(args) -> CptParams:
+    """The rider parameters of ``--alpha --beta --lambda --p``."""
+    try:
+        return CptParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
+                         p_worst=args.p)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+def _validate_all(scenarios: list[scn.TravelScenario]) -> int:
     code = EXIT_OK
-    for s in config.scenarios:
+    for s in scenarios:
         problems = scn.validate(s)
         if problems:
             code = EXIT_INVALID_SCENARIO
@@ -188,42 +178,38 @@ def _record_row(label: str, opt, certified: bool) -> dict:
     }
 
 
-def _emit(config: RunConfig, stem: str, columns, rows) -> Path:
-    if config.out_format == "json":
-        path = config.out_dir / (stem + ".json")
-        _atomic_write(path, _rows_to_json(rows))
-    else:
-        path = config.out_dir / (stem + ".csv")
-        _atomic_write(path, _rows_to_csv(columns, rows))
+def _emit(args, stem: str, columns, rows) -> Path:
+    path = Path(args.out) / ("%s.%s" % (stem, args.format))
+    _atomic_write(path, json.dumps(rows, indent=2) + "\n"
+                  if args.format == "json" else _rows_to_csv(columns, rows))
     return path
 
 
-def cmd_solve(config: RunConfig) -> int:
-    code = _validate_all(config)
+def cmd_solve(args) -> int:
+    params, scenarios = _rider(args), _scenarios(args)
+    code = _validate_all(scenarios)
     if code != EXIT_OK:
         return code
     rows = []
-    for s in config.scenarios:
+    for s in scenarios:
         try:
-            opt = solve(s, config.params, config.policy)
+            opt = solve(s, params, args.reference)
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
             return EXIT_SOLVER_FAILURE
-        certified = (config.policy.kind is PolicyKind.BEST_CASE
-                     and certificate_margin(s, config.params)[0])
+        certified = (args.reference.kind is PolicyKind.BEST_CASE
+                     and certificate_margin(s, params)[0])
         rows.append(_record_row(s.label, opt, certified))
-    path = _emit(config, "solutions", list(rows[0].keys()), rows)
+    path = _emit(args, "solutions", list(rows[0].keys()), rows)
     print("wrote %s (%d scenarios)" % (path, len(rows)))
     return EXIT_OK
 
 
-def _sweep_task(s: scn.TravelScenario, config: RunConfig, name: str):
+def _sweep_task(s: scn.TravelScenario, params: CptParams,
+                policy: ReferencePolicy, spec: SweepSpec):
     """One (scenario, parameter) sweep: its rows and the scenario summary."""
-    params, policy = config.params, config.policy
     nominal = solve(s, params, policy)
     diffs = differentials(nominal, s, params, policy)
-    spec = SweepSpec(theta_name=name, rel_range=config.rel_range,
-                     steps=config.steps)
     rows = numeric_sweep(s, params, policy, spec, nominal=nominal, diffs=diffs)
     domains = all_domains(nominal, diffs)
     summary = {
@@ -269,43 +255,54 @@ def _sweep_row_dict(row) -> dict:
     }
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    code = _validate_all(config)
+def cmd_sweep(args) -> int:
+    params = _rider(args)
+    names = PARAM_NAMES if args.param == "all" else (args.param,)
+    try:
+        specs = [SweepSpec(theta_name=name, rel_range=args.range,
+                           steps=args.steps) for name in names]
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    scenarios = _scenarios(args)
+    code = _validate_all(scenarios)
     if code != EXIT_OK:
         return code
     try:
-        results = [(s.label, name, *_sweep_task(s, config, name))
-                   for s in config.scenarios for name in config.param_names]
+        results = [(s.label, spec.theta_name,
+                    *_sweep_task(s, params, args.reference, spec))
+                   for s in scenarios for spec in specs]
     except CptSenseError as exc:
         print("sweep failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
     summary: dict[str, dict] = {}
     for label, name, rows, scenario_summary in results:
-        _emit(config, "sweep_%s_%s" % (label, name), SWEEP_COLUMNS,
+        _emit(args, "sweep_%s_%s" % (label, name), SWEEP_COLUMNS,
               [_sweep_row_dict(r) for r in rows])
         summary.setdefault(label, scenario_summary)
-    _atomic_write(config.out_dir / "summary.json",
+    _atomic_write(Path(args.out) / "summary.json",
                   json.dumps(summary, indent=2) + "\n")
     print("wrote %d sweep files + summary.json under %s"
-          % (len(results), config.out_dir))
+          % (len(results), Path(args.out)))
     return EXIT_OK
 
 
-def cmd_domain(config: RunConfig) -> int:
-    code = _validate_all(config)
+def cmd_domain(args) -> int:
+    params, scenarios = _rider(args), _scenarios(args)
+    names = PARAM_NAMES if args.param == "all" else (args.param,)
+    code = _validate_all(scenarios)
     if code != EXIT_OK:
         return code
     rows = []
-    for s in config.scenarios:
+    for s in scenarios:
         try:
-            opt = solve(s, config.params, config.policy)
-            diffs = differentials(opt, s, config.params, config.policy)
+            opt = solve(s, params, args.reference)
+            diffs = differentials(opt, s, params, args.reference)
             domains = all_domains(opt, diffs)
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
             return EXIT_SOLVER_FAILURE
-        for name in config.param_names:
+        for name in names:
             dom = domains[name]
             rows.append({
                 "label": s.label, "theta_name": name,
@@ -314,30 +311,31 @@ def cmd_domain(config: RunConfig) -> int:
                 "min_pct": dom.min_pct,
                 "binding_event": dom.binding_event.value,
             })
-    path = _emit(config, "domains", list(rows[0].keys()), rows)
+    path = _emit(args, "domains", list(rows[0].keys()), rows)
     print("wrote %s" % path)
     return EXIT_OK
 
 
-def cmd_mismatch(config: RunConfig, overrides: list[str]) -> int:
-    assumed = config.params
-    for item in overrides:
+def cmd_mismatch(args) -> int:
+    params, scenarios = _rider(args), _scenarios(args)
+    assumed = params
+    for item in args.assume:
         name, _, raw = item.partition("=")
         if name not in PARAM_NAMES or not raw:
-            return _usage_error(
+            raise _UsageError(
                 "unknown or malformed override %r (use name=value with name "
                 "in %s)" % (item, "/".join(PARAM_NAMES)))
         try:
             assumed = assumed.replace(name, float(raw))
         except ValueError as exc:
-            return _usage_error("bad override %r: %s" % (item, exc))
-    code = _validate_all(config)
+            raise _UsageError("bad override %r: %s" % (item, exc)) from None
+    code = _validate_all(scenarios)
     if code != EXIT_OK:
         return code
     rows = []
-    for s in config.scenarios:
+    for s in scenarios:
         try:
-            res = mismatch_loss(s, config.params, assumed, config.policy)
+            res = mismatch_loss(s, params, assumed, args.reference)
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
             return EXIT_SOLVER_FAILURE
@@ -345,37 +343,38 @@ def cmd_mismatch(config: RunConfig, overrides: list[str]) -> int:
             "label": s.label, "delta_f": res.delta_f,
             "gamma_true": res.gamma_true, "gamma_assumed": res.gamma_assumed,
         })
-    path = _emit(config, "mismatch", list(rows[0].keys()), rows)
+    path = _emit(args, "mismatch", list(rows[0].keys()), rows)
     print("wrote %s" % path)
     return EXIT_OK
 
 
 def cmd_gen_scenarios(args) -> int:
     if args.count < 1:
-        return _usage_error("--count must be >= 1, got %d" % args.count)
+        raise _UsageError("--count must be >= 1, got %d" % args.count)
     scenarios = scn.generate_random(count=args.count, seed=args.seed)
-    out_dir = Path(args.out)
-    if args.format == "json":
-        path = out_dir / "scenarios.json"
-        _atomic_write(path, scn.scenarios_to_json(scenarios))
-    else:
-        path = out_dir / "scenarios.csv"
-        _atomic_write(path, scn.scenarios_to_csv(scenarios))
+    path = Path(args.out) / ("scenarios." + args.format)
+    _atomic_write(path, scn.scenarios_to_json(scenarios) if args.format == "json"
+                  else scn.scenarios_to_csv(scenarios))
     print("wrote %s (%d scenarios)" % (path, len(scenarios)))
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
-    code = _validate_all(config)
-    for s in config.scenarios:
+def cmd_validate(args) -> int:
+    scenarios = _scenarios(args)
+    code = _validate_all(scenarios)
+    for s in scenarios:
         if scn.is_valid(s):
             print("%s: ok" % s.label)
     return code
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenarios", default="fixtures",
                    help="'fixtures', a scenario CSV/JSON path, or gen:<count>")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_rider(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=NOMINAL_PARAMS.alpha)
     p.add_argument("--beta", type=float, default=NOMINAL_PARAMS.beta)
     p.add_argument("--lambda", dest="lam", type=float, default=NOMINAL_PARAMS.lam)
@@ -383,62 +382,60 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reference", type=_parse_reference,
                    default=ReferencePolicy.best_case(),
                    help="static|expected|best|worst|fixed:VALUE")
-    p.add_argument("--param", default="all",
-                   choices=list(PARAM_NAMES) + ["all"])
-    p.add_argument("--range", type=float, default=0.20,
-                   help="sweep half-width as a fraction of nominal")
-    p.add_argument("--steps", type=int, default=41)
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
+
+
+def _add_param(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--param", default="all", choices=list(PARAM_NAMES) + ["all"])
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cpt-sense",
                      description="Behavioral dynamic-pricing sensitivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep", "domain", "validate"):
-        _add_common(sub.add_parser(name))
-    p_mis = sub.add_parser("mismatch")
-    _add_common(p_mis)
+
+    def command(name, handler, *adders):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        for add in adders:
+            add(p)
+        return p
+
+    analysis = (_add_source, _add_rider, _add_output)
+    command("solve", cmd_solve, *analysis)
+    p_sweep = command("sweep", cmd_sweep, *analysis, _add_param)
+    p_sweep.add_argument("--range", type=float, default=0.20,
+                         help="sweep half-width as a fraction of nominal")
+    p_sweep.add_argument("--steps", type=int, default=41)
+    command("domain", cmd_domain, *analysis, _add_param)
+    p_mis = command("mismatch", cmd_mismatch, *analysis)
     p_mis.add_argument("--assume", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="assumed parameter override, repeatable")
-    p_gen = sub.add_parser("gen-scenarios")
+    command("validate", cmd_validate, _add_source)
+    p_gen = command("gen-scenarios", cmd_gen_scenarios)
     p_gen.add_argument("--count", type=int, default=100)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default="out")
-    p_gen.add_argument("--format", default="csv", choices=["csv", "json"])
+    _add_output(p_gen)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen-scenarios":
-            return cmd_gen_scenarios(args)
-        try:
-            config = _config_from(args)
-        except ValueError as exc:
-            return _usage_error(exc)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        if args.command == "domain":
-            return cmd_domain(config)
-        if args.command == "mismatch":
-            return cmd_mismatch(config, args.assume)
-        if args.command == "validate":
-            return cmd_validate(config)
+        return args.handler(args)
+    except _UsageError as exc:
+        return _usage_error(exc)
     except InvalidScenarioError as exc:
         print("invalid scenario: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_SCENARIO
     except CptSenseError as exc:
         print("failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    raise AssertionError("unhandled command %r" % args.command)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Generic scalar numerics: bounded maximization oracle, bracketed root
-finding, and a Richardson-extrapolated central difference.
+"""Generic scalar numerics: bounded maximization oracle and bracketed root
+finding.
 
 The maximizer is deliberately derivative-free (pattern presieve plus
 golden-section refinement) so that it shares no code path or failure mode
@@ -121,34 +121,6 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     if ys[-1] >= best_y:
         best_x, best_y = xs[-1], ys[-1]
     return best_x, best_y
-
-
-def central_derivative(f: Callable[[float], float], x: float,
-                       rel_step: float = 1e-5, richardson_levels: int = 2
-                       ) -> float:
-    """Richardson-extrapolated central difference of ``f`` at ``x``.
-
-    The step is rel_step*|x|, falling back to an absolute 1e-6 when x is
-    zero.  Each level halves the step, which keeps every step exact, and
-    with L levels the truncation error is O(h^(2L)) for smooth f.
-
-    Raises:
-        ValueError: bad level count, or a non-finite value of ``f``.
-    """
-    if not 1 <= richardson_levels <= 4:
-        raise ValueError("richardson_levels must be in [1, 4]")
-    handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
-    h = rel_step * abs(x) if x != 0.0 else 1e-6
-
-    def quotient(s: float) -> float:
-        return (handle(x + h * s) - handle(x - h * s)) / (2.0 * (h * s))
-
-    estimates = [quotient(0.5 ** k) for k in range(richardson_levels)]
-    for level in range(1, richardson_levels):
-        factor = 4.0 ** level
-        estimates = [(factor * estimates[i + 1] - estimates[i]) / (factor - 1.0)
-                     for i in range(len(estimates) - 1)]
-    return estimates[0]
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float,

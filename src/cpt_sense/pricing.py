@@ -102,9 +102,6 @@ class KktResiduals:
                    self.comp_slack_upper, self.dual_lower_violation,
                    self.dual_upper_violation, self.primal_violation)
 
-    def passed(self, tol: float = KKT_TOL) -> bool:
-        return self.max_residual <= tol
-
 
 @dataclass(frozen=True)
 class LagrangianDerivatives:

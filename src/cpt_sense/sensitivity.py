@@ -146,16 +146,16 @@ def differentials(opt: OptimumRecord, scenario: TravelScenario,
 
 
 def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
-                   theta_name: str, theta_new: float, order: int = 1,
-                   half_factor: bool = False) -> tuple[float, float]:
+                   theta_name: str, theta_new: float, order: int = 1
+                   ) -> tuple[float, float]:
     """Taylor prediction (gamma*_pred, f*_pred) at a perturbed parameter.
 
     Order 1 moves the tariff along dgamma*/dtheta (clamped to the tariff
     box) and the objective along df*/dtheta.  Order 2 adds the curvature
     term with coefficient 1 on (theta - theta0)^2, which is the convention
-    this model family is usually quoted with; ``half_factor=True`` switches
-    to the standard series coefficient 1/2.  Empirically the 1/2 form is
-    the one that improves on order 1 (see tests).
+    this model family is usually quoted with, not the standard series
+    coefficient 1/2.  Empirically the 1/2 form is the one that improves on
+    order 1 (see tests).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2, got %r" % order)
@@ -170,8 +170,7 @@ def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
     gamma_pred = min(max(gamma_pred, opt.gamma_min), opt.gamma_max)
     f_pred = opt.f_star + ps.df_dtheta * dtheta
     if order == 2:
-        coeff = 0.5 if half_factor else 1.0
-        f_pred += coeff * ps.d2f_dtheta2 * dtheta * dtheta
+        f_pred += ps.d2f_dtheta2 * dtheta * dtheta
     return gamma_pred, f_pred
 
 

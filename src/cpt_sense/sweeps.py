@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from cpt_sense.errors import ContinuationError, CptSenseError, SolverDisagreementError
 from cpt_sense.model import BEST_CASE, CptParams, ReferencePolicy
@@ -51,7 +52,7 @@ class SweepSpec:
     theta_name: str
     rel_range: float = 0.20
     steps: int = 41
-    clamp: tuple[float, float] = (0.001, 0.999)
+    clamp: ClassVar[tuple[float, float]] = (0.001, 0.999)
 
     def __post_init__(self):
         if self.steps < 3:
@@ -163,8 +164,7 @@ def mismatch_loss(scenario: TravelScenario, theta_true: CptParams,
 
 
 def numeric_sweep(scenario: TravelScenario, params: CptParams,
-                  policy: ReferencePolicy = BEST_CASE,
-                  spec: SweepSpec | None = None,
+                  policy: ReferencePolicy, spec: SweepSpec,
                   nominal: OptimumRecord | None = None,
                   diffs: SensitivityDifferentials | None = None
                   ) -> list[SweepRow]:
@@ -175,8 +175,6 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
     as the rider's true ones.  Solver failures (any ``CptSenseError``) are
     recorded per row and do not abort the sweep; other exceptions propagate.
     """
-    if spec is None:
-        raise ValueError("spec is required")
     theta0 = params.get(spec.theta_name)
     if nominal is None:
         nominal = solve(scenario, params, policy)
@@ -218,8 +216,8 @@ def _domain_step(opt, diffs, name, direction):
 
 
 def piecewise_continuation(scenario: TravelScenario, params: CptParams,
-                           policy: ReferencePolicy = BEST_CASE,
-                           spec: SweepSpec | None = None) -> PiecewiseApprox:
+                           policy: ReferencePolicy, spec: SweepSpec
+                           ) -> PiecewiseApprox:
     """Piecewise-linear tariff approximation over the sweep range.
 
     Starting from the nominal optimum the scheme predicts the next
@@ -235,8 +233,6 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
         ContinuationError: more than 32 segments, or two consecutive
             breakpoints within 1e-10 of each other (oscillation).
     """
-    if spec is None:
-        raise ValueError("spec is required")
     name = spec.theta_name
     theta0 = params.get(name)
     lo_range = theta0 * (1.0 - spec.rel_range)

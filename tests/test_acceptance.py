@@ -34,7 +34,6 @@ from cpt_sense import (
     NOMINAL_PARAMS,
     PARAM_NAMES,
     SweepSpec,
-    central_derivative,
     concavity_certificate,
     differentials,
     fixtures,
@@ -50,6 +49,8 @@ from cpt_sense import (
 )
 from cpt_sense.cli import main as cli_main
 from cpt_sense.model import BEST_CASE
+
+from finite_difference import central_derivative
 
 # --- benchmark targets (tabulated at 1-decimal precision) -------------------
 

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
+import codecs
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cpt_sense import sweeps
-from cpt_sense.cli import main
+from cpt_sense.cli import build_parser, main
 from cpt_sense.errors import BracketingError
 from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
 from cpt_sense.sweeps import SWEEP_COLUMNS
@@ -78,6 +81,20 @@ class TestSolveCommand:
         rows = json.loads((out / "solutions.json").read_text())
         assert len(rows) == 5
         assert rows[0]["label"] == "S1"
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_utf8_bom_scenario_file_matches_plain(self, tmp_path, suffix):
+        # spreadsheet programs write a UTF-8 byte-order mark before the header
+        to_text = scenarios_to_json if suffix == ".json" else scenarios_to_csv
+        text = to_text(list(fixtures()))
+        plain, bom = tmp_path / ("plain" + suffix), tmp_path / ("bom" + suffix)
+        plain.write_text(text, encoding="utf-8")
+        bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        for path in (plain, bom):
+            assert run(["solve", "--scenarios", str(path),
+                        "--out", str(tmp_path / path.stem)]) == 0
+        assert (tmp_path / "bom" / "solutions.csv").read_bytes() == \
+            (tmp_path / "plain" / "solutions.csv").read_bytes()
 
     def test_generated_source(self, tmp_path):
         out = tmp_path / "out"
@@ -241,6 +258,10 @@ class TestUsageErrors:
         ["domain", "--scenarios", "{json_unknown}"],
         ["solve", "--scenarios", "{json_not_object}"],
         ["solve", "--scenarios", "{directory}"],
+        ["solve", "--steps", "5"],
+        ["mismatch", "--param", "beta"],
+        ["domain", "--range", "0.3"],
+        ["validate", "--alpha", "0.9"],
     ], ids=" ".join)
     def test_malformed_input_exits_64(self, tmp_path, argv):
         s1_csv = scenarios_to_csv([fixtures()[0]])
@@ -260,12 +281,15 @@ class TestUsageErrors:
             path = tmp_path / name
             path.write_text(text, encoding="utf-8")
             paths[path.stem] = path
-        argv = [a.format(**paths) for a in argv]
-        proc = run_python("-m", "cpt_sense.cli", *argv, "--out",
-                          str(tmp_path / "out"), cwd=tmp_path)
+        args = [a.format(**paths) for a in argv]
+        if argv[0] != "validate":  # the one command without --out
+            args += ["--out", str(tmp_path / "out")]
+        proc = run_python("-m", "cpt_sense.cli", *args, cwd=tmp_path)
         assert proc.returncode == 64, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+        if HEADER_ONLY in argv:  # rejected for the empty set, not a flag
+            assert "no scenarios in" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_scenario_file_exits_64(self, tmp_path, monkeypatch,
@@ -282,6 +306,32 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "Permission denied" in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+
+def readme_flag_table() -> dict[str, set[str]]:
+    """Command -> long options, from the flag table of the README's CLI
+    section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0].strip("`")] = set(re.findall(r"--[a-z-]+", cells[1]))
+    return table
+
+
+def test_each_command_takes_the_readme_flags():
+    """The README's per-command flag table is every long option the
+    parser takes, command by command."""
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+        for name, p in commands.choices.items()
+    }
+    assert parsed == readme_flag_table()
 
 
 def test_import_starts_no_process_machinery():
@@ -318,10 +368,10 @@ class TestDeterminism:
         assert s1_beta[5] == "lower_bound_hit"
 
     def test_parser_defaults_are_nominal(self):
-        from cpt_sense.cli import build_parser
         args = build_parser().parse_args(["solve"])
         assert (args.alpha, args.beta, args.lam, args.p) == \
             (0.82, 0.8, 2.25, 0.75)
+        args = build_parser().parse_args(["sweep"])
         assert args.range == 0.20
         assert args.steps == 41
 

@@ -9,12 +9,13 @@ from cpt_sense import (
     NOMINAL_PARAMS,
     ScalarFunctionHandle,
     bracket_root,
-    central_derivative,
     grid_golden_maximize,
     revenue_function,
     revenue_gradient,
     solve,
 )
+
+from finite_difference import central_derivative
 
 
 class TestGridGoldenMaximize:

@@ -26,7 +26,6 @@ from cpt_sense import (
     TravelScenario,
     ReferencePolicy,
     _core,
-    central_derivative,
     concavity_certificate,
     expected_revenue,
     fixtures,
@@ -42,6 +41,8 @@ from cpt_sense import (
 )
 from cpt_sense.cli import main
 from cpt_sense.pricing import KKT_TOL
+
+from finite_difference import central_derivative
 
 # frozen from an independent dense-grid + golden-section oracle run
 ORACLE = {
@@ -153,14 +154,13 @@ class TestKktResiduals:
             opt = solve(s, NOMINAL_PARAMS)
             res = kkt_residuals(opt, s, NOMINAL_PARAMS)
             assert res.max_residual <= KKT_TOL, s.label
-            assert res.passed()
 
     def test_negative_multiplier_flagged(self, s1):
         opt = solve(s1, NOMINAL_PARAMS)
         tampered = dataclasses.replace(opt, mu_low=-1.0)
         res = kkt_residuals(tampered, s1, NOMINAL_PARAMS)
         assert res.dual_lower_violation == 1.0
-        assert not res.passed()
+        assert res.max_residual > KKT_TOL
 
     def test_interior_stationarity_by_finite_difference(self, scenarios):
         for s in scenarios:

@@ -15,13 +15,14 @@ from cpt_sense import (
     PARAM_NAMES,
     SingularHessianError,
     all_domains,
-    central_derivative,
     differentials,
     local_domain,
     revenue_gradient,
     solve,
     taylor_predict,
 )
+
+from finite_difference import central_derivative
 
 
 def reoptimized_gamma(scenario, name):
@@ -101,6 +102,13 @@ class TestDifferentials:
             differentials(opt, s1, NOMINAL_PARAMS)
 
 
+def half_factor_order2(opt, diffs, name, theta):
+    """Order-2 objective prediction with the series coefficient 1/2."""
+    _, f1 = taylor_predict(opt, diffs, name, theta, order=1)
+    dtheta = theta - diffs[name].theta0
+    return f1 + 0.5 * diffs[name].d2f_dtheta2 * dtheta * dtheta
+
+
 class TestTaylorPredict:
     def test_zero_perturbation_returns_nominal(self, s1):
         opt = solve(s1, NOMINAL_PARAMS)
@@ -119,10 +127,10 @@ class TestTaylorPredict:
     def test_order2_conventions_differ_by_half_curvature(self, s1):
         opt = solve(s1, NOMINAL_PARAMS)
         diffs = differentials(opt, s1, NOMINAL_PARAMS)
-        dtheta = 0.05 * 0.82
-        _, f_full = taylor_predict(opt, diffs, "alpha", 0.82 + dtheta, order=2)
-        _, f_half = taylor_predict(opt, diffs, "alpha", 0.82 + dtheta, order=2,
-                                   half_factor=True)
+        theta = 0.82 + 0.05 * 0.82
+        _, f_full = taylor_predict(opt, diffs, "alpha", theta, order=2)
+        f_half = half_factor_order2(opt, diffs, "alpha", theta)
+        dtheta = theta - diffs["alpha"].theta0
         gap = 0.5 * diffs["alpha"].d2f_dtheta2 * dtheta * dtheta
         assert f_full - f_half == pytest.approx(gap, rel=1e-12)
 
@@ -139,8 +147,7 @@ class TestTaylorPredict:
                     theta = theta0 * (1.0 + sign * 0.05)
                     exact = solve(s, NOMINAL_PARAMS.replace(name, theta)).f_star
                     _, f1 = taylor_predict(opt, diffs, name, theta, order=1)
-                    _, f2 = taylor_predict(opt, diffs, name, theta, order=2,
-                                           half_factor=True)
+                    f2 = half_factor_order2(opt, diffs, name, theta)
                     assert abs(f2 - exact) <= abs(f1 - exact) + 1e-12
 
     def test_argument_validation(self, s1):

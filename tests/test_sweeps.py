@@ -98,10 +98,6 @@ class TestNumericSweep:
             else:
                 assert r.mu_high >= 0.0 and r.mu_low == 0.0
 
-    def test_sweep_spec_required(self, s1):
-        with pytest.raises(ValueError):
-            numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, None)
-
 
 class TestMismatchLoss:
     def test_zero_when_parameters_agree(self, s1):
@@ -209,7 +205,3 @@ class TestPiecewiseContinuation:
             predicted = approx.predict_gamma(row.theta_value)
             assert predicted == pytest.approx(row.gamma_star_numeric,
                                               rel=0.02), row.theta_value
-
-    def test_sweep_spec_required(self, s1):
-        with pytest.raises(ValueError):
-            piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE, None)
