@@ -21,15 +21,22 @@ lam*(w(p)*D^beta - G^beta) with the tariff-independent spread
 D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
 best-case kernels evaluate directly.
 
-Hot-path contract.  Each revenue value a solve counts is one kernel call:
-``bestcase_revenue`` under the best-case reference, the value closure of
-``revenue_evaluator`` under every other.  ``prelec_weight`` is cached per
-(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
-best-case kernels pay for w(p) once per rider rather than once per tariff.
-The two best-case kernels inline the clamped logistic of
-``_stable_logistic``, and both evaluator closures inline it and ``_bases``,
-each in the same arithmetic order, so a call costs one Python frame and
-returns the same bits.
+Hot-path contract.  Each revenue value a solve counts is either a node
+value or a value-closure call.  A solve first evaluates its 65 presieve
+tariffs in one pass, ``nodes(xs) -> (values, slopes)``, whose slopes feed
+the presieve and whose values are the oracle's grid; every later value
+(polish candidates, the box ends, golden refinement) is one value-closure
+call.  Under the best-case reference each of these values is one
+``bestcase_revenue`` call; under every other, the pass and the value
+closure are those of ``revenue_evaluator``.  A node's value has the value
+closure's bits and its slope the scalar slope's, since ``slope(gamma)`` is
+the one-node pass.  ``prelec_weight`` is cached per (p, alpha) with a
+bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the best-case kernels pay
+for w(p) once per rider rather than once per tariff.  The two best-case
+kernels inline the clamped logistic of ``_stable_logistic``, and the
+evaluator's value closure and node pass inline it and ``_bases``, each in
+the same arithmetic order, so a value costs one Python frame, a pass one
+frame for all its nodes, and both return the same bits.
 """
 
 import functools
@@ -174,6 +181,12 @@ def _outside(u0, u_low, u_high, gamma):
         % (u0, u_low, u_high, gamma))
 
 
+def _singular(name, gamma):
+    """The error for a base that vanishes where its slope term is singular."""
+    return SingularPointError(
+        "(%s)**(beta-1) is singular at a zero base, gamma=%r" % (name, gamma))
+
+
 def _zero_bases(u0, x_low, x_high, b, ref_c, ref_g, ref_p):
     """Which bases are identically zero, as (alternative, worst, best): a
     base whose own line is the reference line.  Its term vanishes together
@@ -202,24 +215,30 @@ def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
 def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
                       alpha, beta, lam, p_worst):
     """Expected revenue and its tariff slope under the reference line
-    R = ref_c + ref_g*gamma + ref_p*p_worst, as a (value, slope) pair of
-    closures of the tariff.
+    R = ref_c + ref_g*gamma + ref_p*p_worst, as (value, slope, nodes)
+    closures: ``value(gamma)`` and ``slope(gamma)`` at one tariff,
+    ``nodes(xs)`` the lists (values, slopes) at every tariff of ``xs`` in
+    one pass.
 
     Everything that does not depend on the tariff is computed here once:
     the distorted probabilities w(p) and w(1-p), the line's p-term, which
-    bases are identically zero, and each branch's coefficients.  A call
-    then forms the three bases, picks each branch and does one power per
-    term (two for the slope) and one logistic.
+    bases are identically zero, and each branch's coefficients.  A node
+    then forms the three bases once, picks each branch, takes each term's
+    m**beta once for the value and the slope (and m**(beta-1) for the
+    slope) and one logistic, two where the value's z and the slope's z
+    round apart.
 
     The value evaluates z = v(u0-R) - (w_low*v(u_low-R) + w_high*v(u_high-R))
     in the order of ``acceptance_from_utilities``, so on a reference that
     ``model.resolve_reference`` computes to the same bits the two agree
-    exactly.  The slope is the closed form of docs/derivatives.md.
+    exactly; a node's value is ``value`` at that tariff, bit for bit.  The
+    slope is the closed form of docs/derivatives.md, its z summed term by
+    term; ``slope(gamma)`` is the one-node pass ``nodes((gamma,))[1][0]``.
 
-    Both closures raise InvalidScenarioError when u0 lies outside
-    [u_low, u_high] at the tariff; the slope raises SingularPointError,
-    naming the base, where a base that is not identically zero vanishes
-    with beta < 1 and the slope is infinite.
+    All three raise InvalidScenarioError when u0 lies outside
+    [u_low, u_high] at a tariff; the slope and the pass raise
+    SingularPointError, naming the base, where a base that is not
+    identically zero vanishes with beta < 1 and the slope is infinite.
     """
     w_p = prelec_weight(p_worst, alpha)
     w_q = prelec_weight(1.0 - p_worst, alpha)
@@ -234,20 +253,20 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     neg_lam = -lam
     beta_1 = beta - 1.0
     singular = beta < 1.0
-    # slope terms that are not identically zero, as (index of the base,
-    # name, d base/d gamma, gain coefficient k and k*beta, loss coefficient
-    # k*lam and k*lam*beta), with k = 1 for the alternative and -w for a
-    # ride outcome; grouped as the slope's products associate
-    terms = tuple(
-        (i, name, d_g, k_g, k_g * beta, k_l * lam, k_l * lam * beta)
-        for i, (name, d_g, zero, k_g, k_l) in enumerate((
-            ("u0 - R", -ref_g, alt_zero, 1.0, 1.0),
-            ("u_low - R", b - ref_g, low_zero, -w_low_gain, -w_low_loss),
-            ("u_high - R", b - ref_g, high_zero, -w_high_gain, -w_high_loss)))
-        if not zero)
+    # slope coefficients, grouped as the slope's products associate: a
+    # term k*v adds k*m**beta to z (k*lam on a loss) and k*beta*m**(beta-1)
+    # *d_g to z_g (k*lam*beta on a loss), with k = 1 for the alternative
+    # and -w for a ride outcome.  A gain term of z is the value's term
+    # negated, since (-w)*m is -(w*m) exactly, so it needs no coefficient.
+    alt_g, ride_g = -ref_g, b - ref_g
+    lam_beta = lam * beta
+    low_gb, low_l = -w_low_gain * beta, -w_low_loss * lam
+    low_lb = low_l * beta
+    high_gb, high_l = -w_high_gain * beta, -w_high_loss * lam
+    high_lb = high_l * beta
 
-    # each closure inlines _bases and _stable_logistic, in their arithmetic
-    # order, so that a call costs one Python frame
+    # inlines _bases and _stable_logistic, in their arithmetic order, so
+    # that a call costs one Python frame
     def value(gamma):
         u_low = x_low + b * gamma
         u_high = x_high + b * gamma
@@ -274,34 +293,77 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             z = -EXP_CLAMP
         return gamma * (1.0 / (1.0 + math.exp(z)))
 
-    def slope(gamma):
-        u_low = x_low + b * gamma
-        u_high = x_high + b * gamma
-        if not u_low <= u0 <= u_high:
-            raise _outside(u0, u_low, u_high, gamma)
-        reference = ref_c + ref_g * gamma + ref_pp
-        ds = (u0 - reference, u_low - reference, u_high - reference)
-        z = z_g = 0.0
-        for i, name, d_g, k_g, k_gb, k_l, k_lb in terms:
-            d = ds[i]
-            if d >= 0.0:
-                if d == 0.0 and singular:
-                    raise SingularPointError(
-                        "(%s)**(beta-1) is singular at a zero base, gamma=%r"
-                        % (name, gamma))
-                z += k_g * d ** beta
-                z_g += k_gb * d ** beta_1 * d_g
-            else:
-                z -= k_l * (-d) ** beta
-                z_g += k_lb * (-d) ** beta_1 * d_g
-        if z > EXP_CLAMP:
-            z = EXP_CLAMP
-        elif z < -EXP_CLAMP:
-            z = -EXP_CLAMP
-        sig = 1.0 / (1.0 + math.exp(z))
-        return sig - gamma * sig * (1.0 - sig) * z_g
+    # one loop in one frame: a per-node call would cost a frame per node
+    def nodes(xs):
+        values = []
+        slopes = []
+        for gamma in xs:
+            u_low = x_low + b * gamma
+            u_high = x_high + b * gamma
+            if not u_low <= u0 <= u_high:
+                raise _outside(u0, u_low, u_high, gamma)
+            reference = ref_c + ref_g * gamma + ref_pp
+            # a_s and u_s as in value; zs and z_g the slope's running sums
+            a_s = u_s = zs = z_g = 0.0
+            if not alt_zero:
+                d = u0 - reference
+                if d >= 0.0:
+                    if d == 0.0 and singular:
+                        raise _singular("u0 - R", gamma)
+                    a_s = zs = d ** beta
+                    z_g = beta * d ** beta_1 * alt_g
+                else:
+                    m_be = (-d) ** beta
+                    a_s = neg_lam * m_be
+                    zs = -(lam * m_be)
+                    z_g = lam_beta * (-d) ** beta_1 * alt_g
+            if not low_zero:
+                d = u_low - reference
+                if d >= 0.0:
+                    if d == 0.0 and singular:
+                        raise _singular("u_low - R", gamma)
+                    u_s = w_low_gain * d ** beta
+                    zs -= u_s
+                    z_g += low_gb * d ** beta_1 * ride_g
+                else:
+                    m_be = (-d) ** beta
+                    u_s = w_low_loss * (neg_lam * m_be)
+                    zs -= low_l * m_be
+                    z_g += low_lb * (-d) ** beta_1 * ride_g
+            if not high_zero:
+                d = u_high - reference
+                if d >= 0.0:
+                    if d == 0.0 and singular:
+                        raise _singular("u_high - R", gamma)
+                    t = w_high_gain * d ** beta
+                    zs -= t
+                    z_g += high_gb * d ** beta_1 * ride_g
+                else:
+                    m_be = (-d) ** beta
+                    t = w_high_loss * (neg_lam * m_be)
+                    zs -= high_l * m_be
+                    z_g += high_lb * (-d) ** beta_1 * ride_g
+                u_s += t
+            z = a_s - u_s
+            if z > EXP_CLAMP:
+                z = EXP_CLAMP
+            elif z < -EXP_CLAMP:
+                z = -EXP_CLAMP
+            if zs > EXP_CLAMP:
+                zs = EXP_CLAMP
+            elif zs < -EXP_CLAMP:
+                zs = -EXP_CLAMP
+            sig = 1.0 / (1.0 + math.exp(z))
+            values.append(gamma * sig)
+            if zs != z:
+                sig = 1.0 / (1.0 + math.exp(zs))
+            slopes.append(sig - gamma * sig * (1.0 - sig) * z_g)
+        return values, slopes
 
-    return value, slope
+    def slope(gamma):
+        return nodes((gamma,))[1][0]
+
+    return value, slope, nodes
 
 
 def _prelec_partials(q, alpha):

@@ -10,7 +10,7 @@ deterministic and reentrant.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from cpt_sense.errors import BracketingError
 
@@ -34,9 +34,13 @@ class ScalarFunctionHandle:
         self.evaluations += 1
         y = self._fn(x)
         if not math.isfinite(y):
-            raise ValueError("objective returned non-finite value %r at x=%r"
-                             % (y, x))
+            raise _non_finite(y, x)
         return y
+
+
+def _non_finite(y: float, x: float) -> ValueError:
+    """The error for a non-finite objective value y at x."""
+    return ValueError("objective returned non-finite value %r at x=%r" % (y, x))
 
 
 def _golden_section_max(f, lo, hi, tol):
@@ -66,7 +70,8 @@ def _golden_section_max(f, lo, hi, tol):
 
 
 def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
-                         presieve: int = 64, tol: float = 1e-9
+                         presieve: int = 64, tol: float = 1e-9,
+                         grid_values: Sequence[float] | None = None
                          ) -> tuple[float, float]:
     """Global maximum of ``f`` on [lo, hi] via presieve plus golden refinement.
 
@@ -80,13 +85,17 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         lo, hi: bounds, lo < hi.
         presieve: grid cell count, at least 8.
         tol: absolute interval tolerance of the golden refinement.
+        grid_values: f at the grid points lo + (hi-lo)*i/presieve, with the
+            last point hi, when the caller already has them; the grid is
+            then not evaluated again, and these values are not counted.
 
     Returns:
         (argmax, max value).
 
     Raises:
-        ValueError: on bad arguments or a non-finite objective value; the
-            message names the offending probe location.
+        ValueError: on bad arguments, grid values of the wrong length, or a
+            non-finite objective or grid value; the message names the
+            offending probe location.
     """
     if not lo < hi:
         raise ValueError("need lo < hi, got [%r, %r]" % (lo, hi))
@@ -101,7 +110,16 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
 
     xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
     xs[-1] = hi
-    ys = [evaluate(x) for x in xs]
+    if grid_values is None:
+        ys = [evaluate(x) for x in xs]
+    else:
+        if len(grid_values) != len(xs):
+            raise ValueError("need %d grid values, got %d"
+                             % (len(xs), len(grid_values)))
+        if not all(map(math.isfinite, grid_values)):
+            raise next(_non_finite(y, x) for x, y in zip(xs, grid_values)
+                       if not math.isfinite(y))
+        ys = grid_values
 
     best_y = max(ys)
     best_x = xs[ys.index(best_y)]  # the first maximum, as max keeps it

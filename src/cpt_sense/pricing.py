@@ -7,8 +7,11 @@ The solver is a bracketed one-dimensional method: a presieve grid of
 polished by bracketed root finding, and the stationary candidates are
 compared against both box endpoints, which win within 1e-9 of the tariff
 span.  Every solve is cross-checked against the derivative-free
-grid/golden oracle in ``numerics``; the two methods share no search logic.
-The concavity certificate is defined for the best-case reference only.
+grid/golden oracle in ``numerics``.  The presieve nodes are the oracle's
+grid, so one pass over them yields the slopes the scan reads and the
+values the oracle reads; the oracle's argmax and golden search still share
+no logic with the slope scan, and read only values.  The concavity
+certificate is defined for the best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
 minimizes -f.  The Lagrangian of the minimization form is
@@ -28,7 +31,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from cpt_sense import _core
 from cpt_sense.errors import SingularPointError, SolverDisagreementError
@@ -119,13 +122,20 @@ class LagrangianDerivatives:
     l_thetatheta: dict[str, float]
 
 
-def _revenue_pair(scenario: TravelScenario, params: CptParams,
-                  policy: ReferencePolicy
-                  ) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Expected revenue and its tariff slope as functions of the tariff.
+#: ``nodes(xs)``: the revenue values and slopes at every tariff of ``xs``.
+Nodes = Callable[[Sequence[float]], tuple[list[float], list[float]]]
+
+
+def _revenue_closures(scenario: TravelScenario, params: CptParams,
+                      policy: ReferencePolicy
+                      ) -> tuple[Callable[[float], float],
+                                 Callable[[float], float], Nodes]:
+    """Expected revenue and its tariff slope as functions of the tariff,
+    and both at a list of tariffs, as (value, slope, nodes).
 
     The best-case kernels under the best-case policy; one reference-line
-    evaluator from ``_core`` otherwise.
+    evaluator from ``_core`` otherwise.  Each value ``nodes`` returns is
+    the value function's at that tariff, bit for bit.
     """
     u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
     a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
@@ -143,7 +153,13 @@ def _revenue_pair(scenario: TravelScenario, params: CptParams,
 
     def fgrad(gamma: float) -> float:
         return gradient(gamma, u0, xl, xh, b, a, be, lam, p)
-    return f, fgrad
+
+    def nodes(xs: Sequence[float]) -> tuple[list[float], list[float]]:
+        # slopes first, as in a scan of the slopes before any value: the
+        # gradient raises wherever the kernel does, and on a singular edge
+        slopes = [gradient(x, u0, xl, xh, b, a, be, lam, p) for x in xs]
+        return [kernel(x, u0, xl, xh, b, a, be, lam, p) for x in xs], slopes
+    return f, fgrad, nodes
 
 
 def revenue_function(scenario: TravelScenario, params: CptParams,
@@ -154,14 +170,14 @@ def revenue_function(scenario: TravelScenario, params: CptParams,
     ``model.expected_revenue`` is the same quantity through the general
     acceptance chain.
     """
-    return _revenue_pair(scenario, params, policy)[0]
+    return _revenue_closures(scenario, params, policy)[0]
 
 
 def revenue_gradient(scenario: TravelScenario, params: CptParams,
                      policy: ReferencePolicy = BEST_CASE
                      ) -> Callable[[float], float]:
     """Tariff derivative of the expected revenue, in closed form."""
-    return _revenue_pair(scenario, params, policy)[1]
+    return _revenue_closures(scenario, params, policy)[1]
 
 
 def solve(scenario: TravelScenario, params: CptParams,
@@ -176,20 +192,29 @@ def solve(scenario: TravelScenario, params: CptParams,
 
     Raises:
         InvalidScenarioError: scenario fails validation.
+        SingularPointError: the box ends on a validity edge where a base of
+            the revenue vanishes with beta < 1 (such as u0 = u_high at
+            gamma_max under the static or best-case reference), so the
+            slope there is infinite.
         SolverDisagreementError: result differs from the derivative-free
             oracle by more than two presieve cells.
+        ValueError: the revenue is non-finite at a probed tariff; the
+            message names the tariff.
     """
     require_valid(scenario)
     lo, hi = scenario.gamma_min, scenario.gamma_max
     span = hi - lo
     gtol = 1e-9 * span
 
-    value, fgrad = _revenue_pair(scenario, params, policy)
+    value, fgrad, nodes = _revenue_closures(scenario, params, policy)
     f = ScalarFunctionHandle(value)
 
+    # the presieve nodes are the oracle's grid: one pass gives the slopes
+    # the scan reads and the values the oracle reads, and those count
     xs = [lo + span * i / PRESIEVE for i in range(PRESIEVE + 1)]
     xs[-1] = hi
-    slopes = [fgrad(x) for x in xs]
+    ys, slopes = nodes(xs)
+    f.evaluations += len(ys)
 
     # polish tolerance sits three decades below the gamma tolerance: the
     # root finder may stop on |slope| alone, which costs gamma accuracy of
@@ -228,7 +253,7 @@ def solve(scenario: TravelScenario, params: CptParams,
                   and max(mu_low, mu_high) < DEGENERATE_MU)
 
     gamma_oracle, _ = grid_golden_maximize(f, lo, hi, presieve=PRESIEVE,
-                                           tol=1e-6 * span)
+                                           tol=1e-6 * span, grid_values=ys)
     if abs(gamma_star - gamma_oracle) > 2.0 * span / PRESIEVE:
         raise SolverDisagreementError(
             "scenario %r: solver gamma*=%r vs oracle %r exceeds 2 presieve "

@@ -43,7 +43,8 @@ _BP_OSCILLATION = 1e-10
 class SweepSpec:
     """One-parameter sweep grid specification.
 
-    ``rel_range`` is the +- fraction of the nominal value covered;
+    ``rel_range`` is the +- fraction of the nominal value covered, in
+    (0, 1);
     probability sweeps are clamped into ``clamp`` to keep the distortion
     well defined, and clamped rows are marked (``SweepRow.clamped``, the
     ``clamped`` column of the sweep files).
@@ -57,8 +58,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 3:
             raise ValueError("steps must be >= 3, got %r" % self.steps)
-        if not self.rel_range > 0.0:
-            raise ValueError("rel_range must be positive, got %r" % self.rel_range)
+        # at 1 or more the grid's low end reaches a nonpositive alpha, beta
+        # or lambda, which no rider has
+        if not 0.0 < self.rel_range < 1.0:
+            raise ValueError("rel_range must lie in (0, 1), got %r"
+                             % self.rel_range)
 
     def grid(self, theta0: float) -> list[tuple[float, bool]]:
         """(value, clamped) pairs from -rel_range to +rel_range."""

@@ -19,9 +19,13 @@ policies, each (scenario, policy) with its own seeded random rider
 parameters, takes the differentials of every solved record, and prints one
 SHA-256 over the ``repr`` of every ``OptimumRecord`` field and every
 differential, in a fixed order; a solve or differential that raises is
-hashed as its error type and message.  ``repr`` keeps every bit of a
-float, so two trees that print the same digest computed the same answers
-and the same evaluation counts.  The module name does not match pytest's
+hashed as its error type and message.  It then prints one digest per
+policy kind over that policy's share of the same lines, so a mismatch
+names the policy that moved.  ``repr`` keeps every bit of a float, so two
+trees that print the same digest computed the same answers and the same
+evaluation counts.  ``test_records_digest`` pins the default run's
+digests: a change that moves any answer re-pins them there and lists what
+moved in CHANGES.md.  The module name does not match pytest's
 ``test_*.py``, so it is not collected.
 """
 
@@ -173,14 +177,19 @@ RECORD_THETA = (("alpha", 0.2, 1.0), ("beta", 0.2, 1.5), ("lam", 0.3, 4.0),
                 ("p_worst", 0.02, 0.98))
 
 
-def record_digest(count: int, seed: int) -> tuple[str, int, int]:
-    """(SHA-256 hex digest, records hashed, errors hashed) of ``records``."""
+def record_digest(count: int, seed: int
+                  ) -> tuple[str, dict[str, str], int, int]:
+    """(SHA-256 hex digest, the digest of each policy's share of the lines
+    by policy kind, records hashed, errors hashed) of ``records``."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
+    by_policy = {}
     records = errors = 0
 
     def feed(*parts) -> None:
-        digest.update(("\x1f".join(parts) + "\n").encode())
+        line = ("\x1f".join(parts) + "\n").encode()
+        digest.update(line)
+        share.update(line)
 
     for s in generate_random(count=count, seed=seed):
         policies = (ReferencePolicy.static_alternative(),
@@ -190,6 +199,7 @@ def record_digest(count: int, seed: int) -> tuple[str, int, int]:
                         s.x_low + s.b_sm * s.gamma_max - 1.0,
                         s.x_high + s.b_sm * s.gamma_min + 1.0)))
         for policy in policies:
+            share = by_policy.setdefault(policy.kind.value, hashlib.sha256())
             theta = CptParams(**{name: rng.uniform(lo, hi)
                                  for name, lo, hi in RECORD_THETA})
             feed(s.label, repr(policy), repr(theta))
@@ -211,7 +221,9 @@ def record_digest(count: int, seed: int) -> tuple[str, int, int]:
             for name, sens in diffs.items():
                 for field in dataclasses.fields(sens):
                     feed(name, field.name, repr(getattr(sens, field.name)))
-    return digest.hexdigest(), records, errors
+    return (digest.hexdigest(),
+            {kind: h.hexdigest() for kind, h in by_policy.items()},
+            records, errors)
 
 
 def main_tool(argv: list[str] | None = None) -> int:
@@ -225,8 +237,11 @@ def main_tool(argv: list[str] | None = None) -> int:
     if args.mode == "records":
         if args.count < 1:
             parser.error("--count must be at least 1")
-        hexdigest, records, errors = record_digest(args.count, args.seed)
+        hexdigest, by_policy, records, errors = record_digest(args.count,
+                                                              args.seed)
         print(hexdigest)
+        for kind, policy_digest in by_policy.items():
+            print("%s %s" % (policy_digest, kind))
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)
         return 0

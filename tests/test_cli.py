@@ -245,6 +245,8 @@ class TestUsageErrors:
         ["sweep", "--p", "1.5"],
         ["sweep", "--steps", "2"],
         ["sweep", "--range", "-1"],
+        ["sweep", "--param", "beta", "--range", "1.0"],
+        ["sweep", "--range", "2.5"],
         ["gen-scenarios", "--count", "0"],
         ["solve", "--scenarios", HEADER_ONLY],
         ["sweep", "--scenarios", HEADER_ONLY],

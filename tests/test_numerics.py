@@ -5,10 +5,13 @@ import math
 import pytest
 
 from cpt_sense import (
+    BEST_CASE,
     BracketingError,
     NOMINAL_PARAMS,
+    ReferencePolicy,
     ScalarFunctionHandle,
     bracket_root,
+    fixtures,
     grid_golden_maximize,
     revenue_function,
     revenue_gradient,
@@ -16,6 +19,35 @@ from cpt_sense import (
 )
 
 from finite_difference import central_derivative
+
+
+def _grid(lo, hi, presieve):
+    """The grid grid_golden_maximize evaluates: presieve cells, last point hi."""
+    xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
+    xs[-1] = hi
+    return xs
+
+
+def _two_peaks(x):
+    return math.exp(-(x - 1.0) ** 2) + 1.5 * math.exp(-8.0 * (x - 4.0) ** 2)
+
+
+#: (id, objective, lo, hi, keyword arguments): this module's objectives,
+#: then each fixture's revenue under the best and the expected reference
+#: with the settings of the solver's cross-check
+GRID_CASES = [
+    ("parabola", lambda x: -(x - 2.0) ** 2, 0.0, 5.0, dict(tol=1e-12)),
+    ("increasing", lambda x: 3.0 * x + 1.0, -1.0, 7.0, {}),
+    ("decreasing", lambda x: -x, -1.0, 7.0, {}),
+    ("two peaks", _two_peaks, 0.0, 5.0, dict(tol=1e-10)),
+    ("sin", math.sin, 0.0, 20.0, dict(presieve=64, tol=1e-9)),
+] + [
+    ("%s %s" % (s.label, policy.kind.value),
+     revenue_function(s, NOMINAL_PARAMS, policy), s.gamma_min, s.gamma_max,
+     dict(presieve=64, tol=1e-6 * s.gamma_span))
+    for s in fixtures()
+    for policy in (BEST_CASE, ReferencePolicy.expected_utility())
+]
 
 
 class TestGridGoldenMaximize:
@@ -59,6 +91,38 @@ class TestGridGoldenMaximize:
             return math.nan if x > 4.9 else x
         with pytest.raises(ValueError, match="x="):
             grid_golden_maximize(f, 0.0, 5.0)
+
+    @pytest.mark.parametrize("f, lo, hi, kwargs",
+                             [case[1:] for case in GRID_CASES],
+                             ids=[case[0] for case in GRID_CASES])
+    def test_supplied_grid_values_give_the_same_bits(self, f, lo, hi, kwargs):
+        xs = _grid(lo, hi, kwargs.get("presieve", 64))
+        evaluated = ScalarFunctionHandle(f)
+        want = grid_golden_maximize(evaluated, lo, hi, **kwargs)
+        supplied = ScalarFunctionHandle(f)
+        got = grid_golden_maximize(supplied, lo, hi,
+                                   grid_values=[f(x) for x in xs], **kwargs)
+        assert [y.hex() for y in got] == [y.hex() for y in want]
+        # only the refinement is evaluated, and counted
+        assert supplied.evaluations == evaluated.evaluations - len(xs)
+
+    def test_supplied_grid_values_checked(self):
+        xs = _grid(0.0, 5.0, 64)
+        with pytest.raises(ValueError, match="need 65 grid values, got 64"):
+            grid_golden_maximize(lambda x: x, 0.0, 5.0, grid_values=xs[:-1])
+        with pytest.raises(ValueError, match="need 65 grid values, got 66"):
+            grid_golden_maximize(lambda x: x, 0.0, 5.0, grid_values=xs + [5.0])
+        # a non-finite grid value raises what evaluating it would raise
+        for bad in (math.nan, math.inf, -math.inf):
+            def f(x):
+                return bad if x == xs[40] else x
+            with pytest.raises(ValueError) as evaluated:
+                grid_golden_maximize(f, 0.0, 5.0)
+            with pytest.raises(ValueError) as supplied:
+                grid_golden_maximize(f, 0.0, 5.0,
+                                     grid_values=[f(x) for x in xs])
+            assert str(supplied.value) == str(evaluated.value)
+            assert "x=%r" % xs[40] in str(supplied.value)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

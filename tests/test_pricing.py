@@ -43,6 +43,7 @@ from cpt_sense.cli import main
 from cpt_sense.pricing import KKT_TOL
 
 from finite_difference import central_derivative
+from term_loop_slope import term_loop_slope
 
 # frozen from an independent dense-grid + golden-section oracle run
 ORACLE = {
@@ -425,11 +426,16 @@ class TestLagrangianDerivatives:
         assert checked >= 20
 
 
+def _evaluator_args(s, policy, params):
+    """The arguments of ``_core.revenue_evaluator`` for one (scenario,
+    policy, rider)."""
+    return (s.u0, s.x_low, s.x_high, s.b_sm, *reference_line(policy, s),
+            params.alpha, params.beta, params.lam, params.p_worst)
+
+
 def evaluator(s, policy, params):
-    """The (value, slope) closures of ``_core.revenue_evaluator``."""
-    return _core.revenue_evaluator(
-        s.u0, s.x_low, s.x_high, s.b_sm, *reference_line(policy, s),
-        params.alpha, params.beta, params.lam, params.p_worst)
+    """The (value, slope, nodes) closures of ``_core.revenue_evaluator``."""
+    return _core.revenue_evaluator(*_evaluator_args(s, policy, params))
 
 
 EVAL_SCENARIOS = generate_random(count=50, seed=31)
@@ -477,7 +483,7 @@ class TestRevenueEvaluator:
         s, gamma, theta, policy = point
         u_low, u_high, u0 = utilities_at(s, gamma)
         assume(u_low <= u0 <= u_high)
-        value, _ = evaluator(s, policy, theta)
+        value, _, _ = evaluator(s, policy, theta)
         got, want = value(gamma), expected_revenue(gamma, s, theta, policy)
         c, r_g, r_p = reference_line(policy, s)
         ref_line = c + r_g * gamma + r_p * theta.p_worst
@@ -513,7 +519,7 @@ class TestRevenueEvaluator:
             if d_g != 0.0:
                 assume(abs(d) > 100.0 * h * abs(d_g))
         assume(min(u0 - u_low, u_high - u0) > 100.0 * h * abs(s.b_sm))
-        value, slope = evaluator(s, policy, theta)
+        value, slope, _ = evaluator(s, policy, theta)
         got = slope(gamma)
         fd = central_derivative(value, gamma)
         assert abs(got - fd) <= 1e-6 * (abs(got) + value(gamma) / gamma)
@@ -522,7 +528,7 @@ class TestRevenueEvaluator:
     def test_vanishing_base_is_named(self, policy_name):
         s, gamma, p, policy, base = VANISHING_BASES[policy_name]
         params = NOMINAL_PARAMS.replace("p", p)
-        value, slope = evaluator(s, policy, params)
+        value, slope, _ = evaluator(s, policy, params)
         with pytest.raises(SingularPointError, match=re.escape(base)):
             slope(gamma)
         # the value stays finite at the zero base, and so does the slope
@@ -534,11 +540,94 @@ class TestRevenueEvaluator:
     def test_outside_valid_range_is_invalid(self, policy_name):
         # EDGE is valid for gamma in [-10, 2]
         policy = POLICIES[policy_name](EDGE, 2.0)
-        value, slope = evaluator(EDGE, policy, NOMINAL_PARAMS)
+        value, slope, _ = evaluator(EDGE, policy, NOMINAL_PARAMS)
         for gamma in (2.0 + 1e-9, -10.5):
             for fn in (value, slope):
                 with pytest.raises(InvalidScenarioError, match="outside"):
                     fn(gamma)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: ("ok", result) or (error type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (InvalidScenarioError, SingularPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestNodePass:
+    """``nodes(xs)`` of ``_core.revenue_evaluator`` against the value
+    closure and the term-by-term slope of ``term_loop_slope``: the same
+    bits at every node, and the same error where a node raises."""
+
+    @staticmethod
+    def want(args, xs):
+        """(values, slopes) as hex, or the error of the first node that
+        raises, from the value closure and the reference slope."""
+        value = _core.revenue_evaluator(*args)[0]
+        reference = term_loop_slope(*args)
+        values, slopes = [], []
+        for x in xs:
+            kind, slope = _outcome(reference, x)
+            if kind != "ok":
+                return kind, slope
+            values.append(value(x))
+            slopes.append(slope)
+        return "ok", (_hex(values), _hex(slopes))
+
+    @staticmethod
+    def got(args, xs):
+        kind, result = _outcome(_core.revenue_evaluator(*args)[2], xs)
+        if kind != "ok":
+            return kind, result
+        values, slopes = result
+        return "ok", (_hex(values), _hex(slopes))
+
+    @given(evaluation_points(), st.sampled_from(["alone", "box", "outside"]))
+    @settings(max_examples=1500, deadline=None)
+    def test_nodes_are_value_and_term_loop_slope(self, point, where):
+        s, gamma, theta, policy = point
+        args = _evaluator_args(s, policy, theta)
+        xs = [gamma]
+        if where != "alone":  # then the 17-node grid of the box
+            xs += [s.gamma_min + s.gamma_span * i / 16 for i in range(17)]
+        if where == "outside":  # a last node past the upper validity edge
+            edge = (s.u0 - s.x_high) / s.b_sm
+            xs.append(edge + 1e-6 * max(1.0, abs(edge)))
+        assert self.got(args, xs) == self.want(args, xs)
+        # the scalar slope is the one-node pass
+        kind, got = _outcome(_core.revenue_evaluator(*args)[1], gamma)
+        want_kind, want = _outcome(term_loop_slope(*args), gamma)
+        assert kind == want_kind
+        if kind == "ok":
+            got, want = float(got).hex(), float(want).hex()
+        assert got == want
+
+    @pytest.mark.parametrize("policy_name", sorted(VANISHING_BASES))
+    def test_vanishing_base_raises_as_reference(self, policy_name):
+        s, gamma, p, policy, base = VANISHING_BASES[policy_name]
+        args = _evaluator_args(s, policy, NOMINAL_PARAMS.replace("p", p))
+        # valid nodes on either side first, where the base does not vanish
+        xs = [x for x in (gamma - 1e-3, gamma + 1e-3)
+              if self.want(args, [x])[0] == "ok"] + [gamma]
+        assert len(xs) > 1
+        kind, message = self.want(args, xs)
+        assert kind is SingularPointError and base in message
+        assert self.got(args, xs) == (kind, message)
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_outside_valid_range_raises_as_reference(self, policy_name):
+        # EDGE is valid for gamma in [-10, 2]
+        args = _evaluator_args(EDGE, POLICIES[policy_name](EDGE, 2.0),
+                               NOMINAL_PARAMS)
+        for xs in ([1.0, 2.0 + 1e-9], [-10.5, 1.0]):
+            kind, message = self.want(args, xs)
+            assert kind is InvalidScenarioError and "outside" in message
+            assert self.got(args, xs) == (kind, message)
 
 
 class TestConcavityCertificate:
@@ -568,7 +657,9 @@ class TestEvaluationContract:
     package: under the best-case reference each revenue value of a solve is
     one ``_core.bestcase_revenue`` call, looked up through the module so that
     a wrapper installed there sees it, and each solve runs its oracle and its
-    KKT check once; under every other reference no best-case kernel runs."""
+    KKT check once; under every other reference no best-case kernel runs,
+    and each revenue value is a node value of ``_core.revenue_evaluator``'s
+    pass or a call of its value closure."""
 
     BESTCASE_KERNELS = ("bestcase_revenue", "bestcase_revenue_gradient",
                         "bestcase_partials")
@@ -613,6 +704,34 @@ class TestEvaluationContract:
             assert calls["kkt_residuals"] == 1
             solved += 1
         assert solved == 55
+
+    @pytest.mark.parametrize("name", ["static", "expected", "worst", "fixed"])
+    def test_other_policies_count_node_values_and_value_calls(
+            self, monkeypatch, name):
+        counts = Counter()
+        original = _core.revenue_evaluator
+
+        def counting_evaluator(*args):
+            value, slope, nodes = original(*args)
+
+            def counted_value(gamma):
+                counts["value calls"] += 1
+                return value(gamma)
+
+            def counted_nodes(xs):
+                values, slopes = nodes(xs)
+                counts["node values"] += len(values)
+                return values, slopes
+            return counted_value, slope, counted_nodes
+
+        monkeypatch.setattr(_core, "revenue_evaluator", counting_evaluator)
+        for s, theta in self.inputs():
+            counts.clear()
+            policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
+            record = solve(s, theta, policy)
+            assert counts["node values"] == pricing.PRESIEVE + 1, s.label
+            assert record.evaluations == (counts["node values"]
+                                          + counts["value calls"]), s.label
 
     @pytest.mark.parametrize("name", ["static", "expected", "worst", "fixed"])
     def test_other_policies_leave_bestcase_kernels_unused(self, calls, name):

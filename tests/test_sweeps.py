@@ -51,6 +51,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("alpha", rel_range=0.0)
 
+    @pytest.mark.parametrize("rel_range", [1.0, 2.5, -0.2, math.inf, math.nan])
+    def test_range_outside_unit_interval_rejected(self, rel_range):
+        # from 1 up the grid's low end is a nonpositive parameter value
+        with pytest.raises(ValueError, match=r"rel_range must lie in \(0, 1\)"):
+            SweepSpec("beta", rel_range=rel_range)
+
+    def test_range_just_below_one_keeps_every_grid_value_positive(self):
+        spec = SweepSpec("beta", rel_range=math.nextafter(1.0, 0.0), steps=3)
+        assert all(t > 0.0 for t, _ in spec.grid(0.8))
+
 
 class TestNumericSweep:
     def test_nominal_row_is_exact(self, s1):
