@@ -21,7 +21,12 @@ class SingularHessianError(CptSenseError):
 
 
 class SolverDisagreementError(CptSenseError):
-    """The derivative-based solver and the derivative-free oracle disagree."""
+    """The derivative-free oracle found more revenue than the
+    derivative-based solver, and found it far from the solver's tariff
+    (more than two presieve cells in ``pricing.solve``).
+
+    The message names both revenues and both tariffs.
+    """
 
 
 class BracketingError(CptSenseError):

@@ -76,9 +76,13 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     """Global maximum of ``f`` on [lo, hi] via presieve plus golden refinement.
 
     Evaluates a uniform (presieve+1)-point grid, golden-refines around every
-    interior pattern peak and around both endpoint cells, and returns the
-    best point found.  For functions that are unimodal within each grid
-    cell the argmax error is at most max(tol, (hi-lo)/presieve * 1e-3).
+    interior pattern peak (the two cells beside it) and around both endpoint
+    cells, and returns the best point found.  A refinement stops once its
+    bracket is no wider than ``tol`` and returns the bracket's midpoint, so
+    where ``f`` is unimodal on a bracket the point found lies within tol/2
+    of that bracket's argmax.  A bracket of width w > tol costs
+    3 + ceil(log(w/tol) / log(1.618)) evaluations, one when w <= tol: at
+    tol = one cell, at most 4 per endpoint cell and 5 per interior peak.
 
     Args:
         f: objective; may be a plain callable or a ScalarFunctionHandle.
@@ -104,8 +108,8 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % tol)
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
-    # the bound method skips the instance-call lookup on each of the ~125
-    # evaluations of a solve's cross-check
+    # the bound method skips the instance-call lookup on each refinement
+    # evaluation
     evaluate = handle.__call__
 
     xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]

@@ -21,12 +21,15 @@ SHA-256 over the ``repr`` of every ``OptimumRecord`` field and every
 differential, in a fixed order; a solve or differential that raises is
 hashed as its error type and message.  It then prints one digest per
 policy kind over that policy's share of the same lines, so a mismatch
-names the policy that moved.  ``repr`` keeps every bit of a float, so two
-trees that print the same digest computed the same answers and the same
-evaluation counts.  ``test_records_digest`` pins the default run's
-digests: a change that moves any answer re-pins them there and lists what
-moved in CHANGES.md.  The module name does not match pytest's
-``test_*.py``, so it is not collected.
+names the policy that moved, and last an *answers* digest over the same
+lines without the two that record what a solve cost rather than what it
+found: ``gamma_oracle`` and ``evaluations``.  ``repr`` keeps every bit of a
+float, so two trees that print the same digest computed the same answers
+and the same evaluation counts; two that print the same answers digest
+computed the same answers, whatever their cross-check spent.
+``test_records_digest`` pins the default run's digests: a change that moves
+any answer re-pins them there and lists what moved in CHANGES.md.  The
+module name does not match pytest's ``test_*.py``, so it is not collected.
 """
 
 from __future__ import annotations
@@ -177,19 +180,28 @@ RECORD_THETA = (("alpha", 0.2, 1.0), ("beta", 0.2, 1.5), ("lam", 0.3, 4.0),
                 ("p_worst", 0.02, 0.98))
 
 
+#: ``OptimumRecord`` fields that record what a solve's cross-check spent,
+#: not what it found; the answers digest leaves them out.
+COST_FIELDS = ("gamma_oracle", "evaluations")
+
+
 def record_digest(count: int, seed: int
-                  ) -> tuple[str, dict[str, str], int, int]:
+                  ) -> tuple[str, dict[str, str], str, int, int]:
     """(SHA-256 hex digest, the digest of each policy's share of the lines
-    by policy kind, records hashed, errors hashed) of ``records``."""
+    by policy kind, the answers digest, records hashed, errors hashed) of
+    ``records``."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
+    answers = hashlib.sha256()
     by_policy = {}
     records = errors = 0
 
-    def feed(*parts) -> None:
+    def feed(*parts, cost: bool = False) -> None:
         line = ("\x1f".join(parts) + "\n").encode()
         digest.update(line)
         share.update(line)
+        if not cost:
+            answers.update(line)
 
     for s in generate_random(count=count, seed=seed):
         policies = (ReferencePolicy.static_alternative(),
@@ -211,7 +223,8 @@ def record_digest(count: int, seed: int
                 continue
             records += 1
             for field in dataclasses.fields(record):
-                feed(field.name, repr(getattr(record, field.name)))
+                feed(field.name, repr(getattr(record, field.name)),
+                     cost=field.name in COST_FIELDS)
             try:
                 diffs = differentials(record, s, theta, policy)
             except (CptSenseError, ValueError) as exc:
@@ -223,7 +236,7 @@ def record_digest(count: int, seed: int
                     feed(name, field.name, repr(getattr(sens, field.name)))
     return (digest.hexdigest(),
             {kind: h.hexdigest() for kind, h in by_policy.items()},
-            records, errors)
+            answers.hexdigest(), records, errors)
 
 
 def main_tool(argv: list[str] | None = None) -> int:
@@ -237,11 +250,12 @@ def main_tool(argv: list[str] | None = None) -> int:
     if args.mode == "records":
         if args.count < 1:
             parser.error("--count must be at least 1")
-        hexdigest, by_policy, records, errors = record_digest(args.count,
-                                                              args.seed)
+        hexdigest, by_policy, answers, records, errors = record_digest(
+            args.count, args.seed)
         print(hexdigest)
         for kind, policy_digest in by_policy.items():
             print("%s %s" % (policy_digest, kind))
+        print("%s answers" % answers)
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)
         return 0

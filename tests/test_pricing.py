@@ -21,6 +21,7 @@ from cpt_sense import (
     InvalidScenarioError,
     NOMINAL_PARAMS,
     SingularPointError,
+    SolverDisagreementError,
     PARAM_NAMES,
     PolicyKind,
     TravelScenario,
@@ -40,6 +41,7 @@ from cpt_sense import (
     utilities_at,
 )
 from cpt_sense.cli import main
+from cpt_sense.numerics import grid_golden_maximize
 from cpt_sense.pricing import KKT_TOL
 
 from finite_difference import central_derivative
@@ -742,3 +744,143 @@ class TestEvaluationContract:
             assert sum(calls[k] for k in self.BESTCASE_KERNELS) == 0, s.label
             assert calls["grid_golden_maximize"] == 1
             assert calls["kkt_residuals"] == 1
+
+
+def synthetic_closures(value, slope):
+    """A ``_revenue_closures`` stand-in serving (value, slope, nodes) of a
+    given revenue, whatever the scenario, parameters and policy."""
+    def nodes(xs):
+        return [value(x) for x in xs], [slope(x) for x in xs]
+    return lambda scenario, params, policy: (value, slope, nodes)
+
+
+def gaussian_peaks(s, peaks):
+    """(value, slope) of a sum of Gaussian bumps ``(height, centre, width)``
+    on the box of s, centre and width as fractions of its span."""
+    lo, span = s.gamma_min, s.gamma_span
+    bumps = [(h, lo + c * span, w * span) for h, c, w in peaks]
+
+    def value(x):
+        return sum(h * math.exp(-((x - c) / w) ** 2) for h, c, w in bumps)
+
+    def slope(x):
+        return sum(-2.0 * h * (x - c) / w ** 2 * math.exp(-((x - c) / w) ** 2)
+                   for h, c, w in bumps)
+    return value, slope
+
+
+class TestCrossCheck:
+    """The oracle refines to one presieve cell, and ``solve`` raises only
+    when it finds more revenue more than two cells from the answer."""
+
+    def test_equal_peaks_far_apart_accepted(self, monkeypatch, s1):
+        # 1 - 10 g^2 peaks at 1 on both roots of g; the right one is the
+        # flatter (its curvature is 0.36x the left's), so a fine oracle
+        # lands on it with more revenue than it finds on the left one
+        lo, span = s1.gamma_min, s1.gamma_span
+
+        def g(x):
+            u = (x - lo) / span
+            return (u - 0.3) * (u - 0.7) * (1.0 - (u - 0.3))
+
+        def g_x(x):
+            u = (x - lo) / span
+            return ((u - 0.7) * (1.0 - (u - 0.3)) + (u - 0.3) * (1.0 - (u - 0.3))
+                    - (u - 0.3) * (u - 0.7)) / span
+
+        def value(x):
+            return 1.0 - 10.0 * g(x) ** 2
+
+        def slope(x):
+            return -20.0 * g(x) * g_x(x)
+
+        monkeypatch.setattr(pricing, "_revenue_closures",
+                            synthetic_closures(value, slope))
+        record = solve(s1, NOMINAL_PARAMS)
+        cell = span / pricing.PRESIEVE
+        fine_gamma, fine_f = grid_golden_maximize(
+            value, s1.gamma_min, s1.gamma_max, presieve=pricing.PRESIEVE,
+            tol=1e-6 * span)
+        # the peak the solver did not return, which the 2-cell rule alone
+        # would have refused
+        assert abs(fine_gamma - record.gamma_star) > 2.0 * cell
+        assert record.f_star >= fine_f
+        assert record.active is ActiveSet.INTERIOR
+
+    # the optimum at 0.3 of the span; a peak 10% lower at 0.6, 19 cells
+    # right; both bounds 19 cells or more away, with next to no revenue
+    PEAKS = ((1.0, 0.3, 0.08), (0.9, 0.6, 0.08))
+
+    @pytest.mark.parametrize("fault, lands_at", [("bound", 0.0),
+                                                 ("dropped cell", 0.6),
+                                                 ("second best", 0.6)])
+    def test_injected_faults_raise(self, monkeypatch, s1, fault, lands_at):
+        value, slope = gaussian_peaks(s1, self.PEAKS)
+        cell = s1.gamma_span / pricing.PRESIEVE
+        gamma_a = s1.gamma_min + 0.3 * s1.gamma_span
+        faulty = s1.gamma_min + lands_at * s1.gamma_span
+        assert abs(faulty - gamma_a) > 2.5 * cell
+        assert value(faulty) <= (1.0 - 1e-3) * value(gamma_a)
+
+        polish = pricing.bracket_root
+        misranked = set()
+
+        def faulty_root(fn, a, b, tol):
+            root = polish(fn, a, b, tol)
+            holds_a = a <= gamma_a <= b
+            if fault == "bound" or (fault == "dropped cell" and holds_a):
+                return s1.gamma_min
+            if fault == "second best" and holds_a:
+                misranked.add(root)
+            return root
+
+        def faulty_value(x):
+            # the selection reads the best candidate below the runner-up
+            return value(x) - 1.0 if x in misranked else value(x)
+
+        monkeypatch.setattr(pricing, "_revenue_closures",
+                            synthetic_closures(faulty_value, slope))
+        monkeypatch.setattr(pricing, "bracket_root", faulty_root)
+        with pytest.raises(SolverDisagreementError, match="oracle revenue"):
+            solve(s1, NOMINAL_PARAMS)
+
+    def test_oracle_refines_to_one_cell(self, monkeypatch):
+        """At most 4 counted values per endpoint cell and 5 per interior
+        peak of the grid: no refinement below one cell."""
+        original = pricing.grid_golden_maximize
+        spent = []
+
+        def counted(f, lo, hi, **kwargs):
+            before = f.evaluations
+            result = original(f, lo, hi, **kwargs)
+            ys = kwargs["grid_values"]
+            peaks = sum(1 for i in range(1, len(ys) - 1)
+                        if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1])
+            spent.append((f.evaluations - before, 2 * 4 + 5 * peaks))
+            return result
+
+        monkeypatch.setattr(pricing, "grid_golden_maximize", counted)
+        for name in POLICIES:
+            for s, theta in TestEvaluationContract.inputs():
+                policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
+                spent.clear()
+                solve(s, theta, policy)
+                [(count, budget)] = spent
+                assert count <= budget, (name, s.label)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a valley and a peak inside the first presieve cell, whose "
+               "end slopes are both negative: the sign scan sees no "
+               "stationary point there and returns the lower bound, 2.0e-5 "
+               "relative below the peak at ~2.78; the oracle finds the peak "
+               "within two cells, so the cross-check accepts the miss")
+    def test_sub_cell_peak_found(self):
+        s = generate_random(count=5, seed=6100080)[0]
+        theta = CptParams(alpha=0.8174903229943282, beta=0.8, lam=2.25,
+                          p_worst=0.75)
+        policy = ReferencePolicy.expected_utility()
+        record = solve(s, theta, policy)
+        dense = max(expected_revenue(s.gamma_min + s.gamma_span * i / 4000,
+                                     s, theta, policy) for i in range(4001))
+        assert record.f_star >= dense * (1.0 - 1e-9)
