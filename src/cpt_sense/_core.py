@@ -22,21 +22,25 @@ D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
 best-case kernels evaluate directly.
 
 Hot-path contract.  Each revenue value a solve counts is either a node
-value or a value-closure call.  A solve first evaluates its 65 presieve
-tariffs in one pass, ``nodes(xs) -> (values, slopes)``, whose slopes feed
-the presieve and whose values are the oracle's grid; every later value
-(polish candidates, the box ends, golden refinement) is one value-closure
-call.  Under the best-case reference each of these values is one
-``bestcase_revenue`` call; under every other, the pass and the value
-closure are those of ``revenue_evaluator``.  A node's value has the value
-closure's bits and its slope the scalar slope's, since ``slope(gamma)`` is
-the one-node pass.  ``prelec_weight`` is cached per (p, alpha) with a
-bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the best-case kernels pay
-for w(p) once per rider rather than once per tariff.  The two best-case
-kernels inline the clamped logistic of ``_stable_logistic``, and the
-evaluator's value closure and node pass inline it and ``_bases``, each in
-the same arithmetic order, so a value costs one Python frame, a pass one
-frame for all its nodes, and both return the same bits.
+value or a value-closure call.  A solve evaluates its 9 start tariffs in
+one pass, ``nodes(xs) -> (values, slopes)``, and each node it adds while
+it bisects in a one-node pass; the slopes steer the search and the start
+values are the oracle's grid.  Every other value (polished roots, the
+oracle's golden steps) is one value-closure call.  The cell bound,
+``bound(a, b, f_a, f_b, level)``, reads the end values the nodes gave and
+takes no value of its own.  Under the best-case reference each counted
+value is one ``bestcase_revenue`` call, and the bound is the evaluator's
+on the best-case line; under every other, the pass, the value closure and
+the bound are those of ``revenue_evaluator``.  A node's value has the
+value closure's bits and its slope the scalar slope's, since
+``slope(gamma)`` is the one-node pass.  ``prelec_weight`` is cached per
+(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
+best-case kernels pay for w(p) once per rider rather than once per
+tariff.  The two best-case kernels inline the clamped logistic of
+``_stable_logistic``, and the evaluator's value closure and node pass
+inline it and ``_bases``, each in the same arithmetic order, so a value
+costs one Python frame, a pass one frame for all its nodes, and both
+return the same bits.
 """
 
 import functools
@@ -215,10 +219,14 @@ def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
 def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
                       alpha, beta, lam, p_worst):
     """Expected revenue and its tariff slope under the reference line
-    R = ref_c + ref_g*gamma + ref_p*p_worst, as (value, slope, nodes)
-    closures: ``value(gamma)`` and ``slope(gamma)`` at one tariff,
-    ``nodes(xs)`` the lists (values, slopes) at every tariff of ``xs`` in
-    one pass.
+    R = ref_c + ref_g*gamma + ref_p*p_worst, and a bound of the revenue on
+    a tariff cell, as (value, slope, nodes, bound) closures:
+    ``value(gamma)`` and ``slope(gamma)`` at one tariff, ``nodes(xs)`` the
+    lists (values, slopes) at every tariff of ``xs`` in one pass, and
+    ``bound(a, b, f_a, f_b, level)`` an upper bound of the revenue on
+    [a, b] from the values at its ends (docs/derivatives.md, "The revenue
+    bound of a cell"), valid when b < 0 and ref_g is 0 or b, as on every
+    policy's line.
 
     Everything that does not depend on the tariff is computed here once:
     the distorted probabilities w(p) and w(1-p), the line's p-term, which
@@ -363,7 +371,131 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     def slope(gamma):
         return nodes((gamma,))[1][0]
 
-    return value, slope, nodes
+    # the terms of z whose base moves with the tariff, as (base offset,
+    # base tariff coefficient, branch data at d > 0, branch data at d < 0);
+    # a branch holds (convex, c*beta*m_g, c) for the term c*m**beta with
+    # m = |d|, and c*m_g >= 0 on both, since b < 0 and ref_g is 0 or b
+    # make every term non-decreasing in the tariff
+    convex_at = beta_1 >= 0.0
+    moving = []
+    if not alt_zero and alt_g != 0.0:
+        moving.append((u0, 0.0, (convex_at, beta * alt_g, 1.0),
+                       (not convex_at, lam_beta * alt_g, neg_lam)))
+    if ride_g != 0.0:
+        for zero, x, w_gain, w_loss in ((low_zero, x_low, w_low_gain,
+                                         w_low_loss),
+                                        (high_zero, x_high, w_high_gain,
+                                         w_high_loss)):
+            if not zero:
+                moving.append((x, b, (not convex_at, -w_gain * beta * ride_g,
+                                      -w_gain),
+                               (convex_at, -w_loss * lam_beta * ride_g,
+                                w_loss * lam)))
+
+    def bound(a, b_, f_a, f_b, level):
+        """An upper bound of the revenue on the cell [a, b_] from its end
+        values; the free bound f_a*b_/a when that is already <= level.
+
+        The acceptance S = f/gamma never rises with the tariff, so a cell
+        at gamma <= 0 is bounded by f_b, and f <= gamma*S(a) elsewhere.
+        The tight bound takes a line under each moving term from either
+        end (tangent where the term is convex, chord where concave, and
+        ``_crossing_slopes`` where its base vanishes in the cell), and
+        bounds the log-concave gamma*sigma(-z_lower) by its end tangents
+        (docs/derivatives.md, "The revenue bound of a cell").
+        """
+        if b_ <= 0.0:
+            return f_b
+        if a <= 0.0:
+            return b_ if a == 0.0 else b_ * (f_a / a)
+        free = f_a * b_ / a
+        if free <= level:
+            return free
+        w = b_ - a
+        r_a = ref_c + ref_g * a + ref_pp
+        r_b = ref_c + ref_g * b_ + ref_pp
+        k_a = k_b = 0.0
+        anchored = True
+        for x, x_g, gain, loss in moving:
+            d_a = x + x_g * a - r_a
+            d_b = x + x_g * b_ - r_b
+            if d_a > 0.0 and d_b > 0.0:
+                (convex, tan, c), m_a, m_b = gain, d_a, d_b
+            elif d_a < 0.0 and d_b < 0.0:
+                (convex, tan, c), m_a, m_b = loss, -d_a, -d_b
+            else:
+                # the base vanishes in the cell, between a convex and a
+                # concave piece (docs/derivatives.md)
+                k_ta, k_tb, anchored_t = _crossing_slopes(
+                    d_a, d_b, w, gain if d_a >= 0.0 else loss,
+                    gain if d_b >= 0.0 else loss, beta)
+                k_a += k_ta
+                k_b += k_tb
+                anchored = anchored and anchored_t
+                continue
+            if convex:
+                k_a += tan * m_a ** beta_1
+                k_b += tan * m_b ** beta_1
+            else:
+                chord = c * (m_b ** beta - m_a ** beta) / w
+                k_a += chord
+                k_b += chord
+        # end slopes of log(gamma*sigma(-z_lower)); sigma(z) = 1 - f/gamma
+        h_a = 1.0 / a - k_a * (1.0 - f_a / a)
+        if anchored:
+            g_b = f_b
+            h_b = 1.0 / b_ - k_b * (1.0 - f_b / b_)
+        else:
+            # e^z_lower(b) from the line through a; e^z(a) = a/f_a - 1,
+            # lowered by 1e-15 of a/f_a for the rounding of f_a
+            e_b = ((a / f_a) * (1.0 - 1e-15) - 1.0) * math.exp(
+                min(k_a * w, EXP_CLAMP))
+            g_b = b_ / (1.0 + e_b)
+            h_b = 1.0 / b_ - k_a * (e_b / (1.0 + e_b))
+        if h_b >= 0.0:
+            u = g_b
+        elif h_a <= 0.0:
+            u = f_a
+        elif g_b > 0.0 and f_a > 0.0:
+            u = f_a * math.exp(h_a * (math.log(g_b / f_a) - h_b * w)
+                               / (h_a - h_b))
+        else:  # the bound underflows at an end: the tangent at a alone
+            u = f_a * math.exp(h_a * w)
+        if not u < free:  # also a non-finite u, from a base next to zero
+            u = free
+        return max(u, f_a, f_b)
+
+    return value, slope, nodes, bound
+
+
+def _crossing_slopes(d_a, d_b, w, branch_a, branch_b, beta):
+    """Slopes (from a, from b, whether the line from b holds) of lines
+    under a non-decreasing term c*|d|**beta whose base d vanishes in a
+    cell of width w, from the branch data (convex, c*beta*m_g, c) at
+    either end.
+
+    Across its zero the term is convex then concave for beta < 1 (its
+    slope infinite at the zero), concave then convex for beta > 1 (its
+    slope 0 there) and two linear pieces for beta = 1.  For beta < 1 the
+    smaller of the tangent at a and the chord stays under it, and no line
+    through b does; for beta > 1, the line from a to the zero's value 0
+    at b, and through b the larger end slope; for beta = 1, the two pieces
+    at a convex kink and the chord at a concave one.
+    """
+    m_a, m_b = abs(d_a), abs(d_b)
+    t_a = branch_a[2] * m_a ** beta
+    t_b = branch_b[2] * m_b ** beta
+    chord = (t_b - t_a) / w
+    if beta < 1.0:
+        if m_a == 0.0:
+            return chord, chord, False
+        return min(branch_a[1] * m_a ** (beta - 1.0), chord), 0.0, False
+    if beta > 1.0:
+        return (-t_a / w, max(branch_a[1] * m_a ** (beta - 1.0),
+                              branch_b[1] * m_b ** (beta - 1.0)), True)
+    if branch_b[1] >= branch_a[1]:
+        return branch_a[1], branch_b[1], True
+    return chord, chord, True
 
 
 def _prelec_partials(q, alpha):

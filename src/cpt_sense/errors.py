@@ -21,11 +21,14 @@ class SingularHessianError(CptSenseError):
 
 
 class SolverDisagreementError(CptSenseError):
-    """The derivative-free oracle found more revenue than the
-    derivative-based solver, and found it far from the solver's tariff
-    (more than two presieve cells in ``pricing.solve``).
+    """The solver could not certify its answer.
 
-    The message names both revenues and both tariffs.
+    In ``pricing.solve``: a tariff cell's revenue bound stays above the
+    solver's revenue down to the narrowest cell or the bisection budget,
+    a revenue value the search took exceeds that revenue, or the
+    derivative-free oracle found more revenue more than two start cells
+    from the solver's tariff.  The message names the cell or tariff, the
+    bound or revenue, and the solver's revenue.
     """
 
 

@@ -2,20 +2,25 @@
 multipliers, residual diagnostics, closed-form Lagrangian partials and a
 concavity certificate.
 
-The solver is a bracketed one-dimensional method: a presieve grid of
-``PRESIEVE`` cells locates sign changes of the revenue slope, each is
-polished by bracketed root finding, and the stationary candidates are
-compared against both box endpoints, which win within 1e-9 of the tariff
-span.  Every solve is cross-checked against the derivative-free
-grid/golden oracle in ``numerics``, refined to one presieve cell: the
-solve fails only when the oracle finds more revenue (by more than
-1e-12 of |f*|) more than two presieve cells from the answer, so two
-equal peaks far apart pass, while a peak the scan missed within two cells
-of its answer is not caught.  The presieve nodes are the oracle's grid,
-so one pass over them yields the slopes the scan reads and the values the
-oracle reads; the oracle's argmax and golden search still share no logic
-with the slope scan, and read only values.  The concavity certificate is
-defined for the best-case reference only.
+The solver is a certified dyadic search on the 64-cell tariff lattice
+lo + span*i/64.  One node pass takes the 9 tariffs i = 0, 8, ..., 64.  A
+cell whose end slopes go from + to - is bisected at lattice midpoints down
+to one lattice cell and polished there by bracketed root finding, on the
+bracket the former 65-node scan used, so a root it found keeps its bits.
+Every other cell closes once the revenue bound of ``_core``
+(docs/derivatives.md, "The revenue bound of a cell") holds it to
+f* + 1e-12*|f*|, f* the best candidate so far, and is bisected otherwise,
+the highest bound first and below the lattice where needed; a polished
+root splits its cell into two that close the same way.  The best of the
+candidates and the two endpoints wins, and the endpoints win within 1e-9
+of the tariff span.  The search raises ``SolverDisagreementError`` when
+a cell narrower than ``MIN_CELL`` cannot close, after ``MAX_BISECTIONS``
+bisections, or when a revenue value it took exceeds the certified f*.
+The derivative-free grid/golden oracle of ``numerics`` still
+cross-checks every solve on the 9 start nodes, refined to half a start
+cell, and the solve fails when it finds more revenue (by more than
+1e-12 of |f*|) more than two start cells from the answer.  The concavity
+certificate is defined for the best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
 minimizes -f.  The Lagrangian of the minimization form is
@@ -31,6 +36,7 @@ by their bound (never by index).
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -49,6 +55,7 @@ from cpt_sense.model import (
 )
 from cpt_sense.numerics import (
     ScalarFunctionHandle,
+    _non_finite,
     bracket_root,
     grid_golden_maximize,
 )
@@ -63,8 +70,21 @@ KKT_TOL = 1e-7
 DEGENERATE_MU = 1e-6
 #: Numeric curvature threshold used by the concavity consistency check.
 CURVATURE_TOL = 1e-8
-#: Presieve cells of the solver's slope scan and of its oracle cross-check.
-PRESIEVE = 64
+#: Cells of the dyadic tariff lattice the search bisects on and polishes in.
+LATTICE = 64
+#: Cells of the search's first node pass, and of its oracle cross-check.
+START_CELLS = 8
+#: Relative slack of the certificate: a cell closes when its revenue bound
+#: is at most f* + CERTIFY_RTOL*|f*|.
+CERTIFY_RTOL = 1e-12
+#: Narrowest cell the search bisects, as a share of the tariff span, and
+#: as a share of the box's largest |tariff|, so that a midpoint stays
+#: hundreds of float steps from either end.  A maximum on a kink of z (a
+#: base zero at beta near 1) closes only in cells near 1e-12 of the span.
+MIN_CELL = 1e-14
+MIN_CELL_OF_TARIFF = 1e-13
+#: Most cells one solve may bisect.
+MAX_BISECTIONS = 1000
 #: Tariff points of the concavity certificate and of its curvature scan.
 CERTIFICATE_POINTS = 101
 
@@ -79,8 +99,10 @@ class ActiveSet(Enum):
 class OptimumRecord:
     """Solved tariff with multipliers, active set and diagnostics.
 
-    ``gamma_oracle`` is the cross-check's argmax, to about half a presieve
-    cell; ``evaluations`` counts the revenue values the solve took.
+    ``gamma_oracle`` is the oracle's argmax on the 9 start nodes, to about
+    a quarter start cell (1/32 of the span); ``evaluations`` counts the
+    revenue values the solve took: its nodes, its polished roots and the
+    oracle's golden steps.
     """
 
     gamma_star: float
@@ -132,16 +154,22 @@ class LagrangianDerivatives:
 
 #: ``nodes(xs)``: the revenue values and slopes at every tariff of ``xs``.
 Nodes = Callable[[Sequence[float]], tuple[list[float], list[float]]]
+#: ``bound(a, b, f_a, f_b, level)``: an upper bound of the revenue on the
+#: tariff cell [a, b] from the values at its ends; it may stop at a
+#: cheaper bound once that one is <= level.
+Bound = Callable[[float, float, float, float, float], float]
 
 
 def _revenue_closures(scenario: TravelScenario, params: CptParams,
                       policy: ReferencePolicy
                       ) -> tuple[Callable[[float], float],
-                                 Callable[[float], float], Nodes]:
+                                 Callable[[float], float], Nodes, Bound]:
     """Expected revenue and its tariff slope as functions of the tariff,
-    and both at a list of tariffs, as (value, slope, nodes).
+    both at a list of tariffs, and the revenue bound of a tariff cell, as
+    (value, slope, nodes, bound).
 
-    The best-case kernels under the best-case policy; one reference-line
+    The best-case kernels under the best-case policy, with the bound of
+    ``_core``'s evaluator on the best-case line; one reference-line
     evaluator from ``_core`` otherwise.  Each value ``nodes`` returns is
     the value function's at that tariff, bit for bit.
     """
@@ -167,7 +195,10 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
         # gradient raises wherever the kernel does, and on a singular edge
         slopes = [gradient(x, u0, xl, xh, b, a, be, lam, p) for x in xs]
         return [kernel(x, u0, xl, xh, b, a, be, lam, p) for x in xs], slopes
-    return f, fgrad, nodes
+
+    bound = _core.revenue_evaluator(u0, xl, xh, b, xh, b, 0.0,
+                                    a, be, lam, p)[3]
+    return f, fgrad, nodes, bound
 
 
 def revenue_function(scenario: TravelScenario, params: CptParams,
@@ -190,13 +221,15 @@ def revenue_gradient(scenario: TravelScenario, params: CptParams,
 
 def solve(scenario: TravelScenario, params: CptParams,
           policy: ReferencePolicy = BEST_CASE) -> OptimumRecord:
-    """Maximize expected revenue over the tariff box.
+    """Maximize expected revenue over the tariff box, certified.
 
-    Stationary points of the revenue slope are located by sign scan on a
-    presieve grid and polished by bracketed root finding; the best of the
-    stationary candidates and the two endpoints wins.  Multipliers are
-    recovered from stationarity of the minimization Lagrangian, so an
-    accepted record satisfies the first-order conditions by construction.
+    A certified search (``_certified_stationary``) finds the stationary
+    candidates on the 64-cell lattice, and below it where a cell needs
+    it; the best of them and the two endpoints wins, and the endpoints win
+    within 1e-9 of the span.  Multipliers are recovered from stationarity
+    of the minimization Lagrangian, so an accepted record satisfies the
+    first-order conditions by construction.  The oracle of ``numerics``
+    then runs once on the search's 9 start nodes.
 
     Raises:
         InvalidScenarioError: scenario fails validation.
@@ -204,10 +237,15 @@ def solve(scenario: TravelScenario, params: CptParams,
             the revenue vanishes with beta < 1 (such as u0 = u_high at
             gamma_max under the static or best-case reference), so the
             slope there is infinite.
-        SolverDisagreementError: the derivative-free oracle found more
-            revenue, by more than 1e-12 of |f*|, more than two presieve
-            cells from the result; the message names both revenues and
-            both tariffs.
+        SolverDisagreementError: the certificate fails: a cell narrower
+            than ``MIN_CELL`` of the span (and ``MIN_CELL_OF_TARIFF`` of
+            the largest |tariff|), or the cell on top after
+            ``MAX_BISECTIONS`` bisections, still has a revenue bound above
+            f*, or a revenue value the search took exceeds f* by more than
+            ``CERTIFY_RTOL``; the message names the cell or tariff, the
+            bound or value, and f*.  Also raised when the oracle finds more
+            revenue, by more than 1e-12 of |f*|, more than two start cells
+            from the result; that message names both revenues and tariffs.
         ValueError: the revenue is non-finite at a probed tariff; the
             message names the tariff.
     """
@@ -216,62 +254,50 @@ def solve(scenario: TravelScenario, params: CptParams,
     span = hi - lo
     gtol = 1e-9 * span
 
-    value, fgrad, nodes = _revenue_closures(scenario, params, policy)
+    value, fgrad, nodes, bound = _revenue_closures(scenario, params, policy)
     f = ScalarFunctionHandle(value)
-
-    # the presieve nodes are the oracle's grid: one pass gives the slopes
-    # the scan reads and the values the oracle reads, and those count
-    xs = [lo + span * i / PRESIEVE for i in range(PRESIEVE + 1)]
-    xs[-1] = hi
-    ys, slopes = nodes(xs)
-    f.evaluations += len(ys)
-
     # polish tolerance sits three decades below the gamma tolerance: the
     # root finder may stop on |slope| alone, which costs gamma accuracy of
     # roughly tol/|curvature| when the revenue is flat
-    polish_tol = 1e-3 * gtol
-    stationary: list[float] = []
-    for i in range(PRESIEVE):
-        s0, s1 = slopes[i], slopes[i + 1]
-        if s0 == 0.0:
-            stationary.append(xs[i])
-        elif s0 * s1 < 0.0:
-            stationary.append(bracket_root(fgrad, xs[i], xs[i + 1], polish_tol))
-    if slopes[-1] == 0.0:
-        stationary.append(xs[-1])
+    ys, slopes, stationary = _certified_stationary(
+        scenario.label, lo, hi, f, fgrad, nodes, bound, 1e-3 * gtol)
 
     # Endpoints first so that they win value ties exactly on the bound.
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = ys[0], ys[-1]
     gamma_star, f_star = lo, f_lo
-    for cand, y in [(hi, f_hi)] + [(x, f(x)) for x in stationary]:
+    for cand, y in [(hi, f_hi)] + sorted(stationary):
         if y > f_star:
             gamma_star, f_star = cand, y
 
     if gamma_star <= lo + gtol:
         gamma_star, f_star = lo, f_lo
         active = ActiveSet.LOWER_BOUND
+        slope_star = slopes[0]
     elif gamma_star >= hi - gtol:
         gamma_star, f_star = hi, f_hi
         active = ActiveSet.UPPER_BOUND
+        slope_star = slopes[-1]
     else:
         active = ActiveSet.INTERIOR
+        slope_star = fgrad(gamma_star)
 
-    slope_star = fgrad(gamma_star)
     mu_low = max(0.0, -slope_star) if active is ActiveSet.LOWER_BOUND else 0.0
     mu_high = max(0.0, slope_star) if active is ActiveSet.UPPER_BOUND else 0.0
     degenerate = (active is not ActiveSet.INTERIOR
                   and max(mu_low, mu_high) < DEGENERATE_MU)
 
-    # the oracle refines each of its brackets to one cell: the verdict asks
-    # only whether it found more revenue more than two cells away
-    cell = span / PRESIEVE
+    # the oracle reads the start nodes and refines each of its brackets to
+    # half a start cell, so that an endpoint cell takes golden steps too
+    # rather than one midpoint value; the verdict asks only whether it
+    # found more revenue more than two cells away
+    cell = span / START_CELLS
     gamma_oracle, f_oracle = grid_golden_maximize(
-        f, lo, hi, presieve=PRESIEVE, tol=cell, grid_values=ys)
+        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid_values=ys)
     if (f_oracle > f_star + 1e-12 * abs(f_star)
             and abs(gamma_star - gamma_oracle) > 2.0 * cell):
         raise SolverDisagreementError(
             "scenario %r: oracle revenue %r at gamma=%r beats solver revenue "
-            "%r at gamma*=%r more than 2 presieve cells away"
+            "%r at gamma*=%r more than 2 start cells away"
             % (scenario.label, f_oracle, gamma_oracle, f_star, gamma_star))
 
     record = OptimumRecord(
@@ -281,6 +307,149 @@ def solve(scenario: TravelScenario, params: CptParams,
         evaluations=f.evaluations)
     residual = kkt_residuals(record, scenario, params, policy).max_residual
     return dataclasses.replace(record, kkt_residual=residual)
+
+
+def _certified_stationary(label: str, lo: float, hi: float,
+                          f: ScalarFunctionHandle,
+                          fgrad: Callable[[float], float], nodes: Nodes,
+                          bound: Bound, polish_tol: float
+                          ) -> tuple[list[float], list[float],
+                                     list[tuple[float, float]]]:
+    """The values and slopes at the start nodes, and every stationary
+    candidate (tariff, revenue) the certificate needs.
+
+    One node pass takes the ``START_CELLS + 1`` lattice tariffs
+    lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
+    lattice midpoints down to one lattice cell and polished there by
+    ``bracket_root``; below the lattice such a cell is polished at once.
+    A polish whose root may sit below its peak by more than the
+    certificate's slack (the absolute |slope| stop on a flat peak of tiny
+    revenue) is repeated on the slope scaled by its larger end magnitude.
+    The root, a candidate, splits its cell in two of slope 0 at the root;
+    nodes of slope exactly 0 are candidates too.  Every cell but a + to -
+    one closes when ``bound`` holds it to f* + CERTIFY_RTOL*|f*|, f* the
+    best candidate or box end so far; otherwise it is bisected, the cell
+    of the highest bound first.  Each node and polished root is one
+    counted value of ``f``.
+
+    Raises:
+        SolverDisagreementError: as ``solve`` states for the certificate.
+        ValueError: a node's revenue is non-finite.
+    """
+    span = hi - lo
+    step = LATTICE // START_CELLS
+    index = list(range(0, LATTICE + 1, step))
+    xs = [lo + span * i / LATTICE for i in index]
+    xs[-1] = hi
+    ys, slopes = nodes(xs)
+    f.evaluations += len(ys)
+    for x, y in zip(xs, ys):
+        if not math.isfinite(y):
+            raise _non_finite(y, x)
+    stationary = [(x, y) for x, y, s in zip(xs, ys, slopes) if s == 0.0]
+    top = max(zip(ys, xs))  # the largest node value, at its tariff
+
+    # a cell is (a, b, f_a, f_b, s_a, s_b, i_a, i_b), i_* its ends' lattice
+    # indices, or -1 below the lattice
+    work = [(xs[j], xs[j + 1], ys[j], ys[j + 1], slopes[j], slopes[j + 1],
+             index[j], index[j + 1]) for j in range(START_CELLS)]
+    heap: list = []
+    min_width = max(MIN_CELL * span,
+                    MIN_CELL_OF_TARIFF * max(abs(lo), abs(hi)))
+    bisections = 0
+    while True:
+        # polish the + to - cells first, then bound the others against the
+        # best candidate
+        pending = []
+        while work:
+            a, b, f_a, f_b, s_a, s_b, i_a, i_b = cell = work.pop()
+            if not s_a > 0.0 > s_b:
+                pending.append(cell)
+            elif i_b - i_a >= 2:
+                lower, upper = _split(cell, lo, span, nodes, f, stationary)
+                work += (lower, upper)
+                top = max(top, (upper[2], upper[0]))
+            else:
+                root, y = _polish(cell, f, fgrad, polish_tol)
+                stationary.append((root, y))
+                # the root splits its cell in two of slope 0 at the root,
+                # which the bound closes like any other: a second peak
+                # may share the cell.  A root off the cell's interior
+                # leaves the whole cell to the bound.
+                if a < root < b:
+                    work += [(a, root, f_a, y, s_a, 0.0, -1, -1),
+                             (root, b, y, f_b, 0.0, s_b, -1, -1)]
+                else:
+                    pending.append(cell)
+        best = max([ys[0], ys[-1]] + [y for _, y in stationary])
+        level = best + CERTIFY_RTOL * abs(best)
+        for cell in pending:
+            u = bound(cell[0], cell[1], cell[2], cell[3], level)
+            if u > level:
+                # ties go to the narrower cell, so a search whose bounds
+                # never close dives to the width guard
+                heapq.heappush(heap, (-u, cell[1] - cell[0], cell))
+        if not heap or -heap[0][0] <= level:
+            break
+        neg_u, width, cell = heapq.heappop(heap)
+        if width < min_width or bisections == MAX_BISECTIONS:
+            raise SolverDisagreementError(
+                "scenario %r: cannot certify the tariff cell [%r, %r]: its "
+                "revenue bound %r exceeds f*=%r after %d bisections"
+                % (label, cell[0], cell[1], -neg_u, best, bisections))
+        bisections += 1
+        lower, upper = _split(cell, lo, span, nodes, f, stationary)
+        work += (lower, upper)
+        top = max(top, (upper[2], upper[0]))
+
+    if top[0] > level:
+        raise SolverDisagreementError(
+            "scenario %r: revenue %r at gamma=%r exceeds the certified "
+            "f*=%r" % (label, top[0], top[1], best))
+    return ys, slopes, stationary
+
+
+def _split(cell: tuple, lo: float, span: float, nodes: Nodes,
+           f: ScalarFunctionHandle, stationary: list) -> tuple[tuple, tuple]:
+    """The two halves of a cell, split at its lattice midpoint, or at its
+    midpoint below the lattice, by one counted node; a node of slope 0
+    joins the stationary candidates."""
+    a, b, f_a, f_b, s_a, s_b, i_a, i_b = cell
+    if i_b - i_a >= 2:
+        i_m = (i_a + i_b) // 2
+        x = lo + span * i_m / LATTICE
+    else:
+        x, i_a, i_m, i_b = 0.5 * (a + b), -1, -1, -1
+    (y,), (s,) = nodes((x,))
+    f.evaluations += 1
+    if not math.isfinite(y):
+        raise _non_finite(y, x)
+    if s == 0.0:
+        stationary.append((x, y))
+    return (a, x, f_a, y, s_a, s, i_a, i_m), (x, b, y, f_b, s, s_b, i_m, i_b)
+
+
+def _polish(cell: tuple, f: ScalarFunctionHandle,
+            fgrad: Callable[[float], float], polish_tol: float
+            ) -> tuple[float, float]:
+    """(root, revenue) of the slope on a + to - cell."""
+    a, b, f_a, f_b, s_a, s_b = cell[:6]
+    root = bracket_root(fgrad, a, b, polish_tol)
+    y = f(root)
+    # the absolute |slope| stop costs about slope**2/(2*curvature) of
+    # revenue, the curvature taken as the cell's mean: on a flat peak of
+    # tiny revenue that can exceed the certificate's slack, and the root
+    # can even fall below an end; polish again, relative to the end
+    # slopes, and keep the root that earns more than the slack more
+    slack = CERTIFY_RTOL * abs(y)
+    if (y < f_a or y < f_b
+            or fgrad(root) ** 2 * (b - a) > 2.0 * slack * (s_a - s_b)):
+        scale = max(s_a, -s_b)
+        again = bracket_root(lambda g: fgrad(g) / scale, a, b, polish_tol)
+        y_again = f(again)
+        if y_again > y + slack:
+            root, y = again, y_again
+    return root, y
 
 
 def kkt_residuals(record: OptimumRecord, scenario: TravelScenario,

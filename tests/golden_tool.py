@@ -26,7 +26,9 @@ lines without the two that record what a solve cost rather than what it
 found: ``gamma_oracle`` and ``evaluations``.  ``repr`` keeps every bit of a
 float, so two trees that print the same digest computed the same answers
 and the same evaluation counts; two that print the same answers digest
-computed the same answers, whatever their cross-check spent.
+computed the same answers, whatever their cross-check spent.  Beside each
+policy digest it prints the mean counted revenue values per solve of that
+policy's records, so a change in what a solve costs shows its size.
 ``test_records_digest`` pins the default run's digests: a change that moves
 any answer re-pins them there and lists what moved in CHANGES.md.  The
 module name does not match pytest's ``test_*.py``, so it is not collected.
@@ -186,14 +188,17 @@ COST_FIELDS = ("gamma_oracle", "evaluations")
 
 
 def record_digest(count: int, seed: int
-                  ) -> tuple[str, dict[str, str], str, int, int]:
+                  ) -> tuple[str, dict[str, str], str, int, int,
+                             dict[str, float]]:
     """(SHA-256 hex digest, the digest of each policy's share of the lines
-    by policy kind, the answers digest, records hashed, errors hashed) of
+    by policy kind, the answers digest, records hashed, errors hashed, the
+    mean ``evaluations`` of each policy's records by policy kind) of
     ``records``."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
     answers = hashlib.sha256()
     by_policy = {}
+    spent: dict[str, list[int]] = {}
     records = errors = 0
 
     def feed(*parts, cost: bool = False) -> None:
@@ -222,6 +227,7 @@ def record_digest(count: int, seed: int
                 errors += 1
                 continue
             records += 1
+            spent.setdefault(policy.kind.value, []).append(record.evaluations)
             for field in dataclasses.fields(record):
                 feed(field.name, repr(getattr(record, field.name)),
                      cost=field.name in COST_FIELDS)
@@ -236,7 +242,8 @@ def record_digest(count: int, seed: int
                     feed(name, field.name, repr(getattr(sens, field.name)))
     return (digest.hexdigest(),
             {kind: h.hexdigest() for kind, h in by_policy.items()},
-            answers.hexdigest(), records, errors)
+            answers.hexdigest(), records, errors,
+            {kind: sum(n) / len(n) for kind, n in spent.items()})
 
 
 def main_tool(argv: list[str] | None = None) -> int:
@@ -250,11 +257,12 @@ def main_tool(argv: list[str] | None = None) -> int:
     if args.mode == "records":
         if args.count < 1:
             parser.error("--count must be at least 1")
-        hexdigest, by_policy, answers, records, errors = record_digest(
+        hexdigest, by_policy, answers, records, errors, spent = record_digest(
             args.count, args.seed)
         print(hexdigest)
         for kind, policy_digest in by_policy.items():
-            print("%s %s" % (policy_digest, kind))
+            print("%s %s %.2f values per solve"
+                  % (policy_digest, kind, spent.get(kind, math.nan)))
         print("%s answers" % answers)
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)
