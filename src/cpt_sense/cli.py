@@ -267,13 +267,15 @@ def cmd_sweep(args) -> int:
     code = _validate_all(scenarios)
     if code != EXIT_OK:
         return code
-    try:
-        results = [(s.label, spec.theta_name,
-                    *_sweep_task(s, params, args.reference, spec))
-                   for s in scenarios for spec in specs]
-    except CptSenseError as exc:
-        print("sweep failure: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    results = []
+    for s in scenarios:
+        try:
+            results += [(s.label, spec.theta_name,
+                         *_sweep_task(s, params, args.reference, spec))
+                        for spec in specs]
+        except CptSenseError as exc:
+            print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
+            return EXIT_SOLVER_FAILURE
 
     summary: dict[str, dict] = {}
     for label, name, rows, scenario_summary in results:

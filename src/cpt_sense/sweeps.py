@@ -20,7 +20,6 @@ from cpt_sense.model import BEST_CASE, CptParams, ReferencePolicy
 from cpt_sense.pricing import ActiveSet, OptimumRecord, revenue_function, solve
 from cpt_sense.scenario import TravelScenario
 from cpt_sense.sensitivity import (
-    BindingEvent,
     SensitivityDifferentials,
     differentials,
     local_domain,
@@ -211,14 +210,6 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
     return rows
 
 
-def _domain_step(opt, diffs, name, direction):
-    """Signed raw perturbation to the next predicted event, +-inf if none."""
-    dom = local_domain(opt, diffs, name)
-    if direction > 0:
-        return dom.delta_pos if dom.event_pos is not BindingEvent.NONE else math.inf
-    return dom.delta_neg if dom.event_neg is not BindingEvent.NONE else -math.inf
-
-
 def piecewise_continuation(scenario: TravelScenario, params: CptParams,
                            policy: ReferencePolicy, spec: SweepSpec
                            ) -> PiecewiseApprox:
@@ -230,8 +221,11 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
     that the active set actually changed between two anchors, the
     breakpoint is refined by bisection on active-set membership to
     1e-6 of the nominal parameter rather than trusting the first-order
-    estimate.  Both directions are walked; segments are contiguous across
-    the whole range.
+    estimate.  Both directions are walked; each anchor's segment ends at
+    the breakpoint before the next anchor, or halfway to it when no
+    breakpoint lies between them, so segments are contiguous across the
+    whole range.  Each parameter value is solved and differentiated once
+    per call.
 
     Raises:
         ContinuationError: more than 32 segments, or two consecutive
@@ -246,52 +240,63 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
         hi_range = min(hi_range, spec.clamp[1])
     bp_tol = 1e-6 * abs(theta0)
 
-    nominal = solve(scenario, params, policy)
-    nominal_diffs = differentials(nominal, scenario, params, policy)
+    solved: dict[float, tuple] = {}
 
     def solve_at(theta):
-        perturbed = params.replace(name, theta)
-        opt = solve(scenario, perturbed, policy)
-        return theta, opt, differentials(opt, scenario, perturbed, policy)
+        """(optimum, differentials) at theta, solved on first use."""
+        if theta not in solved:
+            perturbed = params.replace(name, theta)
+            opt = solve(scenario, perturbed, policy)
+            solved[theta] = (opt, differentials(opt, scenario, perturbed,
+                                                policy))
+        return solved[theta]
 
-    def walk(direction: int) -> tuple[list[tuple], list[float]]:
-        """Anchors (exact solves with slopes) and breakpoints, nominal outward."""
-        anchors = [(theta0, nominal, nominal_diffs)]
-        breakpoints: list[float] = []
-        anchor_theta, anchor_opt, anchor_diffs = anchors[0]
+    def walk(direction: int) -> tuple[list[Segment], list[float]]:
+        """Segments and breakpoints, nominal outward to the range limit."""
         limit = hi_range if direction > 0 else lo_range
+        segments: list[Segment] = []
+        breakpoints: list[float] = []
+        anchor = start = theta0
 
-        while len(anchors) <= 2 * MAX_SEGMENTS:
-            step = _domain_step(anchor_opt, anchor_diffs, name, direction)
-            target = anchor_theta + step if math.isfinite(step) else limit
+        def advance(boundary, nxt):
+            """Close the anchor's segment at ``boundary``; ``nxt`` anchors
+            the next one, which starts there."""
+            nonlocal anchor, start
+            opt, diffs = solve_at(anchor)
+            segments.append(Segment(
+                theta_lo=min(start, boundary), theta_hi=max(start, boundary),
+                theta_anchor=anchor, gamma_anchor=opt.gamma_star,
+                slope=diffs[name].dgamma_dtheta, active=opt.active))
+            anchor, start = nxt, boundary
+
+        while len(segments) < 2 * MAX_SEGMENTS:
+            opt, diffs = solve_at(anchor)
+            dom = local_domain(opt, diffs, name)
+            step = dom.delta_pos if direction > 0 else dom.delta_neg
+            target = anchor + step if math.isfinite(step) else limit
             if math.isfinite(step) and abs(step) < bp_tol:
                 # prediction stalled at the anchor: probe one tolerance ahead
-                target = anchor_theta + math.copysign(bp_tol, direction)
-            at_limit = (direction > 0 and target >= limit) or \
-                (direction < 0 and target <= limit)
+                target = anchor + math.copysign(bp_tol, direction)
+            at_limit = target >= limit if direction > 0 else target <= limit
             if at_limit:
                 # the estimate may overshoot a change hiding inside the
                 # range, so the range end itself is probed before stopping
                 target = limit
 
-            probe = solve_at(target)
-            if probe[1].active is anchor_opt.active:
+            if solve_at(target)[0].active is opt.active:
                 if at_limit:
-                    return anchors, breakpoints  # no change within range
+                    advance(limit, None)  # no change within range
+                    return segments, breakpoints
                 # event estimate fell short of a change: refresh and go on
-                anchors.append(probe)
-                anchor_theta, anchor_opt, anchor_diffs = probe
+                advance(0.5 * (anchor + target), target)
                 continue
 
             # active set changed between anchor and target: bisect on it
-            inside, outside = anchor_theta, target
-            inside_solve = None
+            inside, outside = anchor, target
             while abs(outside - inside) > bp_tol:
                 mid = 0.5 * (inside + outside)
-                mid_solve = solve_at(mid)
-                if mid_solve[1].active is anchor_opt.active:
+                if solve_at(mid)[0].active is opt.active:
                     inside = mid
-                    inside_solve = mid_solve
                 else:
                     outside = mid
             bp = 0.5 * (inside + outside)
@@ -299,60 +304,23 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
                 raise ContinuationError(
                     "continuation oscillates at theta=%r" % bp)
             breakpoints.append(bp)
-            if inside_solve is not None:
-                anchors.append(inside_solve)  # near-side anchor at the edge
-            far = solve_at(outside)
-            anchors.append(far)
-            anchor_theta, anchor_opt, anchor_diffs = far
+            if inside != anchor:  # near-side anchor at the edge
+                advance(0.5 * (anchor + inside), inside)
+            advance(bp, outside)
 
         raise ContinuationError(
             "continuation exceeded %d anchors on %s" % (2 * MAX_SEGMENTS, name))
 
-    def build_segments(anchors, breakpoints, direction):
-        """Contiguous segments, each predicted from its nearest anchor."""
-        limit = hi_range if direction > 0 else lo_range
-        bps = sorted(breakpoints, reverse=direction < 0)
-        segments: list[Segment] = []
-        pos = theta0
-        remaining = list(bps)
-        for (a, a_opt, a_diffs), nxt in zip(anchors, anchors[1:] + [None]):
-            if nxt is None:
-                boundary = limit
-            else:
-                between = [b for b in remaining
-                           if min(a, nxt[0]) < b <= max(a, nxt[0])]
-                if between:
-                    boundary = between[0]
-                    remaining.remove(boundary)
-                else:
-                    boundary = 0.5 * (a + nxt[0])
-            segments.append(Segment(
-                theta_lo=min(pos, boundary), theta_hi=max(pos, boundary),
-                theta_anchor=a, gamma_anchor=a_opt.gamma_star,
-                slope=a_diffs[name].dgamma_dtheta, active=a_opt.active))
-            pos = boundary
-        return segments
-
-    anchors_pos, bp_pos = walk(+1)
-    anchors_neg, bp_neg = walk(-1)
-    seg_pos = build_segments(anchors_pos, bp_pos, +1)
-    seg_neg = build_segments(anchors_neg, bp_neg, -1)
-    segments = sorted(seg_neg + seg_pos, key=lambda s: (s.theta_lo, s.theta_hi))
-    merged: list[Segment] = []
-    for seg in segments:
-        prev = merged[-1] if merged else None
-        if (prev is not None and prev.theta_anchor == seg.theta_anchor
-                and prev.gamma_anchor == seg.gamma_anchor
-                and prev.slope == seg.slope and prev.active is seg.active):
-            merged[-1] = replace(prev, theta_lo=min(prev.theta_lo, seg.theta_lo),
-                                 theta_hi=max(prev.theta_hi, seg.theta_hi))
-        else:
-            merged.append(seg)
-    if len(merged) > MAX_SEGMENTS:
+    seg_pos, bp_pos = walk(+1)
+    seg_neg, bp_neg = walk(-1)
+    # both walks open with the nominal anchor: join its two halves
+    nominal = replace(seg_pos[0], theta_lo=seg_neg[0].theta_lo)
+    segments = seg_neg[:0:-1] + [nominal] + seg_pos[1:]
+    if len(segments) > MAX_SEGMENTS:
         raise ContinuationError(
             "continuation produced %d segments on %s (limit %d)"
-            % (len(merged), name, MAX_SEGMENTS))
-    breakpoints = tuple(sorted(bp_neg + bp_pos))
+            % (len(segments), name, MAX_SEGMENTS))
     return PiecewiseApprox(theta_name=name, gamma_min=scenario.gamma_min,
                            gamma_max=scenario.gamma_max,
-                           breakpoints=breakpoints, segments=tuple(merged))
+                           breakpoints=tuple(sorted(bp_neg + bp_pos)),
+                           segments=tuple(segments))

@@ -4,6 +4,7 @@ or fingerprint the solver's records bit for bit.
     python tests/golden_tool.py diff    # what moved, per file and column
     python tests/golden_tool.py regen   # rewrite tests/data/golden/
     python tests/golden_tool.py records [--count N] [--seed S]
+    python tests/golden_tool.py continuation
 
 ``diff`` and ``regen`` run ``test_golden.COMMANDS`` afresh under every
 reference, exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
@@ -32,6 +33,14 @@ policy's records, so a change in what a solve costs shows its size.
 ``test_records_digest`` pins the default run's digests: a change that moves
 any answer re-pins them there and lists what moved in CHANGES.md.  The
 module name does not match pytest's ``test_*.py``, so it is not collected.
+
+``continuation`` runs ``piecewise_continuation`` on the five fixtures under
+all five reference policies (``fixed:0.0`` for the fixed one) for each of
+the four parameters, at the nominal parameters and the default
+``SweepSpec``, and prints one SHA-256 over the ``repr`` of every
+``PiecewiseApprox``; a call that raises is hashed as its error type and
+message.  ``test_records_digest`` pins it too: a change that moves a
+breakpoint or a segment re-pins it there and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -55,10 +64,12 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from cpt_sense.cli import main  # noqa: E402
 from cpt_sense.errors import CptSenseError  # noqa: E402
-from cpt_sense.model import CptParams, ReferencePolicy  # noqa: E402
+from cpt_sense.model import (  # noqa: E402
+    NOMINAL_PARAMS, PARAM_NAMES, CptParams, ReferencePolicy)
 from cpt_sense.pricing import solve  # noqa: E402
-from cpt_sense.scenario import generate_random  # noqa: E402
+from cpt_sense.scenario import fixtures, generate_random  # noqa: E402
 from cpt_sense.sensitivity import differentials  # noqa: E402
+from cpt_sense.sweeps import SweepSpec, piecewise_continuation  # noqa: E402
 from test_golden import COMMANDS, GOLDEN, REFERENCES, golden_argv  # noqa: E402
 
 
@@ -246,9 +257,34 @@ def record_digest(count: int, seed: int
             {kind: sum(n) / len(n) for kind, n in spent.items()})
 
 
+def continuation_digest() -> tuple[str, int, int]:
+    """(SHA-256 hex digest, calls hashed, errors hashed) of
+    ``continuation``."""
+    digest = hashlib.sha256()
+    calls = errors = 0
+    policies = (ReferencePolicy.static_alternative(),
+                ReferencePolicy.expected_utility(),
+                ReferencePolicy.best_case(), ReferencePolicy.worst_case(),
+                ReferencePolicy.fixed(0.0))
+    for s in fixtures():
+        for policy in policies:
+            for name in PARAM_NAMES:
+                try:
+                    line = repr(piecewise_continuation(
+                        s, NOMINAL_PARAMS, policy, SweepSpec(name)))
+                except CptSenseError as exc:
+                    line = "%s\x1f%s" % (type(exc).__name__, exc)
+                    errors += 1
+                digest.update(("%s\x1f%r\x1f%s\x1f%s\n"
+                               % (s.label, policy, name, line)).encode())
+                calls += 1
+    return digest.hexdigest(), calls, errors
+
+
 def main_tool(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=["diff", "regen", "records"])
+    parser.add_argument("mode",
+                        choices=["diff", "regen", "records", "continuation"])
     parser.add_argument("--count", type=int, default=320,
                         help="records: generated scenarios (default 320)")
     parser.add_argument("--seed", type=int, default=0,
@@ -266,6 +302,12 @@ def main_tool(argv: list[str] | None = None) -> int:
         print("%s answers" % answers)
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)
+        return 0
+    if args.mode == "continuation":
+        hexdigest, calls, errors = continuation_digest()
+        print(hexdigest)
+        print("%d continuation calls, %d errors hashed" % (calls, errors),
+              file=sys.stderr)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)

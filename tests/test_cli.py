@@ -171,6 +171,26 @@ class TestSweepCommand:
         assert [float(r["theta_value"]) for r in rows][-2:] == [0.999] * 2
         assert [r["active"] for r in rows][1] == "error"
 
+    def test_solver_failure_names_its_scenario(self, tmp_path, capsys):
+        # this rider's R0141 optimum is interior with a near-zero curvature
+        path = tmp_path / "two.csv"
+        path.write_text(
+            scenarios_to_csv([fixtures()[0]])
+            + "R0141,7.932878666714263,-0.07781619483130064,"
+            "1.9366448225109285,5.979224915719227,-5.827234380551847,"
+            "11.143214652486936\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["sweep", "--scenarios", str(path),
+                    "--alpha", "0.4227952821276567",
+                    "--beta", "1.125349571785227",
+                    "--lambda", "2.701909954023222",
+                    "--p", "0.7673580104542026", "--param", "alpha",
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("R0141: solver failure: interior optimum with "
+                              "degenerate curvature L_gg=1.96")
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestMismatchCommand:
     def test_no_overrides_zero_loss(self, tmp_path):

@@ -10,6 +10,11 @@ that no answer moved.  A change meant to keep every answer leaves the
 answers digest alone; a change that moves answers on purpose re-pins the
 digests here, from ``python tests/golden_tool.py records``, and lists what
 moved and why in CHANGES.md.
+
+The continuation digest (``golden_tool.py continuation``) pins every
+``PiecewiseApprox`` of the fixtures under the five policies and four
+parameters the same way: a change that moves a breakpoint or a segment
+re-pins it here and says why in CHANGES.md.
 """
 
 import golden_tool
@@ -23,6 +28,8 @@ POLICY_DIGESTS = {
     "fixed": "27256083d26c18562af8faba7c24db306add91136a958ce8f4ec550056a72615",
 }
 ANSWERS_DIGEST = "8eaa23091fd004b8c9c0e7c7704fd8cce8e43d719ba33c8ac469003d6ac2c398"
+CONTINUATION_DIGEST = (
+    "a977d30e08f0321575574c489bf4b568124ed3e5d19701b5222836f80fbd869e")
 
 
 def test_records_digest_is_pinned():
@@ -34,3 +41,9 @@ def test_records_digest_is_pinned():
     assert not moved, "records moved under: %s" % ", ".join(moved)
     assert digest == RECORDS_DIGEST
     assert (records, errors) == (1600, 5)
+
+
+def test_continuation_digest_is_pinned():
+    digest, calls, errors = golden_tool.continuation_digest()
+    assert (calls, errors) == (100, 0)
+    assert digest == CONTINUATION_DIGEST, "continuation moved"

@@ -1,12 +1,14 @@
 """Unit tests for numeric sweeps, piecewise continuation and mismatch loss."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from cpt_sense import (
     ActiveSet,
     BracketingError,
+    ContinuationError,
     NOMINAL_PARAMS,
     SolverDisagreementError,
     SweepSpec,
@@ -215,3 +217,55 @@ class TestPiecewiseContinuation:
             predicted = approx.predict_gamma(row.theta_value)
             assert predicted == pytest.approx(row.gamma_star_numeric,
                                               rel=0.02), row.theta_value
+
+    @pytest.mark.parametrize("name", ["beta", "p"])
+    def test_each_theta_solved_once(self, s1, monkeypatch, name):
+        solved = []
+
+        def recording_solve(scenario, params, policy):
+            solved.append(params.get(name))
+            return solve(scenario, params, policy)
+
+        monkeypatch.setattr(sweeps, "solve", recording_solve)
+        piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec(name))
+        assert sorted({t for t in solved if solved.count(t) > 1}) == []
+
+
+class TestContinuationGuards:
+    def test_too_many_anchors_in_one_direction(self, s1, monkeypatch):
+        # S1 beta places six anchors above the nominal; two segments
+        # allow four per direction
+        monkeypatch.setattr(sweeps, "MAX_SEGMENTS", 2)
+        with pytest.raises(ContinuationError,
+                           match="exceeded 4 anchors on beta"):
+            piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE,
+                                   SweepSpec("beta"))
+
+    def test_too_many_segments_after_the_join(self, s1, monkeypatch):
+        # six anchors fit each direction, but the joined walk has eight
+        monkeypatch.setattr(sweeps, "MAX_SEGMENTS", 3)
+        with pytest.raises(ContinuationError,
+                           match=r"produced 8 segments on beta \(limit 3\)"):
+            piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE,
+                                   SweepSpec("beta"))
+
+    def test_breakpoints_closer_than_1e_10_oscillate(self, s1, monkeypatch):
+        # at beta = 1e-6 the bisection resolves 1e-12; the active set is
+        # upper-bound only on [beta0 + 2e-11, beta0 + 4e-11), so the walk
+        # leaves it 2e-11 after entering it
+        beta0 = 1e-6
+
+        def stand_in_solve(scenario, params, policy):
+            inside = beta0 + 2e-11 <= params.beta < beta0 + 4e-11
+            return SimpleNamespace(
+                gamma_star=1.0,
+                active=ActiveSet.UPPER_BOUND if inside else ActiveSet.INTERIOR)
+
+        monkeypatch.setattr(sweeps, "solve", stand_in_solve)
+        monkeypatch.setattr(sweeps, "differentials", lambda *args: {
+            "beta": SimpleNamespace(dgamma_dtheta=0.0)})
+        monkeypatch.setattr(sweeps, "local_domain", lambda *args:
+                            SimpleNamespace(delta_pos=3e-11, delta_neg=-3e-11))
+        with pytest.raises(ContinuationError, match="oscillates"):
+            piecewise_continuation(s1, NOMINAL_PARAMS.replace("beta", beta0),
+                                   BEST_CASE, SweepSpec("beta"))
