@@ -111,13 +111,35 @@ def acceptance_from_utilities(u_low, u_high, u_alt, reference, alpha, beta, lam,
 
     Full chain: rank-dependent weights and subjective values relative to
     ``reference``, then a logistic choice between the two subjective
-    utilities, computed in the single-exponential form.
+    utilities, computed in the single-exponential form.  Inlines
+    ``rank_weights``, ``cpt_value`` and ``_stable_logistic`` in their
+    arithmetic order, so that a call costs one Python frame.
     """
-    w_low, w_high = rank_weights(p_worst, alpha, u_low < reference, u_high >= reference)
-    u_s = w_low * cpt_value(u_low, reference, beta, lam) \
-        + w_high * cpt_value(u_high, reference, beta, lam)
-    a_s = cpt_value(u_alt, reference, beta, lam)
-    return _stable_logistic(a_s - u_s)
+    if u_low < reference:
+        w_low = prelec_weight(p_worst, alpha)
+        v_low = -lam * (reference - u_low) ** beta
+    else:
+        w_low = 1.0 - prelec_weight(1.0 - p_worst, alpha)
+        d = u_low - reference
+        v_low = 0.0 if d == 0.0 else d ** beta
+    if u_high >= reference:
+        w_high = prelec_weight(1.0 - p_worst, alpha)
+        d = u_high - reference
+        v_high = 0.0 if d == 0.0 else d ** beta
+    else:
+        w_high = 1.0 - prelec_weight(p_worst, alpha)
+        v_high = -lam * (reference - u_high) ** beta
+    if u_alt >= reference:
+        d = u_alt - reference
+        a_s = 0.0 if d == 0.0 else d ** beta
+    else:
+        a_s = -lam * (reference - u_alt) ** beta
+    z = a_s - (w_low * v_low + w_high * v_high)
+    if z > EXP_CLAMP:
+        z = EXP_CLAMP
+    elif z < -EXP_CLAMP:
+        z = -EXP_CLAMP
+    return 1.0 / (1.0 + math.exp(z))
 
 
 def bestcase_revenue(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
@@ -224,7 +246,8 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     ``value(gamma)`` and ``slope(gamma)`` at one tariff, ``nodes(xs)`` the
     lists (values, slopes) at every tariff of ``xs`` in one pass, and
     ``bound(a, b, f_a, f_b, level)`` an upper bound of the revenue on
-    [a, b] from the values at its ends (docs/derivatives.md, "The revenue
+    [a, b] from the values at its ends, or ``level`` where a second-order
+    test proves the revenue no higher (docs/derivatives.md, "The revenue
     bound of a cell"), valid when b < 0 and ref_g is 0 or b, as on every
     policy's line.
 
@@ -402,7 +425,11 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
         end (tangent where the term is convex, chord where concave, and
         ``_crossing_slopes`` where its base vanishes in the cell), and
         bounds the log-concave gamma*sigma(-z_lower) by its end tangents
-        (docs/derivatives.md, "The revenue bound of a cell").
+        (docs/derivatives.md, "The revenue bound of a cell").  Where that
+        first-order bound exceeds ``level`` > 0, the cell starts above
+        ``level``, and no moving base vanishes in it, the second-order
+        test ``convex_gap`` may still prove the revenue <= ``level``; the
+        bound then returns ``level``.  Neither takes a revenue value.
         """
         if b_ <= 0.0:
             return f_b
@@ -463,9 +490,76 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             u = f_a * math.exp(h_a * w)
         if not u < free:  # also a non-finite u, from a base next to zero
             u = free
-        return max(u, f_a, f_b)
+        u = max(u, f_a, f_b)
+        if u > level > 0.0 and a > level and convex_gap(a, b_, f_a, f_b,
+                                                        level):
+            return level
+        return u
+
+    def convex_gap(a, b_, f_a, f_b, level):
+        """Whether phi = z - log(gamma/level - 1) is proven >= 0 on
+        [a, b_], 0 < level < a, so that the revenue stays <= level there:
+        a floor of phi'' shows phi convex, and its end tangents and end
+        quadratics stay at or above 0 on the cell.  Each rounding counts
+        against closing the cell."""
+        w = b_ - a
+        r_a = ref_c + ref_g * a + ref_pp
+        r_b = ref_c + ref_g * b_ + ref_pp
+        z_a = z_b = curv = scale = 0.0
+        for x, x_g, gain, loss in moving:
+            d_a = x + x_g * a - r_a
+            d_b = x + x_g * b_ - r_b
+            if d_a > 0.0 and d_b > 0.0:
+                tan, m_a, m_b = gain[1], d_a, d_b
+            elif d_a < 0.0 and d_b < 0.0:
+                tan, m_a, m_b = loss[1], -d_a, -d_b
+            else:  # the base vanishes in the cell
+                return False
+            # the term's slope T' at either end, and T'' = T'*(beta-1)*
+            # d_g/d, monotone in the tariff on one branch
+            t_a = tan * m_a ** beta_1
+            t_b = tan * m_b ** beta_1
+            z_a += t_a
+            z_b += t_b
+            k = beta_1 * (x_g - ref_g)
+            least = min(t_a * k / d_a, t_b * k / d_b)
+            curv += least
+            scale += abs(least)
+        g_a = 1.0 / (a - level)
+        g_b = 1.0 / (b_ - level)
+        # phi'' = z'' + 1/(gamma - level)**2 >= kappa on the cell
+        kappa = curv + g_b * g_b - 1e-14 * (scale + g_b * g_b)
+        if kappa < 0.0:
+            return False
+        # phi at the ends from e^z = gamma/f - 1, lowered by 1e-15 for the
+        # rounding of f and raised by 1e-15 for that of gamma/level
+        e_a = (a / f_a) * (1.0 - 1e-15) - 1.0
+        e_b = (b_ / f_b) * (1.0 - 1e-15) - 1.0
+        if not (e_a > 0.0 and e_b > 0.0):
+            return False
+        phi_a = math.log(e_a / ((a / level) * (1.0 + 1e-15) - 1.0))
+        phi_b = math.log(e_b / ((b_ / level) * (1.0 + 1e-15) - 1.0))
+        p_a = z_a - g_a
+        p_b = z_b - g_b
+        low = max(_valley(phi_a, p_a, kappa, w),
+                  _valley(phi_b, -p_b, kappa, w))
+        if p_a < 0.0 < p_b:  # where the end tangents meet
+            low = max(low, phi_a + p_a * (phi_b - phi_a - p_b * w)
+                      / (p_a - p_b))
+        slack = 1e-14 * (abs(phi_a) + abs(phi_b)
+                         + (abs(z_a) + g_a + abs(z_b) + g_b) * w)
+        return min(low, phi_a, phi_b) >= slack
 
     return value, slope, nodes, bound
+
+
+def _valley(phi, slope, kappa, w):
+    """The least of phi + slope*t + kappa*t**2/2 over 0 <= t <= w."""
+    if slope >= 0.0:
+        return phi
+    if kappa * w <= -slope:
+        return phi + w * (slope + 0.5 * kappa * w)
+    return phi - 0.5 * slope * slope / kappa
 
 
 def _crossing_slopes(d_a, d_b, w, branch_a, branch_b, beta):

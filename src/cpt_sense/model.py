@@ -191,15 +191,22 @@ def weight(prob: float, alpha: float) -> float:
 def resolve_reference(policy: ReferencePolicy, prospect: BinaryProspect,
                       u_alt: float) -> float:
     """Reference utility level implied by ``policy`` for this offer."""
-    if policy.kind is PolicyKind.STATIC_ALTERNATIVE:
+    return _reference_at(policy, prospect.u_low, prospect.u_high,
+                         prospect.p_worst, u_alt)
+
+
+def _reference_at(policy: ReferencePolicy, u_low: float, u_high: float,
+                  p_worst: float, u_alt: float) -> float:
+    """``resolve_reference`` from the outcomes themselves, no prospect."""
+    kind = policy.kind
+    if kind is PolicyKind.STATIC_ALTERNATIVE:
         return u_alt
-    if policy.kind is PolicyKind.EXPECTED_UTILITY:
-        return prospect.p_worst * prospect.u_low \
-            + (1.0 - prospect.p_worst) * prospect.u_high
-    if policy.kind is PolicyKind.BEST_CASE:
-        return prospect.u_high
-    if policy.kind is PolicyKind.WORST_CASE:
-        return prospect.u_low
+    if kind is PolicyKind.EXPECTED_UTILITY:
+        return p_worst * u_low + (1.0 - p_worst) * u_high
+    if kind is PolicyKind.BEST_CASE:
+        return u_high
+    if kind is PolicyKind.WORST_CASE:
+        return u_low
     return float(policy.level)  # FIXED_VALUE
 
 
@@ -269,17 +276,6 @@ def subjective_utilities(prospect: BinaryProspect, u_alt: float,
     )
 
 
-def _prospect_at(scenario: "TravelScenario", gamma: float,
-                 params: CptParams) -> tuple[BinaryProspect, float]:
-    u_low = scenario.x_low + scenario.b_sm * gamma
-    u_high = scenario.x_high + scenario.b_sm * gamma
-    if not u_low <= scenario.u0 <= u_high:
-        raise InvalidScenarioError(
-            "scenario %r is not valid at gamma=%r: u0=%r outside [%r, %r]"
-            % (scenario.label, gamma, scenario.u0, u_low, u_high))
-    return BinaryProspect(u_low, u_high, params.p_worst), scenario.u0
-
-
 def acceptance_probability(gamma: float, scenario: "TravelScenario",
                            params: CptParams,
                            policy: ReferencePolicy = BEST_CASE) -> float:
@@ -287,15 +283,30 @@ def acceptance_probability(gamma: float, scenario: "TravelScenario",
 
     Logistic choice between the subjective ride and alternative utilities,
     evaluated in the numerically stable single-exponential form; strictly
-    inside (0, 1).
+    inside (0, 1).  The outcomes and the reference are those of the
+    ``BinaryProspect`` at this tariff and ``resolve_reference``, formed
+    without building the prospect.
+
+    Raises:
+        ValueError: ``gamma`` or a ride outcome is non-finite.
+        InvalidScenarioError: u0 lies outside the ride outcomes
+            [u_low, u_high] at ``gamma``.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite, got %r" % gamma)
-    prospect, u_alt = _prospect_at(scenario, gamma, params)
-    reference = resolve_reference(policy, prospect, u_alt)
+    u0 = scenario.u0
+    u_low = scenario.x_low + scenario.b_sm * gamma
+    u_high = scenario.x_high + scenario.b_sm * gamma
+    if not u_low <= u0 <= u_high:
+        raise InvalidScenarioError(
+            "scenario %r is not valid at gamma=%r: u0=%r outside [%r, %r]"
+            % (scenario.label, gamma, u0, u_low, u_high))
+    if not (math.isfinite(u_low) and math.isfinite(u_high)):
+        _require_finite(u_low=u_low, u_high=u_high)
+    p_worst = params.p_worst
     return _core.acceptance_from_utilities(
-        prospect.u_low, prospect.u_high, u_alt, reference,
-        params.alpha, params.beta, params.lam, params.p_worst)
+        u_low, u_high, u0, _reference_at(policy, u_low, u_high, p_worst, u0),
+        params.alpha, params.beta, params.lam, p_worst)
 
 
 def expected_revenue(gamma: float, scenario: "TravelScenario",

@@ -11,7 +11,9 @@ Every other cell closes once the revenue bound of ``_core``
 (docs/derivatives.md, "The revenue bound of a cell") holds it to
 f* + 1e-12*|f*|, f* the best candidate so far, and is bisected otherwise,
 the highest bound first and below the lattice where needed; a polished
-root splits its cell into two that close the same way.  The best of the
+root splits its cell into two that close the same way, most of them
+whole by the bound's second-order test, which proves a cell's gap
+z - log(gamma/level - 1) convex and non-negative.  The best of the
 candidates and the two endpoints wins, and the endpoints win within 1e-9
 of the tariff span.  The search raises ``SolverDisagreementError`` when
 a cell narrower than ``MIN_CELL`` cannot close, after ``MAX_BISECTIONS``

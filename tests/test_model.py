@@ -1,5 +1,6 @@
 """Unit tests for the behavioral model primitives."""
 
+import dataclasses
 import math
 import random
 
@@ -332,6 +333,91 @@ class TestExpectedRevenue:
         bad_gamma = (s1.x_high - s1.u0) / -s1.b_sm + 1.0
         with pytest.raises(InvalidScenarioError):
             revenue_function(s1, NOM)(bad_gamma)
+
+
+def prospect_path_revenue(gamma, s, params, policy):
+    """``expected_revenue`` composed from the public pieces: a
+    ``BinaryProspect`` at the tariff, ``resolve_reference`` and the
+    kernel's helpers ``rank_weights``, ``cpt_value`` and
+    ``_stable_logistic``, each called rather than inlined."""
+    if not math.isfinite(gamma):
+        raise ValueError(gamma)
+    u_low = s.x_low + s.b_sm * gamma
+    u_high = s.x_high + s.b_sm * gamma
+    if not u_low <= s.u0 <= u_high:
+        raise InvalidScenarioError(gamma)
+    prospect = BinaryProspect(u_low, u_high, params.p_worst)
+    reference = resolve_reference(policy, prospect, s.u0)
+    beta, lam = params.beta, params.lam
+    w_low, w_high = _core.rank_weights(params.p_worst, params.alpha,
+                                       u_low < reference, u_high >= reference)
+    u_s = (w_low * _core.cpt_value(u_low, reference, beta, lam)
+           + w_high * _core.cpt_value(u_high, reference, beta, lam))
+    a_s = _core.cpt_value(s.u0, reference, beta, lam)
+    return gamma * _core._stable_logistic(a_s - u_s)
+
+
+CHAIN_SCENARIOS = generate_random(count=40, seed=17)
+
+
+@st.composite
+def chain_calls(draw):
+    """(gamma, scenario, theta, policy): tariffs across and 10% beyond the
+    valid range, on its edges and non-finite; now and then a non-finite
+    utility field; wide theta; all five policies, a fixed level across
+    and beyond the ride outcomes."""
+    s = draw(st.sampled_from(CHAIN_SCENARIOS))
+    lo, hi = (s.u0 - s.x_low) / s.b_sm, (s.u0 - s.x_high) / s.b_sm
+    gamma = draw(st.one_of(
+        st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)),
+        st.sampled_from([lo, hi, math.nan, math.inf, -math.inf])))
+    theta = CptParams(alpha=draw(st.floats(0.2, 1.0)),
+                      beta=draw(st.floats(0.2, 1.5)),
+                      lam=draw(st.floats(0.3, 4.0)),
+                      p_worst=draw(st.floats(0.02, 0.98)))
+    kind = draw(st.sampled_from(list(PolicyKind)))
+    if kind is PolicyKind.FIXED_VALUE:
+        policy = ReferencePolicy.fixed(
+            s.x_low + s.b_sm * hi
+            + draw(st.floats(-1.5, 1.5)) * (s.x_high - s.x_low))
+    else:
+        policy = ReferencePolicy(kind)
+    if draw(st.integers(0, 4)) == 0:
+        s = dataclasses.replace(s, **{
+            draw(st.sampled_from(["u0", "x_low", "x_high"])):
+            draw(st.sampled_from([math.inf, -math.inf, math.nan]))})
+    return gamma, s, theta, policy
+
+
+class TestGeneralChain:
+    """``expected_revenue`` forms the outcomes and the reference without a
+    ``BinaryProspect`` and calls an inlined kernel: the same bits and the
+    same exception types as the prospect path."""
+
+    @given(chain_calls())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_bits_as_the_prospect_path(self, call):
+        try:
+            want = _bits(prospect_path_revenue(*call))
+        except (ValueError, InvalidScenarioError) as err:
+            with pytest.raises(type(err)) as got:
+                expected_revenue(*call)
+            assert got.type is type(err)
+        else:
+            assert _bits(expected_revenue(*call)) == want
+
+    @pytest.mark.parametrize("field, infinite", [("x_low", -math.inf),
+                                                 ("x_high", math.inf)])
+    def test_infinite_outcome_in_the_choice_set_is_refused(self, s1, field,
+                                                           infinite):
+        # u0 stays between the outcomes, so only the finiteness check of
+        # the outcomes can refuse the call
+        s = dataclasses.replace(s1, **{field: infinite})
+        for kind in PolicyKind:
+            policy = (ReferencePolicy.fixed(s1.u0) if kind
+                      is PolicyKind.FIXED_VALUE else ReferencePolicy(kind))
+            with pytest.raises(ValueError, match="must be finite"):
+                expected_revenue(6.0, s, NOM, policy)
 
 
 class TestBestCaseKernels:

@@ -990,6 +990,21 @@ def wide_draws(draw):
     return s, theta, POLICIES[name](s, 0.0)
 
 
+@st.composite
+def curvature_draws(draw):
+    """(scenario, theta, policy) over generated scenarios, theta with beta
+    = 1 among its values, all five policies."""
+    s = draw(st.sampled_from(EVAL_SCENARIOS))
+    theta = CptParams(alpha=draw(st.floats(0.3, 1.0)),
+                      beta=draw(st.one_of(st.just(1.0), st.floats(0.3, 1.5))),
+                      lam=draw(st.floats(1.0, 4.0)),
+                      p_worst=draw(st.floats(0.05, 0.95)))
+    name = draw(st.sampled_from(sorted(POLICIES)))
+    if name == "fixed":
+        return s, theta, fixed_policy(s, draw(st.floats(0.0, 1.0)))
+    return s, theta, POLICIES[name](s, 0.0)
+
+
 class TestCertificate:
     """The revenue bound of a cell and the certified search built on it."""
 
@@ -1080,6 +1095,84 @@ class TestCertificate:
             # the certificate's slack is 1e-12 of f*; the bound may round
             # within a far smaller share of it
             assert bound(a, b, f_a, f_b, level) >= top - 1e-13 * abs(top)
+
+    @settings(max_examples=650, deadline=None)
+    @given(draw=curvature_draws(), start=st.floats(0.0, 1.0),
+           log_width=st.floats(-7.0, -0.5),
+           shift=st.sampled_from([-1e-2, -1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
+    def test_bound_at_a_level_covers_a_dense_scan(self, draw, start,
+                                                  log_width, shift):
+        """At a level near a cell's largest revenue, above or below it, the
+        bound the solver uses, its second-order test included, holds a
+        2001-point scan of the cell: the scan stays within 1e-14 of the
+        level where the bound closes the cell, and within the end values'
+        rounding of the bound where it does not.  Four cells of one width
+        per draw (about 2000 in all): one anywhere in the box, one on
+        either side of the solve's answer, a polished root or a box end,
+        and one around it."""
+        s, theta, policy = draw
+        value, bound = pricing._revenue_closures(s, theta, policy)[::3]
+        lo, hi = s.gamma_min, s.gamma_max
+        width = (hi - lo) * 10.0 ** log_width
+        answer = solve(s, theta, policy).gamma_star
+        a = lo + start * (hi - lo - width)
+        cells = [(a, a + width), (max(lo, answer - width), answer),
+                 (answer, min(hi, answer + width)),
+                 (max(lo, answer - start * width),
+                  min(hi, answer + (1.0 - start) * width))]
+        for a, b in cells:
+            if not a < b:  # beyond the box end that is the answer
+                continue
+            top = max(map(value, [a + (b - a) * i / 2000
+                                  for i in range(2001)]))
+            level = top * (1.0 + shift)
+            u = bound(a, b, value(a), value(b), level)
+            if u <= level:  # closed: within 1e-14 of the level
+                assert top <= level + 1e-14 * abs(level), (a, b)
+            else:  # open: the end values round as in the bound's own test
+                assert top <= u + 1e-13 * abs(u), (a, b)
+
+    @pytest.mark.parametrize("label, evaluations", [("S2", 23), ("S4", 29)])
+    def test_cells_beside_the_peak_close_unsplit(self, monkeypatch, scenarios,
+                                                 label, evaluations):
+        # under the expected reference the alternative's gain term is
+        # concave (beta < 1), so the first-order bound alone leaves the
+        # cells beside the polished root open: it bisected 21 (S2) and 23
+        # (S4) cells below the lattice there, and took 44 and 54 values.
+        # The second-order test closes them whole.
+        below_lattice = []
+        split = pricing._split
+
+        def counted(cell, *args):
+            if cell[7] - cell[6] < 2:
+                below_lattice.append(cell)
+            return split(cell, *args)
+
+        monkeypatch.setattr(pricing, "_split", counted)
+        s = next(s for s in scenarios if s.label == label)
+        record = solve(s, NOMINAL_PARAMS, ReferencePolicy.expected_utility())
+        assert record.active is ActiveSet.INTERIOR
+        assert (len(below_lattice), record.evaluations) == (0, evaluations)
+
+    def test_curvature_floor_keeps_a_non_convex_cell_open(self):
+        # R0182 of generate_random(200, seed=1) at a wide rider under the
+        # expected reference: on this cell the alternative's concave gain
+        # term makes phi = z - log(gamma/level - 1) non-convex, and its end
+        # tangents meet above 0 while the revenue rises 1e-5 above the
+        # level inside; only the curvature floor keeps the cell open
+        s = TravelScenario(
+            "R0182", u0=1.3389097854060665, x_low=-3.49681919997976,
+            x_high=8.082660519930535, b_sm=-0.35095096816114824,
+            gamma_min=3.240102804324853, gamma_max=18.225578804680268)
+        theta = CptParams(alpha=0.9699452175914915, beta=0.42712220187374766,
+                          lam=1.357215318882791, p_worst=0.42000012920461655)
+        value, bound = pricing._revenue_closures(
+            s, theta, ReferencePolicy.expected_utility())[::3]
+        a, b = 5.898385105603623, 17.457951693859584
+        top = max(value(a + (b - a) * i / 2000) for i in range(2001))
+        level = top * (1.0 - 1e-5)
+        assert max(value(a), value(b)) < level < top
+        assert bound(a, b, value(a), value(b), level) >= top
 
     @settings(max_examples=200, deadline=None)
     @given(draw=wide_draws())

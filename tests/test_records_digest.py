@@ -19,13 +19,13 @@ re-pins it here and says why in CHANGES.md.
 
 import golden_tool
 
-RECORDS_DIGEST = "2d4311e117333672fa7c2ccddaa7972a35525cef4cf53f1a1b98d6fb26026338"
+RECORDS_DIGEST = "02de59ba817b9e0dda77bd43d3f476fe3b2fe48fcd8b9618f989cf4073274018"
 POLICY_DIGESTS = {
-    "static": "b00fcc7e6ff7b6f6713d983af54f21a792f618366331c355e6f451e8badb43a2",
-    "expected": "bb6ec0a6db72c22e2295b16499083ede5a99f87577be9ab8dfcc0ba17416415a",
-    "best": "48a2c095191557f96c89731dd965717532112523aadfe302042bbbab4bde2c84",
-    "worst": "cb3690ce6838ee78c93c64b818d40ccca31fabb976551566e0256e75d16e004b",
-    "fixed": "27256083d26c18562af8faba7c24db306add91136a958ce8f4ec550056a72615",
+    "static": "a125c3c6e32cadb894b25dad7c4dcba7768c6f7368a667e14f501636b7792627",
+    "expected": "757ef009216b7944e0d5c974bd6a82c656cc389250a77b5ba00bf5fda752352d",
+    "best": "73dfb4eeee04cbaa2bec55ff550b7d71a0fa82864ae1748055ad44a482da5715",
+    "worst": "6ed8f902422ac55974913cf13d9a709d1f34c32361c0ce467b6e00c582672bca",
+    "fixed": "f066f2441ff6c21bcc1d8482d6ca88918d8cdfe6195cc46f75adb0784dee83b2",
 }
 ANSWERS_DIGEST = "8eaa23091fd004b8c9c0e7c7704fd8cce8e43d719ba33c8ac469003d6ac2c398"
 CONTINUATION_DIGEST = (
