@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -396,6 +397,7 @@ def _add_param(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
+    """A new parser of every command."""
     parser = _Parser(prog="cpt-sense",
                      description="Behavioral dynamic-pricing sensitivity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -426,8 +428,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser ``main`` reuses, built on its first call rather than at
+    import; parsing leaves no state on it, since each call fills a fresh
+    namespace and an appending flag copies its default list."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
     except _UsageError as exc:

@@ -151,14 +151,21 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float,
 
     Bisection with a secant shortcut when the secant point falls safely
     inside the bracket; stops when |f(root)| <= tol or the bracket width
-    drops to tol.
+    drops to tol.  ``f`` is called directly at every probe, so a
+    ScalarFunctionHandle counts each one.
 
     Raises:
         BracketingError: when f(lo) and f(hi) have the same sign.
+        ValueError: f is non-finite at a probe; the message names the
+            probe location.
     """
-    handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
-    f_lo = handle(lo)
-    f_hi = handle(hi)
+    isfinite = math.isfinite
+    f_lo = f(lo)
+    if not isfinite(f_lo):
+        raise _non_finite(f_lo, lo)
+    f_hi = f(hi)
+    if not isfinite(f_hi):
+        raise _non_finite(f_hi, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -177,7 +184,9 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float,
             width = b - a
             if a + 0.01 * width < secant < b - 0.01 * width:
                 mid = secant
-        fm = handle(mid)
+        fm = f(mid)
+        if not isfinite(fm):
+            raise _non_finite(fm, mid)
         if abs(fm) <= tol:
             return mid
         if fa * fm <= 0.0:

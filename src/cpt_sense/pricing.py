@@ -21,8 +21,12 @@ bisections, or when a revenue value it took exceeds the certified f*.
 The derivative-free grid/golden oracle of ``numerics`` still
 cross-checks every solve on the 9 start nodes, refined to half a start
 cell, and the solve fails when it finds more revenue (by more than
-1e-12 of |f*|) more than two start cells from the answer.  The concavity
-certificate is defined for the best-case reference only.
+1e-12 of |f*|) more than two start cells from the answer.  A solve
+builds its revenue closures once, and the slope at its answer is the one
+the search took there (a node's, or the polish's stop test's); the
+multiplier and ``kkt_residuals`` read that slope, so the KKT check
+evaluates nothing again.  The concavity certificate is defined for the
+best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
 minimizes -f.  The Lagrangian of the minimization form is
@@ -37,7 +41,6 @@ by their bound (never by index).
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import logging
 import math
@@ -266,22 +269,19 @@ def solve(scenario: TravelScenario, params: CptParams,
 
     # Endpoints first so that they win value ties exactly on the bound.
     f_lo, f_hi = ys[0], ys[-1]
-    gamma_star, f_star = lo, f_lo
-    for cand, y in [(hi, f_hi)] + sorted(stationary):
+    gamma_star, f_star, slope_star = lo, f_lo, slopes[0]
+    for cand, y, s in [(hi, f_hi, slopes[-1])] + sorted(stationary):
         if y > f_star:
-            gamma_star, f_star = cand, y
+            gamma_star, f_star, slope_star = cand, y, s
 
     if gamma_star <= lo + gtol:
-        gamma_star, f_star = lo, f_lo
+        gamma_star, f_star, slope_star = lo, f_lo, slopes[0]
         active = ActiveSet.LOWER_BOUND
-        slope_star = slopes[0]
     elif gamma_star >= hi - gtol:
-        gamma_star, f_star = hi, f_hi
+        gamma_star, f_star, slope_star = hi, f_hi, slopes[-1]
         active = ActiveSet.UPPER_BOUND
-        slope_star = slopes[-1]
     else:
         active = ActiveSet.INTERIOR
-        slope_star = fgrad(gamma_star)
 
     mu_low = max(0.0, -slope_star) if active is ActiveSet.LOWER_BOUND else 0.0
     mu_high = max(0.0, slope_star) if active is ActiveSet.UPPER_BOUND else 0.0
@@ -307,8 +307,12 @@ def solve(scenario: TravelScenario, params: CptParams,
         active=active, kkt_residual=0.0, degenerate=degenerate,
         gamma_min=lo, gamma_max=hi, gamma_oracle=gamma_oracle,
         evaluations=f.evaluations)
-    residual = kkt_residuals(record, scenario, params, policy).max_residual
-    return dataclasses.replace(record, kkt_residual=residual)
+    residual = kkt_residuals(record, scenario, params, policy,
+                             slope=slope_star).max_residual
+    # the record is not shared yet: set its residual the way a frozen
+    # dataclass's own __init__ sets every field, instead of copying it
+    object.__setattr__(record, "kkt_residual", residual)
+    return record
 
 
 def _certified_stationary(label: str, lo: float, hi: float,
@@ -316,9 +320,9 @@ def _certified_stationary(label: str, lo: float, hi: float,
                           fgrad: Callable[[float], float], nodes: Nodes,
                           bound: Bound, polish_tol: float
                           ) -> tuple[list[float], list[float],
-                                     list[tuple[float, float]]]:
+                                     list[tuple[float, float, float]]]:
     """The values and slopes at the start nodes, and every stationary
-    candidate (tariff, revenue) the certificate needs.
+    candidate (tariff, revenue, slope) the certificate needs.
 
     One node pass takes the ``START_CELLS + 1`` lattice tariffs
     lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
@@ -348,7 +352,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
     for x, y in zip(xs, ys):
         if not math.isfinite(y):
             raise _non_finite(y, x)
-    stationary = [(x, y) for x, y, s in zip(xs, ys, slopes) if s == 0.0]
+    stationary = [(x, y, s) for x, y, s in zip(xs, ys, slopes) if s == 0.0]
     top = max(zip(ys, xs))  # the largest node value, at its tariff
 
     # a cell is (a, b, f_a, f_b, s_a, s_b, i_a, i_b), i_* its ends' lattice
@@ -372,8 +376,8 @@ def _certified_stationary(label: str, lo: float, hi: float,
                 work += (lower, upper)
                 top = max(top, (upper[2], upper[0]))
             else:
-                root, y = _polish(cell, f, fgrad, polish_tol)
-                stationary.append((root, y))
+                root, y, s = _polish(cell, f, fgrad, polish_tol)
+                stationary.append((root, y, s))
                 # the root splits its cell in two of slope 0 at the root,
                 # which the bound closes like any other: a second peak
                 # may share the cell.  A root off the cell's interior
@@ -383,7 +387,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
                              (root, b, y, f_b, 0.0, s_b, -1, -1)]
                 else:
                     pending.append(cell)
-        best = max([ys[0], ys[-1]] + [y for _, y in stationary])
+        best = max([ys[0], ys[-1]] + [y for _, y, _ in stationary])
         level = best + CERTIFY_RTOL * abs(best)
         for cell in pending:
             u = bound(cell[0], cell[1], cell[2], cell[3], level)
@@ -427,17 +431,18 @@ def _split(cell: tuple, lo: float, span: float, nodes: Nodes,
     if not math.isfinite(y):
         raise _non_finite(y, x)
     if s == 0.0:
-        stationary.append((x, y))
+        stationary.append((x, y, s))
     return (a, x, f_a, y, s_a, s, i_a, i_m), (x, b, y, f_b, s, s_b, i_m, i_b)
 
 
 def _polish(cell: tuple, f: ScalarFunctionHandle,
             fgrad: Callable[[float], float], polish_tol: float
-            ) -> tuple[float, float]:
-    """(root, revenue) of the slope on a + to - cell."""
+            ) -> tuple[float, float, float]:
+    """(root, revenue, slope) of the slope on a + to - cell."""
     a, b, f_a, f_b, s_a, s_b = cell[:6]
     root = bracket_root(fgrad, a, b, polish_tol)
     y = f(root)
+    slope = fgrad(root)
     # the absolute |slope| stop costs about slope**2/(2*curvature) of
     # revenue, the curvature taken as the cell's mean: on a flat peak of
     # tiny revenue that can exceed the certificate's slack, and the root
@@ -445,21 +450,28 @@ def _polish(cell: tuple, f: ScalarFunctionHandle,
     # slopes, and keep the root that earns more than the slack more
     slack = CERTIFY_RTOL * abs(y)
     if (y < f_a or y < f_b
-            or fgrad(root) ** 2 * (b - a) > 2.0 * slack * (s_a - s_b)):
+            or slope ** 2 * (b - a) > 2.0 * slack * (s_a - s_b)):
         scale = max(s_a, -s_b)
         again = bracket_root(lambda g: fgrad(g) / scale, a, b, polish_tol)
         y_again = f(again)
         if y_again > y + slack:
-            root, y = again, y_again
-    return root, y
+            root, y, slope = again, y_again, fgrad(again)
+    return root, y, slope
 
 
 def kkt_residuals(record: OptimumRecord, scenario: TravelScenario,
                   params: CptParams,
-                  policy: ReferencePolicy = BEST_CASE) -> KktResiduals:
-    """First-order condition residuals of a solved record (diagnostic)."""
-    fgrad = revenue_gradient(scenario, params, policy)
-    slope = fgrad(record.gamma_star)
+                  policy: ReferencePolicy = BEST_CASE, *,
+                  slope: float | None = None) -> KktResiduals:
+    """First-order condition residuals of a solved record (diagnostic).
+
+    ``slope`` is the revenue slope at ``record.gamma_star`` when the caller
+    already holds it (``solve`` passes the one it took); without it the
+    slope is evaluated here, through ``revenue_gradient``, with the same
+    bits.
+    """
+    if slope is None:
+        slope = revenue_gradient(scenario, params, policy)(record.gamma_star)
     return KktResiduals(
         stationarity=abs(-slope + record.mu_high - record.mu_low),
         comp_slack_lower=abs(record.mu_low * (record.gamma_min - record.gamma_star)),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cpt_sense import sweeps
+from cpt_sense import cli, sweeps
 from cpt_sense.cli import build_parser, main
 from cpt_sense.errors import BracketingError
 from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
@@ -363,6 +363,47 @@ def test_import_starts_no_process_machinery():
                       "'multiprocessing', 'concurrent'))))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call leaves state
+    on it that a later call reads."""
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        assert run(["validate"]) == 0
+
+        def no_second_parser():
+            raise AssertionError("main built a second parser")
+        monkeypatch.setattr(cli, "build_parser", no_second_parser)
+        assert run(["solve", "--out", str(tmp_path / "out")]) == 0
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_an_override_ends_with_its_call(self, tmp_path):
+        assumed, plain = tmp_path / "assumed", tmp_path / "plain"
+        assert run(["mismatch", "--assume", "lambda=2.7",
+                    "--out", str(assumed)]) == 0
+        assert run(["mismatch", "--out", str(plain)]) == 0
+        fresh = tmp_path / "fresh"
+        proc = run_python("-m", "cpt_sense.cli", "mismatch",
+                          "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert read_all_outputs(plain) == read_all_outputs(fresh)
+        assert read_all_outputs(assumed) != read_all_outputs(plain)
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path):
+        # one error while parsing, after --alpha was read, one after it
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--alpha", "0.5", "--frobnicate"])
+        assert exc.value.code == 64
+        assert run(["mismatch", "--assume", "rho=1.0",
+                    "--out", str(tmp_path / "none")]) == 64
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run(["solve", "--out", str(out)]) == 0
+        proc = run_python("-m", "cpt_sense.cli", "solve", "--out", str(fresh))
+        assert proc.returncode == 0, proc.stderr
+        assert read_all_outputs(out) == read_all_outputs(fresh)
 
 
 class TestDeterminism:

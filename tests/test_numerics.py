@@ -182,3 +182,29 @@ class TestBracketRoot:
         handle = ScalarFunctionHandle(lambda x: x - 0.5)
         bracket_root(handle, 0.0, 1.0, 1e-12)
         assert handle.evaluations > 0
+
+    @pytest.mark.parametrize("handled", [False, True],
+                             ids=["plain", "handle"])
+    @pytest.mark.parametrize("where", ["lo", "hi", "interior"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_probe_names_x(self, bad, where, handled):
+        """A non-finite value at an end or at an interior probe raises
+        ValueError naming that probe, from a plain callable as from a
+        handle, and a handle counts every probe up to it."""
+        lo, hi = 0.0, 1.0
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            at = {"lo": x == lo, "hi": x == hi, "interior": lo < x < hi}
+            return bad if at[where] else x - 0.3
+        fn = ScalarFunctionHandle(f) if handled else f
+        with pytest.raises(ValueError) as err:
+            bracket_root(fn, lo, hi, 1e-12)
+        x = probes[-1]
+        assert str(err.value) == (
+            "objective returned non-finite value %r at x=%r" % (bad, x))
+        assert {"lo": x == lo, "hi": x == hi, "interior": lo < x < hi}[where]
+        if handled:
+            assert fn.evaluations == len(probes)

@@ -761,6 +761,72 @@ class TestEvaluationContract:
             assert calls["grid_golden_maximize"] == 1
             assert calls["kkt_residuals"] == 1
 
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_one_evaluator_and_one_slope_at_the_answer(self, monkeypatch,
+                                                       name):
+        """Each solve builds its revenue closures, and so one evaluator,
+        once, and outside the root finder takes the slope at gamma* at most
+        once: in the polish's stop test for an interior answer, and for an
+        answer on a bound in the start pass, which is one gradient call per
+        node under the best case and no slope-closure call otherwise."""
+        counts = Counter()
+        at = []  # (tariff, inside the root finder) of every slope taken
+        depth = [0]
+
+        def install(module, attr, wrap):
+            original = getattr(module, attr)
+            monkeypatch.setattr(module, attr, wrap(original))
+
+        def closures(original):
+            def wrapper(*args):
+                counts["closures"] += 1
+                return original(*args)
+            return wrapper
+
+        def evaluator(original):
+            def wrapper(*args):
+                counts["evaluators"] += 1
+                value, slope, nodes, bound = original(*args)
+
+                def counted_slope(gamma):
+                    at.append((gamma, depth[0] > 0))
+                    return slope(gamma)
+                return value, counted_slope, nodes, bound
+            return wrapper
+
+        def gradient(original):
+            def wrapper(gamma, *args):
+                at.append((gamma, depth[0] > 0))
+                return original(gamma, *args)
+            return wrapper
+
+        def root_finder(original):
+            def wrapper(*args):
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        install(pricing, "_revenue_closures", closures)
+        install(_core, "revenue_evaluator", evaluator)
+        install(_core, "bestcase_revenue_gradient", gradient)
+        install(pricing, "bracket_root", root_finder)
+        seen = set()
+        for s, theta in self.inputs():
+            counts.clear()
+            at.clear()
+            policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
+            record = solve(s, theta, policy)
+            assert counts["closures"] == 1, s.label
+            assert counts["evaluators"] == 1, s.label
+            outside = sum(1 for x, inside in at
+                          if x == record.gamma_star and not inside)
+            assert outside <= 1, s.label
+            seen.add(record.active)
+        assert ActiveSet.INTERIOR in seen and len(seen) > 1
+
 
 def slope_lipschitz_bound(slope, curvature):
     """A valid cell bound for a revenue whose slope is ``curvature``-Lipschitz:
@@ -1181,3 +1247,15 @@ class TestCertificate:
         record = solve(s, theta, policy)
         top = scan_max(s, theta, policy, 4001)
         assert record.f_star >= (1.0 - 1e-9) * top
+
+
+@settings(max_examples=800, deadline=None)
+@given(draw=wide_draws())
+def test_held_slope_gives_the_public_residual(draw):
+    """``solve`` passes ``kkt_residuals`` the slope at gamma* it took in
+    the search; the residual it records has the bits of one recomputed
+    through ``revenue_gradient``."""
+    s, theta, policy = draw
+    record = solve(s, theta, policy)
+    public = kkt_residuals(record, s, theta, policy).max_residual
+    assert record.kkt_residual.hex() == public.hex()
