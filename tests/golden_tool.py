@@ -6,8 +6,8 @@ or fingerprint the solver's records bit for bit.
     python tests/golden_tool.py records [--count N] [--seed S]
     python tests/golden_tool.py continuation
 
-``diff`` and ``regen`` run ``test_golden.COMMANDS`` afresh under every
-reference, exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
+``diff`` and ``regen`` run every ``test_golden.CASES`` command afresh,
+exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
 column, JSON by key path (the top-level key, a scenario label or a row
 index, plays the row).  For every file and column that moved it prints the
 largest relative and absolute change of its numbers; it lists each
@@ -70,19 +70,16 @@ from cpt_sense.pricing import solve  # noqa: E402
 from cpt_sense.scenario import fixtures, generate_random  # noqa: E402
 from cpt_sense.sensitivity import differentials  # noqa: E402
 from cpt_sense.sweeps import SweepSpec, piecewise_continuation  # noqa: E402
-from test_golden import COMMANDS, GOLDEN, REFERENCES, golden_argv  # noqa: E402
+from test_golden import CASES, GOLDEN, golden_argv  # noqa: E402
 
 
 def run_commands(out: Path) -> None:
-    """Write every golden command's files under out/<reference>/<command>/."""
-    for reference in REFERENCES:
-        for command in sorted(COMMANDS):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(golden_argv(reference, command,
-                                        out / reference / command))
-            if code != 0:
-                raise SystemExit("%s --reference %s exited %d"
-                                 % (command, reference, code))
+    """Write every golden case's files under out/<case>/."""
+    for case in sorted(CASES):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(golden_argv(case, out / case))
+        if code != 0:
+            raise SystemExit("%s exited %d" % (" ".join(CASES[case]), code))
 
 
 def fields(path: Path) -> dict[tuple, object]:
@@ -154,37 +151,35 @@ def diff(fresh: Path) -> int:
     """Print what moved between the goldens and the fresh files; the number
     of files that differ."""
     differing = 0
-    for reference in REFERENCES:
-        for command in sorted(COMMANDS):
-            want, got = GOLDEN / reference / command, fresh / reference / command
-            names = sorted({p.name for p in want.iterdir()}
-                           | {p.name for p in got.iterdir()})
-            for name in names:
-                label = "%s/%s/%s" % (reference, command, name)
-                if not (want / name).exists() or not (got / name).exists():
-                    differing += 1
-                    print("%s: only in %s" % (
-                        label, "fresh output" if (got / name).exists()
-                        else "goldens"))
-                    continue
-                if (want / name).read_bytes() == (got / name).read_bytes():
-                    continue
+    for case in sorted(CASES):
+        want, got = GOLDEN / case, fresh / case
+        names = sorted({p.name for p in want.glob("*")}
+                       | {p.name for p in got.iterdir()})
+        for name in names:
+            label = "%s/%s" % (case, name)
+            if not (want / name).exists() or not (got / name).exists():
                 differing += 1
-                print("%s:" % label)
-                for line in compare(fields(want / name), fields(got / name)):
-                    print(line)
+                print("%s: only in %s" % (
+                    label, "fresh output" if (got / name).exists()
+                    else "goldens"))
+                continue
+            if (want / name).read_bytes() == (got / name).read_bytes():
+                continue
+            differing += 1
+            print("%s:" % label)
+            for line in compare(fields(want / name), fields(got / name)):
+                print(line)
     print("%d golden files differ" % differing)
     return differing
 
 
 def regen(fresh: Path) -> None:
     """Replace every golden directory by the fresh output."""
-    for reference in REFERENCES:
-        for command in sorted(COMMANDS):
-            target = GOLDEN / reference / command
-            shutil.rmtree(target, ignore_errors=True)
-            shutil.copytree(fresh / reference / command, target)
-            print("rewrote %s" % target)
+    for case in sorted(CASES):
+        target = GOLDEN / case
+        shutil.rmtree(target, ignore_errors=True)
+        shutil.copytree(fresh / case, target)
+        print("rewrote %s" % target)
 
 
 #: (field, low, high) of the rider parameters ``records`` draws: wide, so

@@ -1,4 +1,4 @@
-"""CLI outputs on the fixtures, byte for byte against committed golden files.
+"""CLI outputs, byte for byte against committed golden files.
 
 The files under ``tests/data/golden/<reference>/<command>/`` are the output
 of::
@@ -8,7 +8,11 @@ of::
     cpt-sense mismatch --reference REF --assume lambda=2.7 --out DIR
     cpt-sense sweep    --reference REF --param all --steps 5 --out DIR
 
-for REF in best and expected.  A refactor that keeps the numbers must keep
+for REF in best and expected, on the fixtures; those under
+``<reference>/json/<command>/`` are the same commands with ``--format
+json``.  Those under ``gen-scenarios/<format>/`` are the output of
+``cpt-sense gen-scenarios --count 5 --seed 7 --format FORMAT --out DIR``
+for FORMAT in csv and json.  A refactor that keeps the numbers must keep
 these bytes; a change that moves them on purpose regenerates the files with
 the same commands (``python tests/golden_tool.py regen``, after
 ``python tests/golden_tool.py diff`` has shown what moves) and says why.
@@ -29,18 +33,37 @@ COMMANDS = {
     "sweep": ["sweep", "--param", "all", "--steps", "5"],
 }
 REFERENCES = ("best", "expected")
+FORMATS = ("csv", "json")
 
 
-def golden_argv(reference: str, command: str, out: Path) -> list[str]:
-    """CLI arguments that write the golden files of one (reference, command)."""
-    return COMMANDS[command] + ["--reference", reference, "--out", str(out)]
+def _cases() -> dict[str, list[str]]:
+    """Golden directory, relative to ``GOLDEN`` -> the CLI arguments that
+    write its files, less ``--out``."""
+    cases = {}
+    for reference in REFERENCES:
+        for command, argv in sorted(COMMANDS.items()):
+            argv = argv + ["--reference", reference]
+            cases["%s/%s" % (reference, command)] = argv
+            cases["%s/json/%s" % (reference, command)] = argv + ["--format", "json"]
+    for fmt in FORMATS:
+        cases["gen-scenarios/%s" % fmt] = [
+            "gen-scenarios", "--count", "5", "--seed", "7", "--format", fmt]
+    return cases
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("reference", REFERENCES)
-def test_cli_output_matches_golden(reference, command, tmp_path):
-    assert main(golden_argv(reference, command, tmp_path)) == 0
-    golden = GOLDEN / reference / command
+CASES = _cases()
+
+
+def golden_argv(case: str, out: Path) -> list[str]:
+    """CLI arguments that write the golden files of one case."""
+    return CASES[case] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES),
+                         ids=lambda case: case.replace("/", "-"))
+def test_cli_output_matches_golden(case, tmp_path):
+    assert main(golden_argv(case, tmp_path)) == 0
+    golden = GOLDEN / case
     want = {p.name: p.read_bytes() for p in golden.iterdir()}
     got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(got) == sorted(want), "file sets differ under %s" % golden
