@@ -16,17 +16,15 @@ seeds produce byte-identical outputs.  Every command runs in one process;
 a sweep works through its (scenario, parameter) pairs in order.  Exit
 codes: 0 success, 2 invalid scenario, 3 solver failure, 64 usage error
 (an unknown flag, a flag the command does not take among them, a
-malformed argument or scenario file, or an empty scenario set) on one
-stderr line.
+malformed argument or scenario file, an empty scenario set, or a scenario
+label that is repeated, empty or holds '/', '\\' or NUL) on one stderr
+line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
 import os
 import sys
 import tempfile
@@ -43,7 +41,7 @@ from cpt_sense.model import (
 )
 from cpt_sense.pricing import certificate_margin, solve
 from cpt_sense.sensitivity import all_domains, differentials
-from cpt_sense.sweeps import SWEEP_COLUMNS, SweepSpec, mismatch_loss, numeric_sweep
+from cpt_sense.sweeps import SweepSpec, mismatch_loss, numeric_sweep
 
 EXIT_OK = 0
 EXIT_INVALID_SCENARIO = 2
@@ -62,18 +60,14 @@ class _UsageError(Exception):
     """Malformed input found after parsing, reported as a usage error."""
 
 
+class _Exit(Exception):
+    """A command ends with the exit code ``args[0]``, its report printed."""
+
+
 def _usage_error(message) -> int:
     """Report malformed input on one stderr line; the usage exit code."""
     print("usage error: %s" % message, file=sys.stderr)
     return EXIT_USAGE
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    if x is None:
-        return ""
-    return str(x)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -87,15 +81,6 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _rows_to_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
-    return buf.getvalue()
 
 
 def _parse_reference(text: str) -> ReferencePolicy:
@@ -117,31 +102,36 @@ def _parse_reference(text: str) -> ReferencePolicy:
         "reference must be static|expected|best|worst|fixed:VALUE, got %r" % text)
 
 
-def _load_scenarios(source: str, seed: int) -> list[scn.TravelScenario]:
-    if source == "fixtures":
-        return list(scn.fixtures())
-    if source.startswith("gen:"):
-        count = int(source.split(":", 1)[1])
-        return scn.generate_random(count=count, seed=seed)
-    path = Path(source)
-    try:
-        # utf-8-sig also reads the byte-order mark spreadsheet programs write
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValueError("cannot read scenarios: %s" % exc) from None
-    if path.suffix.lower() == ".json":
-        return scn.scenarios_from_json(text)
-    return scn.scenarios_from_csv(text)
-
-
 def _scenarios(args) -> list[scn.TravelScenario]:
-    """The non-empty scenario set that ``--scenarios`` and ``--seed`` name."""
+    """The non-empty scenario set that ``--scenarios`` and ``--seed`` name,
+    each label unique and fit to be part of a file name."""
+    source = args.scenarios
     try:
-        scenarios = _load_scenarios(args.scenarios, args.seed)
+        if source == "fixtures":
+            scenarios = list(scn.fixtures())
+        elif source.startswith("gen:"):
+            scenarios = scn.generate_random(count=int(source.split(":", 1)[1]),
+                                            seed=args.seed)
+        else:
+            # utf-8-sig also reads the byte-order mark spreadsheet programs write
+            text = Path(source).read_text(encoding="utf-8-sig")
+            scenarios = (scn.scenarios_from_json(text)
+                         if Path(source).suffix.lower() == ".json"
+                         else scn.scenarios_from_csv(text))
+    except OSError as exc:
+        raise _UsageError("cannot read scenarios: %s" % exc) from None
     except ValueError as exc:
         raise _UsageError(exc) from None
     if not scenarios:
-        raise _UsageError("no scenarios in %r" % args.scenarios)
+        raise _UsageError("no scenarios in %r" % source)
+    seen = set()
+    for s in scenarios:
+        if not s.label or any(c in s.label for c in "/\\\0"):
+            raise _UsageError("scenario label %r is empty or holds '/', '\\' "
+                              "or NUL" % s.label)
+        if s.label in seen:
+            raise _UsageError("duplicate scenario label %r" % s.label)
+        seen.add(s.label)
     return scenarios
 
 
@@ -154,174 +144,147 @@ def _rider(args) -> CptParams:
         raise _UsageError(exc) from None
 
 
-def _validate_all(scenarios: list[scn.TravelScenario]) -> int:
-    code = EXIT_OK
-    for s in scenarios:
-        problems = scn.validate(s)
-        if problems:
-            code = EXIT_INVALID_SCENARIO
-            print("%s: INVALID: %s" % (s.label, "; ".join(problems)),
-                  file=sys.stderr)
-    return code
+def _valid(s: scn.TravelScenario) -> bool:
+    """Whether ``s`` is valid; its problems go to stderr when it is not."""
+    problems = scn.validate(s)
+    if problems:
+        print("%s: INVALID: %s" % (s.label, "; ".join(problems)),
+              file=sys.stderr)
+    return not problems
 
 
-def _record_row(label: str, opt, certified: bool) -> dict:
-    return {
-        "label": label,
-        "gamma_star": opt.gamma_star,
-        "f_star": opt.f_star,
-        "mu_low": opt.mu_low,
-        "mu_high": opt.mu_high,
-        "active": opt.active.value,
-        "kkt_residual": opt.kkt_residual,
-        "concave_certified": certified,
-        "degenerate": opt.degenerate,
-    }
+def _each_scenario(args, work) -> list:
+    """The items of the list ``work(s)`` returns for each scenario ``s`` of
+    the set, in order, once every scenario is valid.
 
-
-def _emit(args, stem: str, columns, rows) -> Path:
-    path = Path(args.out) / ("%s.%s" % (stem, args.format))
-    _atomic_write(path, json.dumps(rows, indent=2) + "\n"
-                  if args.format == "json" else _rows_to_csv(columns, rows))
-    return path
-
-
-def cmd_solve(args) -> int:
-    params, scenarios = _rider(args), _scenarios(args)
-    code = _validate_all(scenarios)
-    if code != EXIT_OK:
-        return code
+    Raises:
+        _Exit: a scenario is invalid (each one is named on stderr), or
+            ``work`` raised a ``CptSenseError`` (the first scenario it
+            raised on is named on stderr).
+    """
+    scenarios = _scenarios(args)
+    if not all([_valid(s) for s in scenarios]):
+        raise _Exit(EXIT_INVALID_SCENARIO)
     rows = []
     for s in scenarios:
         try:
-            opt = solve(s, params, args.reference)
+            rows += work(s)
         except CptSenseError as exc:
             print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-        certified = (args.reference.kind is PolicyKind.BEST_CASE
-                     and certificate_margin(s, params)[0])
-        rows.append(_record_row(s.label, opt, certified))
-    path = _emit(args, "solutions", list(rows[0].keys()), rows)
+            raise _Exit(EXIT_SOLVER_FAILURE) from None
+    return rows
+
+
+def _emit(args, stem: str, rows: list[dict]) -> Path:
+    """Write ``rows``, whose key order is the column order, to
+    ``<out>/<stem>.<format>``."""
+    path = Path(args.out) / ("%s.%s" % (stem, args.format))
+    _atomic_write(path, scn.rows_to_json(rows) if args.format == "json"
+                  else scn.rows_to_csv(list(rows[0]), rows))
+    return path
+
+
+def _domain_fields(dom) -> dict:
+    return {"delta_max_pos_pct": dom.delta_max_pos_pct,
+            "delta_max_neg_pct": dom.delta_max_neg_pct,
+            "min_pct": dom.min_pct, "binding_event": dom.binding_event.value}
+
+
+def cmd_solve(args) -> int:
+    params = _rider(args)
+    best = args.reference.kind is PolicyKind.BEST_CASE
+
+    def work(s):
+        opt = solve(s, params, args.reference)
+        return [{
+            "label": s.label, "gamma_star": opt.gamma_star,
+            "f_star": opt.f_star, "mu_low": opt.mu_low,
+            "mu_high": opt.mu_high, "active": opt.active.value,
+            "kkt_residual": opt.kkt_residual,
+            "concave_certified": best and certificate_margin(s, params)[0],
+            "degenerate": opt.degenerate,
+        }]
+    rows = _each_scenario(args, work)
+    path = _emit(args, "solutions", rows)
     print("wrote %s (%d scenarios)" % (path, len(rows)))
     return EXIT_OK
 
 
-def _sweep_task(s: scn.TravelScenario, params: CptParams,
-                policy: ReferencePolicy, spec: SweepSpec):
-    """One (scenario, parameter) sweep: its rows and the scenario summary."""
-    nominal = solve(s, params, policy)
-    diffs = differentials(nominal, s, params, policy)
-    rows = numeric_sweep(s, params, policy, spec, nominal=nominal, diffs=diffs)
-    domains = all_domains(nominal, diffs)
-    summary = {
+def _sweep_summary(nominal, diffs) -> dict:
+    """A scenario's ``summary.json`` entry: its nominal optimum, every
+    parameter's differentials and domain."""
+    return {
         "gamma_star": nominal.gamma_star,
         "f_star": nominal.f_star,
         "active": nominal.active.value,
         "degenerate": nominal.degenerate,
-        "differentials": {
-            n: {
-                "dgamma_dtheta": d.dgamma_dtheta,
-                "dmu_dtheta": d.dmu_dtheta,
-                "df_dtheta": d.df_dtheta,
-                "d2f_dtheta2": d.d2f_dtheta2,
-            } for n, d in diffs.items()
-        },
-        "domains": {
-            n: {
-                "delta_max_pos_pct": dom.delta_max_pos_pct,
-                "delta_max_neg_pct": dom.delta_max_neg_pct,
-                "min_pct": dom.min_pct,
-                "binding_event": dom.binding_event.value,
-            } for n, dom in domains.items()
-        },
+        "differentials": {n: {
+            "dgamma_dtheta": d.dgamma_dtheta,
+            "dmu_dtheta": d.dmu_dtheta,
+            "df_dtheta": d.df_dtheta,
+            "d2f_dtheta2": d.d2f_dtheta2,
+        } for n, d in diffs.items()},
+        "domains": {n: _domain_fields(dom)
+                    for n, dom in all_domains(nominal, diffs).items()},
     }
-    return rows, summary
 
 
-def _sweep_row_dict(row) -> dict:
-    return {
-        "theta_name": row.theta_name,
-        "theta_value": row.theta_value,
-        "gamma_star_numeric": row.gamma_star_numeric,
-        "f_star_numeric": row.f_star_numeric,
-        "gamma_star_taylor1": row.gamma_star_taylor1,
-        "f_star_taylor1": row.f_star_taylor1,
-        "f_star_taylor2": row.f_star_taylor2,
-        "mu_low": row.mu_low,
-        "mu_high": row.mu_high,
-        "active": row.active.value if row.error is None else "error",
-        "mismatch_loss": row.mismatch_loss,
-        "clamped": row.clamped,
-        "error": row.error,
-    }
+def _sweep_fields(r) -> dict:
+    """A sweep file's row: ``r``'s fields, with the ``active`` of a failed
+    re-solve read as "error"."""
+    row = vars(r).copy()  # a copy keeps the instance dict's shared keys
+    row["active"] = "error" if r.error is not None else r.active.value
+    return row
 
 
 def cmd_sweep(args) -> int:
-    params = _rider(args)
+    params, policy = _rider(args), args.reference
     names = PARAM_NAMES if args.param == "all" else (args.param,)
     try:
         specs = [SweepSpec(theta_name=name, rel_range=args.range,
                            steps=args.steps) for name in names]
     except ValueError as exc:
         raise _UsageError(exc) from None
-    scenarios = _scenarios(args)
-    code = _validate_all(scenarios)
-    if code != EXIT_OK:
-        return code
-    results = []
-    for s in scenarios:
-        try:
-            results += [(s.label, spec.theta_name,
-                         *_sweep_task(s, params, args.reference, spec))
-                        for spec in specs]
-        except CptSenseError as exc:
-            print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-
     summary: dict[str, dict] = {}
-    for label, name, rows, scenario_summary in results:
-        _emit(args, "sweep_%s_%s" % (label, name), SWEEP_COLUMNS,
-              [_sweep_row_dict(r) for r in rows])
-        summary.setdefault(label, scenario_summary)
-    _atomic_write(Path(args.out) / "summary.json",
-                  json.dumps(summary, indent=2) + "\n")
+
+    def work(s):
+        files = []
+        for spec in specs:
+            nominal = solve(s, params, policy)
+            diffs = differentials(nominal, s, params, policy)
+            if spec is specs[0]:
+                summary[s.label] = _sweep_summary(nominal, diffs)
+            rows = numeric_sweep(s, params, policy, spec, nominal=nominal,
+                                 diffs=diffs)
+            files.append(("sweep_%s_%s" % (s.label, spec.theta_name),
+                          [_sweep_fields(r) for r in rows]))
+        return files
+    files = _each_scenario(args, work)
+    for stem, rows in files:
+        _emit(args, stem, rows)
+    _atomic_write(Path(args.out) / "summary.json", scn.rows_to_json(summary))
     print("wrote %d sweep files + summary.json under %s"
-          % (len(results), Path(args.out)))
+          % (len(files), Path(args.out)))
     return EXIT_OK
 
 
 def cmd_domain(args) -> int:
-    params, scenarios = _rider(args), _scenarios(args)
+    params = _rider(args)
     names = PARAM_NAMES if args.param == "all" else (args.param,)
-    code = _validate_all(scenarios)
-    if code != EXIT_OK:
-        return code
-    rows = []
-    for s in scenarios:
-        try:
-            opt = solve(s, params, args.reference)
-            diffs = differentials(opt, s, params, args.reference)
-            domains = all_domains(opt, diffs)
-        except CptSenseError as exc:
-            print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-        for name in names:
-            dom = domains[name]
-            rows.append({
-                "label": s.label, "theta_name": name,
-                "delta_max_pos_pct": dom.delta_max_pos_pct,
-                "delta_max_neg_pct": dom.delta_max_neg_pct,
-                "min_pct": dom.min_pct,
-                "binding_event": dom.binding_event.value,
-            })
-    path = _emit(args, "domains", list(rows[0].keys()), rows)
+
+    def work(s):
+        opt = solve(s, params, args.reference)
+        diffs = differentials(opt, s, params, args.reference)
+        domains = all_domains(opt, diffs)
+        return [{"label": s.label, "theta_name": name,
+                 **_domain_fields(domains[name])} for name in names]
+    path = _emit(args, "domains", _each_scenario(args, work))
     print("wrote %s" % path)
     return EXIT_OK
 
 
 def cmd_mismatch(args) -> int:
-    params, scenarios = _rider(args), _scenarios(args)
-    assumed = params
+    params = assumed = _rider(args)
     for item in args.assume:
         name, _, raw = item.partition("=")
         if name not in PARAM_NAMES or not raw:
@@ -332,21 +295,11 @@ def cmd_mismatch(args) -> int:
             assumed = assumed.replace(name, float(raw))
         except ValueError as exc:
             raise _UsageError("bad override %r: %s" % (item, exc)) from None
-    code = _validate_all(scenarios)
-    if code != EXIT_OK:
-        return code
-    rows = []
-    for s in scenarios:
-        try:
-            res = mismatch_loss(s, params, assumed, args.reference)
-        except CptSenseError as exc:
-            print("%s: solver failure: %s" % (s.label, exc), file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-        rows.append({
-            "label": s.label, "delta_f": res.delta_f,
-            "gamma_true": res.gamma_true, "gamma_assumed": res.gamma_assumed,
-        })
-    path = _emit(args, "mismatch", list(rows[0].keys()), rows)
+
+    def work(s):
+        res = mismatch_loss(s, params, assumed, args.reference)
+        return [{"label": s.label, **vars(res)}]
+    path = _emit(args, "mismatch", _each_scenario(args, work))
     print("wrote %s" % path)
     return EXIT_OK
 
@@ -354,20 +307,20 @@ def cmd_mismatch(args) -> int:
 def cmd_gen_scenarios(args) -> int:
     if args.count < 1:
         raise _UsageError("--count must be >= 1, got %d" % args.count)
-    scenarios = scn.generate_random(count=args.count, seed=args.seed)
-    path = Path(args.out) / ("scenarios." + args.format)
-    _atomic_write(path, scn.scenarios_to_json(scenarios) if args.format == "json"
-                  else scn.scenarios_to_csv(scenarios))
-    print("wrote %s (%d scenarios)" % (path, len(scenarios)))
+    rows = [scn.scenario_row(s) for s in
+            scn.generate_random(count=args.count, seed=args.seed)]
+    path = _emit(args, "scenarios", rows)
+    print("wrote %s (%d scenarios)" % (path, len(rows)))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    scenarios = _scenarios(args)
-    code = _validate_all(scenarios)
-    for s in scenarios:
-        if scn.is_valid(s):
+    code = EXIT_OK
+    for s in _scenarios(args):
+        if _valid(s):
             print("%s: ok" % s.label)
+        else:
+            code = EXIT_INVALID_SCENARIO
     return code
 
 
@@ -442,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         return _usage_error(exc)
+    except _Exit as exc:
+        return exc.args[0]
     except InvalidScenarioError as exc:
         print("invalid scenario: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_SCENARIO

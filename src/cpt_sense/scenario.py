@@ -179,19 +179,41 @@ def generate_random(ranges: GeneratorRanges | None = None, count: int = 100,
     return out
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _format_field(x) -> str:
+    """One CSV field: a number with 12 significant digits and a '.' decimal
+    separator whatever the locale, None as an empty field, anything else
+    as its ``str``."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return format(x, ".12g")
+    return str(x)
+
+
+def rows_to_csv(columns, rows) -> str:
+    """CSV text: a header row of ``columns``, then one line per row (a
+    mapping from column to value) with its fields in column order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_field(row[c]) for c in columns])
+    return buf.getvalue()
+
+
+def rows_to_json(rows) -> str:
+    """JSON text of ``rows``, indented by two spaces, with a final newline."""
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def scenario_row(s: TravelScenario) -> dict:
+    """``s``'s fields by ``CSV_COLUMNS``, in that order."""
+    return {c: getattr(s, c) for c in CSV_COLUMNS}
 
 
 def scenarios_to_csv(scenarios: list[TravelScenario] | tuple[TravelScenario, ...]) -> str:
     """Render scenarios as CSV text (header row, '.' decimal separator)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for s in scenarios:
-        writer.writerow([s.label, _fmt(s.u0), _fmt(s.b_sm), _fmt(s.gamma_min),
-                         _fmt(s.gamma_max), _fmt(s.x_low), _fmt(s.x_high)])
-    return buf.getvalue()
+    return rows_to_csv(CSV_COLUMNS, map(scenario_row, scenarios))
 
 
 def scenarios_from_csv(text: str) -> list[TravelScenario]:
@@ -215,11 +237,8 @@ def scenarios_from_csv(text: str) -> list[TravelScenario]:
         if None in row:
             raise ValueError("scenario CSV row %d has an extra cell" % i)
         try:
-            out.append(TravelScenario(
-                label=row["label"], u0=float(row["u0"]),
-                b_sm=float(row["b_sm"]), gamma_min=float(row["gamma_min"]),
-                gamma_max=float(row["gamma_max"]), x_low=float(row["x_low"]),
-                x_high=float(row["x_high"])))
+            out.append(TravelScenario(label=row["label"], **{
+                c: float(row[c]) for c in CSV_COLUMNS[1:]}))
         except ValueError as exc:
             raise ValueError("scenario CSV row %d: %s" % (i, exc)) from None
     return out
@@ -227,13 +246,7 @@ def scenarios_from_csv(text: str) -> list[TravelScenario]:
 
 def scenarios_to_json(scenarios: list[TravelScenario] | tuple[TravelScenario, ...]) -> str:
     """JSON mirror of the CSV schema, identical field names."""
-    rows = [
-        {"label": s.label, "u0": s.u0, "b_sm": s.b_sm,
-         "gamma_min": s.gamma_min, "gamma_max": s.gamma_max,
-         "x_low": s.x_low, "x_high": s.x_high}
-        for s in scenarios
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    return rows_to_json([scenario_row(s) for s in scenarios])
 
 
 def scenarios_from_json(text: str) -> list[TravelScenario]:
@@ -242,9 +255,9 @@ def scenarios_from_json(text: str) -> list[TravelScenario]:
 
     Raises:
         ValueError: text that is not JSON or not an array, or an entry that
-            is not an object, lacks a field, has an unknown one or holds a
-            non-number in a numeric field; the message names the entry,
-            counted from 1.
+            is not an object, lacks a field, has an unknown one, or holds
+            a non-string label or a non-number in a numeric field; the
+            message names the entry, counted from 1.
     """
     data = json.loads(text)
     if not isinstance(data, list):
@@ -261,6 +274,9 @@ def scenarios_from_json(text: str) -> list[TravelScenario]:
         if unknown:
             raise ValueError("scenario JSON entry %d has unknown fields %s"
                              % (i, unknown))
+        if not isinstance(row["label"], str):
+            raise ValueError("scenario JSON entry %d: label=%r is not a "
+                             "string" % (i, row["label"]))
         for name in CSV_COLUMNS[1:]:
             v = row[name]
             if isinstance(v, bool) or not isinstance(v, (int, float)):

@@ -12,7 +12,7 @@ breakpoints by bisection on the active set itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 from cpt_sense.errors import ContinuationError, CptSenseError, SolverDisagreementError
@@ -25,14 +25,6 @@ from cpt_sense.sensitivity import (
     local_domain,
     taylor_predict,
 )
-
-#: Sweep CSV column order.  ``clamped`` marks a probability grid value
-#: moved into the clamp range; ``error`` holds the exception of a failed
-#: re-solve, whose ``active`` reads "error".
-SWEEP_COLUMNS = ("theta_name", "theta_value", "gamma_star_numeric",
-                 "f_star_numeric", "gamma_star_taylor1", "f_star_taylor1",
-                 "f_star_taylor2", "mu_low", "mu_high", "active",
-                 "mismatch_loss", "clamped", "error")
 
 MAX_SEGMENTS = 32
 _BP_OSCILLATION = 1e-10
@@ -95,6 +87,12 @@ class SweepRow:
     mismatch_loss: float
     clamped: bool = False
     error: str | None = None
+
+
+#: Sweep CSV column order, ``SweepRow``'s fields.  ``clamped`` marks a
+#: probability grid value moved into the clamp range; ``error`` holds the
+#: exception of a failed re-solve, whose ``active`` reads "error".
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)

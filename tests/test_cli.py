@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cpt_sense import cli, sweeps
+from cpt_sense import scenario as scn
 from cpt_sense.cli import build_parser, main
 from cpt_sense.errors import BracketingError
 from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
@@ -250,6 +252,17 @@ class TestValidateCommand:
     def test_missing_file_usage_error(self, capsys):
         assert run(["validate", "--scenarios", "no/such/file.csv"]) == 64
 
+    def test_validates_each_scenario_once(self, monkeypatch, capsys):
+        calls = []
+        real = scn.validate
+
+        def counted(s):
+            calls.append(s.label)
+            return real(s)
+        monkeypatch.setattr(scn, "validate", counted)
+        assert run(["validate"]) == 0
+        assert calls == ["S1", "S2", "S3", "S4", "S5"]
+
 
 HEADER_ONLY = "{header_only}"
 NON_NUMERIC = "{non_numeric}"
@@ -327,6 +340,91 @@ class TestUsageErrors:
         assert run(["solve", "--scenarios", str(path), "--out", str(out)]) == 64
         err = capsys.readouterr().err
         assert "Permission denied" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+ANALYSIS_COMMANDS = ("solve", "domain", "mismatch", "sweep")
+
+
+def files_under(directory: Path) -> set[str]:
+    return {str(p.relative_to(directory)) for p in directory.rglob("*")}
+
+
+def analysis_argv(command: str, out: Path) -> list[str]:
+    quick = ["--param", "alpha", "--steps", "3"] if command == "sweep" else []
+    return [command, *quick, "--out", str(out)]
+
+
+class TestScenarioLabels:
+    """A label names output files and rows, so every command that reads
+    ``--scenarios`` refuses a set whose labels clash or could leave
+    ``--out``, before it writes anything."""
+
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS + ("validate",))
+    def test_duplicate_label_is_usage_error(self, tmp_path, capsys, command):
+        s1, s2 = fixtures()[:2]
+        path = tmp_path / "twins.csv"
+        path.write_text(scenarios_to_csv([s1, dataclasses.replace(s2, label="S1")]),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ([command] if command == "validate"
+                else analysis_argv(command, out)) + ["--scenarios", str(path)]
+        assert run(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: duplicate scenario label 'S1'\n"
+        assert captured.out == ""
+        assert files_under(tmp_path) == {"twins.csv"}
+
+    @pytest.mark.parametrize("label", ["", "a/../../../escaped", "a\\b", "a\0b"],
+                             ids=["empty", "slash", "backslash", "nul"])
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS + ("validate",))
+    def test_path_like_label_is_usage_error(self, tmp_path, capsys, command,
+                                            label):
+        path = tmp_path / "in" / "odd.json"
+        path.parent.mkdir()
+        path.write_text(scenarios_to_json(
+            [fixtures()[0], dataclasses.replace(fixtures()[1], label=label)]),
+            encoding="utf-8")
+        argv = ([command] if command == "validate" else
+                analysis_argv(command, tmp_path / "t" / "deep" / "o2"))
+        assert run(argv + ["--scenarios", str(path)]) == 64
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: scenario label %r " % label)
+        assert files_under(tmp_path) == {"in", "in/odd.json"}
+
+
+class TestAnalysisFailures:
+    """Each analysis command reports a bad scenario set the same way and
+    writes nothing for it."""
+
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS)
+    def test_invalid_scenario_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "mix.csv"
+        path.write_text(
+            scenarios_to_csv(list(fixtures())).replace("-0.72", "0.72"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, out) + ["--scenarios", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("S3: INVALID: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS)
+    def test_solver_failure_on_the_second_scenario_exits_3(
+            self, tmp_path, capsys, monkeypatch, command):
+        name = "mismatch_loss" if command == "mismatch" else "solve"
+        real = getattr(cli, name)
+
+        def failing(scenario, *args):
+            if scenario.label == "S2":
+                raise BracketingError("no sign change")
+            return real(scenario, *args)
+        monkeypatch.setattr(cli, name, failing)
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, out)) == 3
+        assert capsys.readouterr().err == \
+            "S2: solver failure: no sign change\n"
         assert not out.exists()
 
 

@@ -198,6 +198,8 @@ class TestMalformedScenarioFiles:
         (lambda e: None, "is not an object"),
         (lambda e: dict(e, u0="8.17"), "u0='8.17' is not a number"),
         (lambda e: dict(e, b_sm=True), "b_sm=True is not a number"),
+        (lambda e: dict(e, label=None), "label=None is not a string"),
+        (lambda e: dict(e, label=12), "label=12 is not a string"),
     ])
     def test_json_entry_named(self, s1, change, problem):
         good = json.loads(scenarios_to_json([s1]))[0]
