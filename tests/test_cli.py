@@ -18,6 +18,7 @@ from cpt_sense import cli, sweeps
 from cpt_sense import scenario as scn
 from cpt_sense.cli import build_parser, main
 from cpt_sense.errors import BracketingError
+from cpt_sense.model import ReferencePolicy
 from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
 from cpt_sense.sweeps import SWEEP_COLUMNS
 
@@ -262,6 +263,37 @@ class TestValidateCommand:
         monkeypatch.setattr(scn, "validate", counted)
         assert run(["validate"]) == 0
         assert calls == ["S1", "S2", "S3", "S4", "S5"]
+
+
+class TestReferenceFlag:
+    @pytest.mark.parametrize("text, policy", [
+        ("static", ReferencePolicy.static_alternative()),
+        ("expected", ReferencePolicy.expected_utility()),
+        ("best", ReferencePolicy.best_case()),
+        ("worst", ReferencePolicy.worst_case()),
+        ("fixed:2.5", ReferencePolicy.fixed(2.5)),
+    ])
+    def test_parses_to_its_policy(self, text, policy):
+        args = build_parser().parse_args(["solve", "--reference", text])
+        assert args.reference == policy
+
+    @pytest.mark.parametrize("text, message", [
+        ("fixed", "reference must be static|expected|best|worst|fixed:VALUE, "
+                  "got 'fixed'"),
+        ("fixed:abc", "fixed reference needs a numeric level, got 'fixed:abc'"),
+        ("fixed:nan", "fixed reference needs a numeric level, got 'fixed:nan'"),
+        ("bogus", "reference must be static|expected|best|worst|fixed:VALUE, "
+                  "got 'bogus'"),
+    ])
+    def test_malformed_is_usage_error(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--reference", text, "--out", str(out)])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err == (
+            "usage error: cpt-sense solve: argument --reference: %s\n"
+            % message)
+        assert not out.exists()
 
 
 HEADER_ONLY = "{header_only}"

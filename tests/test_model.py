@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cpt_sense import _core
 from cpt_sense import (
     BEST_CASE,
+    PARAM_NAMES,
     BinaryProspect,
     CptParams,
     InvalidScenarioError,
@@ -55,15 +56,22 @@ class TestCptParams:
             CptParams(**base)
 
     def test_get_and_replace_by_public_name(self):
-        assert NOM.get("lambda") == 2.25
-        assert NOM.get("p") == 0.75
-        bumped = NOM.replace("lambda", 2.7)
-        assert bumped.lam == 2.7
-        assert bumped.alpha == NOM.alpha
+        fields = {"alpha": "alpha", "beta": "beta", "lambda": "lam",
+                  "p": "p_worst"}
+        assert tuple(fields) == PARAM_NAMES
+        for name, field in fields.items():
+            assert NOM.get(name) == getattr(NOM, field)
+            bumped = NOM.replace(name, 0.5)
+            assert bumped.get(name) == getattr(bumped, field) == 0.5
+            for other, other_field in fields.items():
+                if other != name:
+                    assert getattr(bumped, other_field) == getattr(NOM, other_field)
         with pytest.raises(ValueError):
             NOM.get("gamma")
         with pytest.raises(ValueError):
             NOM.replace("nope", 1.0)
+        with pytest.raises(ValueError, match="p_worst must be in"):
+            NOM.replace("p", 1.0)
 
 
 class TestReferencePolicy:

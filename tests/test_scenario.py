@@ -1,5 +1,6 @@
 """Unit tests for scenario validity, fixtures, generation and IO."""
 
+import hashlib
 import json
 import math
 import random
@@ -132,6 +133,12 @@ class TestGenerateRandom:
                 g = rng.uniform(s.gamma_min, s.gamma_max)
                 u_low, u_high, u0 = utilities_at(s, g)
                 assert u_low <= u0 <= u_high
+
+    def test_bits_pinned(self):
+        # every digit of every field, which the 12-digit CSV files do not hold
+        text = repr(generate_random(count=50, seed=7))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d520149533cdba38ab52ac522c260ed210af47d940ee9bee8bf2605d28b1f262")
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
