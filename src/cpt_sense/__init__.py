@@ -16,7 +16,6 @@ from cpt_sense.errors import (
     BracketingError,
     ContinuationError,
     CptSenseError,
-    GenerationError,
     InvalidScenarioError,
     SingularHessianError,
     SingularPointError,
@@ -59,7 +58,6 @@ from cpt_sense.pricing import (
     solve,
 )
 from cpt_sense.scenario import (
-    GeneratorRanges,
     TravelScenario,
     fixtures,
     generate_random,
@@ -103,19 +101,18 @@ def kernel_backend() -> str:
 __all__ = [
     "ActiveSet", "BEST_CASE", "BinaryProspect", "BindingEvent",
     "BracketingError", "ConcavityReport", "ContinuationError", "CptParams",
-    "CptSenseError", "GenerationError", "GeneratorRanges", "InvalidScenarioError",
-    "KktResiduals", "LagrangianDerivatives", "LocalDomain", "MismatchResult",
-    "NOMINAL_PARAMS", "OptimumRecord", "PARAM_NAMES", "ParamSensitivity",
-    "PiecewiseApprox", "PolicyKind", "ReferencePolicy", "ScalarFunctionHandle",
-    "Segment", "SensitivityDifferentials", "SingularHessianError",
-    "SingularPointError", "SolverDisagreementError", "SubjectiveEvaluation",
-    "SweepRow", "SweepSpec", "TravelScenario", "acceptance_probability",
-    "all_domains", "bracket_root", "concavity_certificate", "differentials",
-    "expected_revenue", "fixtures", "generate_random", "grid_golden_maximize",
-    "is_valid", "kernel_backend", "kkt_residuals", "lagrangian_derivatives",
-    "local_domain", "mismatch_loss", "numeric_sweep", "piecewise_continuation",
-    "rank_dependent_weights", "reference_line", "require_valid",
-    "resolve_reference", "revenue_function", "revenue_gradient", "solve",
-    "subjective_utilities", "taylor_predict", "utilities_at", "validate",
-    "value", "weight",
+    "CptSenseError", "InvalidScenarioError", "KktResiduals",
+    "LagrangianDerivatives", "LocalDomain", "MismatchResult", "NOMINAL_PARAMS",
+    "OptimumRecord", "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox",
+    "PolicyKind", "ReferencePolicy", "ScalarFunctionHandle", "Segment",
+    "SensitivityDifferentials", "SingularHessianError", "SingularPointError",
+    "SolverDisagreementError", "SubjectiveEvaluation", "SweepRow", "SweepSpec",
+    "TravelScenario", "acceptance_probability", "all_domains", "bracket_root",
+    "concavity_certificate", "differentials", "expected_revenue", "fixtures",
+    "generate_random", "grid_golden_maximize", "is_valid", "kernel_backend",
+    "kkt_residuals", "lagrangian_derivatives", "local_domain", "mismatch_loss",
+    "numeric_sweep", "piecewise_continuation", "rank_dependent_weights",
+    "reference_line", "require_valid", "resolve_reference", "revenue_function",
+    "revenue_gradient", "solve", "subjective_utilities", "taylor_predict",
+    "utilities_at", "validate", "value", "weight",
 ]

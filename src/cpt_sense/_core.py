@@ -38,9 +38,9 @@ value closure's bits and its slope the scalar slope's, since
 best-case kernels pay for w(p) once per rider rather than once per
 tariff.  The two best-case kernels inline the clamped logistic of
 ``_stable_logistic``, and the evaluator's value closure and node pass
-inline it and ``_bases``, each in the same arithmetic order, so a value
-costs one Python frame, a pass one frame for all its nodes, and both
-return the same bits.
+inline it and the bases of ``_value_bases``, each in the same arithmetic
+order, so a value costs one Python frame, a pass one frame for all its
+nodes, and both return the same bits.
 """
 
 import functools
@@ -185,21 +185,6 @@ def bestcase_revenue_gradient(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_w
     return sig + gamma * s1 * z_g
 
 
-def _bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_pp):
-    """Bases (u0 - R, u_low - R, u_high - R) of the three value-function
-    terms of z, for the reference line R = ref_c + ref_g*gamma + ref_pp.
-
-    Raises InvalidScenarioError when u0 lies outside [u_low, u_high], where
-    the choice set is trivial.
-    """
-    u_low = x_low + b * gamma
-    u_high = x_high + b * gamma
-    if not u_low <= u0 <= u_high:
-        raise _outside(u0, u_low, u_high, gamma)
-    reference = ref_c + ref_g * gamma + ref_pp
-    return u0 - reference, u_low - reference, u_high - reference
-
-
 def _outside(u0, u_low, u_high, gamma):
     """The error for a u0 outside the ride outcomes [u_low, u_high]."""
     return InvalidScenarioError(
@@ -224,18 +209,24 @@ def _zero_bases(u0, x_low, x_high, b, ref_c, ref_g, ref_p):
 
 
 def _value_bases(gamma, u0, x_low, x_high, b, ref_c, ref_g, ref_p, p_worst):
-    """Bases of the three value-function terms of z at one point.
+    """Bases (u0 - R, u_low - R, u_high - R) of the three value-function
+    terms of z at one point, R = ref_c + ref_g*gamma + ref_p*p_worst.
 
     Returns (name, base, d base/d gamma, d base/d p_worst, identically zero)
     for the alternative, the worst and the best ride outcome, in that order.
+    Raises InvalidScenarioError when u0 lies outside [u_low, u_high], where
+    the choice set is trivial.
     """
-    d_alt, d_low, d_high = _bases(gamma, u0, x_low, x_high, b,
-                                  ref_c, ref_g, ref_p * p_worst)
+    u_low = x_low + b * gamma
+    u_high = x_high + b * gamma
+    if not u_low <= u0 <= u_high:
+        raise _outside(u0, u_low, u_high, gamma)
+    reference = ref_c + ref_g * gamma + ref_p * p_worst
     alt_zero, low_zero, high_zero = _zero_bases(u0, x_low, x_high, b,
                                                 ref_c, ref_g, ref_p)
-    return (("u0 - R", d_alt, -ref_g, -ref_p, alt_zero),
-            ("u_low - R", d_low, b - ref_g, -ref_p, low_zero),
-            ("u_high - R", d_high, b - ref_g, -ref_p, high_zero))
+    return (("u0 - R", u0 - reference, -ref_g, -ref_p, alt_zero),
+            ("u_low - R", u_low - reference, b - ref_g, -ref_p, low_zero),
+            ("u_high - R", u_high - reference, b - ref_g, -ref_p, high_zero))
 
 
 def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
@@ -296,8 +287,8 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     high_gb, high_l = -w_high_gain * beta, -w_high_loss * lam
     high_lb = high_l * beta
 
-    # inlines _bases and _stable_logistic, in their arithmetic order, so
-    # that a call costs one Python frame
+    # inlines _value_bases's bases and _stable_logistic, in their
+    # arithmetic order, so that a call costs one Python frame
     def value(gamma):
         u_low = x_low + b * gamma
         u_high = x_high + b * gamma

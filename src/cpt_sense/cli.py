@@ -16,9 +16,9 @@ seeds produce byte-identical outputs.  Every command runs in one process;
 a sweep works through its (scenario, parameter) pairs in order.  Exit
 codes: 0 success, 2 invalid scenario, 3 solver failure, 64 usage error
 (an unknown flag, a flag the command does not take among them, a
-malformed argument or scenario file, an empty scenario set, or a scenario
-label that is repeated, empty or holds '/', '\\' or NUL) on one stderr
-line.
+malformed argument or scenario file, an empty scenario set, a scenario
+label that is repeated, empty or holds '/', '\\' or NUL, or an output
+file or directory that cannot be written) on one stderr line.
 """
 
 from __future__ import annotations
@@ -71,35 +71,41 @@ def _usage_error(message) -> int:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    """Write ``text`` to ``path`` through a temporary file and a rename; a
+    path that cannot be written is a usage error."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (path, exc)) from None
+
+
+#: The ``--reference`` values.
+_REFERENCE_FORMS = "static|expected|best|worst|fixed:VALUE"
 
 
 def _parse_reference(text: str) -> ReferencePolicy:
-    kinds = {
-        "static": ReferencePolicy.static_alternative,
-        "expected": ReferencePolicy.expected_utility,
-        "best": ReferencePolicy.best_case,
-        "worst": ReferencePolicy.worst_case,
-    }
-    if text in kinds:
-        return kinds[text]()
     if text.startswith("fixed:"):
         try:
             return ReferencePolicy.fixed(float(text.split(":", 1)[1]))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 "fixed reference needs a numeric level, got %r" % text)
-    raise argparse.ArgumentTypeError(
-        "reference must be static|expected|best|worst|fixed:VALUE, got %r" % text)
+    try:
+        # a bare "fixed" names a kind but no level, which the policy refuses
+        return ReferencePolicy(PolicyKind(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "reference must be %s, got %r" % (_REFERENCE_FORMS, text)) from None
 
 
 def _scenarios(args) -> list[scn.TravelScenario]:
@@ -337,7 +343,7 @@ def _add_rider(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, default=NOMINAL_PARAMS.p_worst)
     p.add_argument("--reference", type=_parse_reference,
                    default=ReferencePolicy.best_case(),
-                   help="static|expected|best|worst|fixed:VALUE")
+                   help=_REFERENCE_FORMS)
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:

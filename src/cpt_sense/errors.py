@@ -38,7 +38,3 @@ class BracketingError(CptSenseError):
 
 class ContinuationError(CptSenseError):
     """Piecewise continuation degenerated (oscillation or segment blow-up)."""
-
-
-class GenerationError(CptSenseError):
-    """Random scenario generation could not reach the requested count."""

@@ -19,7 +19,10 @@ from cpt_sense.errors import InvalidScenarioError
 if TYPE_CHECKING:
     from cpt_sense.scenario import TravelScenario
 
-PARAM_NAMES = ("alpha", "beta", "lambda", "p")
+#: Each behavioral parameter's public name and its ``CptParams`` field.
+PARAM_FIELDS = {"alpha": "alpha", "beta": "beta", "lambda": "lam",
+                "p": "p_worst"}
+PARAM_NAMES = tuple(PARAM_FIELDS)
 
 
 def _require_finite(**values):
@@ -58,22 +61,21 @@ class CptParams:
 
     def get(self, name: str) -> float:
         """Parameter value by public name ('alpha'|'beta'|'lambda'|'p')."""
-        try:
-            return {"alpha": self.alpha, "beta": self.beta,
-                    "lambda": self.lam, "p": self.p_worst}[name]
-        except KeyError:
-            raise ValueError("unknown parameter %r" % name) from None
+        return getattr(self, _field(name))
 
     def replace(self, name: str, value: float) -> "CptParams":
         """Copy of this vector with one parameter set by public name."""
-        field = {"alpha": "alpha", "beta": "beta", "lambda": "lam",
-                 "p": "p_worst"}.get(name)
-        if field is None:
-            raise ValueError("unknown parameter %r" % name)
-        kwargs = {"alpha": self.alpha, "beta": self.beta, "lam": self.lam,
-                  "p_worst": self.p_worst}
-        kwargs[field] = value
+        kwargs = vars(self).copy()  # a copy shares the instance dict's keys
+        kwargs[_field(name)] = value
         return CptParams(**kwargs)
+
+
+def _field(name: str) -> str:
+    """The ``CptParams`` field of the public parameter name ``name``."""
+    try:
+        return PARAM_FIELDS[name]
+    except KeyError:
+        raise ValueError("unknown parameter %r" % name) from None
 
 
 #: Nominal parameter values used throughout the benchmark experiments.

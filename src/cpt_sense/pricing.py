@@ -586,27 +586,19 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
     else:
         partials = _core.revenue_partials(
             *args, *reference_line(policy, scenario), *theta)
-    (f, f_g, f_gg,
-     f_a, f_ga, f_aa,
-     f_b, f_gb, f_bb,
-     f_l, f_gl, f_ll,
-     f_p, f_gp, f_pp) = partials
-    result = LagrangianDerivatives(
-        gamma=gamma,
-        l_gg=-f_gg,
-        l_gtheta={"alpha": -f_ga, "beta": -f_gb, "lambda": -f_gl, "p": -f_gp},
-        l_theta={"alpha": -f_a, "beta": -f_b, "lambda": -f_l, "p": -f_p},
-        l_thetatheta={"alpha": -f_aa, "beta": -f_bb, "lambda": -f_ll,
-                      "p": -f_pp},
-    )
-
-    entries = [("l_gg", result.l_gg)]
-    for name in PARAM_NAMES:
-        entries += [("l_gtheta[%s]" % name, result.l_gtheta[name]),
-                    ("l_theta[%s]" % name, result.l_theta[name]),
-                    ("l_thetatheta[%s]" % name, result.l_thetatheta[name])]
-    for label, v in entries:
-        if not math.isfinite(v):
-            raise SingularPointError(
-                "%s is non-finite at gamma=%r" % (label, gamma))
-    return result
+    l_gg = -partials[2]
+    if not math.isfinite(l_gg):
+        raise SingularPointError("l_gg is non-finite at gamma=%r" % gamma)
+    l_gtheta, l_theta, l_thetatheta = {}, {}, {}
+    # partials[3:] holds one (f_t, f_gt, f_tt) block per parameter
+    for name, i in zip(PARAM_NAMES, range(3, 15, 3)):
+        f_t, f_gt, f_tt = partials[i:i + 3]
+        for slot, label, v in ((l_gtheta, "l_gtheta", -f_gt),
+                               (l_theta, "l_theta", -f_t),
+                               (l_thetatheta, "l_thetatheta", -f_tt)):
+            if not math.isfinite(v):
+                raise SingularPointError("%s[%s] is non-finite at gamma=%r"
+                                         % (label, name, gamma))
+            slot[name] = v
+    return LagrangianDerivatives(gamma=gamma, l_gg=l_gg, l_gtheta=l_gtheta,
+                                 l_theta=l_theta, l_thetatheta=l_thetatheta)

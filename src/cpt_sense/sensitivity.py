@@ -174,23 +174,6 @@ def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
     return gamma_pred, f_pred
 
 
-def _directional(events: list[tuple[float, BindingEvent]], theta0: float
-                 ) -> tuple[float, BindingEvent, float, BindingEvent]:
-    """Nearest event per direction within the horizon."""
-    horizon = DOMAIN_HORIZON_PCT / 100.0 * abs(theta0)
-    pos = (math.inf, BindingEvent.NONE)
-    neg = (-math.inf, BindingEvent.NONE)
-    for delta, event in events:
-        if not math.isfinite(delta) or abs(delta) > horizon:
-            continue
-        if math.copysign(1.0, delta) > 0.0:
-            if delta < pos[0]:
-                pos = (delta, event)
-        elif delta > neg[0]:
-            neg = (delta, event)
-    return pos[0], pos[1], neg[0], neg[1]
-
-
 def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
                  theta_name: str) -> LocalDomain:
     """Largest first-order parameter perturbation preserving the active set.
@@ -226,13 +209,22 @@ def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
                 delta = math.copysign(0.0, -ps.dmu_dtheta)
             events.append((delta, BindingEvent.MULTIPLIER_VANISHES))
 
-    d_pos, e_pos, d_neg, e_neg = _directional(events, theta0)
-    pct_pos = abs(d_pos) / abs(theta0) * 100.0 if math.isfinite(d_pos) else math.inf
-    pct_neg = abs(d_neg) / abs(theta0) * 100.0 if math.isfinite(d_neg) else math.inf
-    if pct_pos <= pct_neg:
-        binding = e_pos if math.isfinite(d_pos) else BindingEvent.NONE
-    else:
-        binding = e_neg if math.isfinite(d_neg) else BindingEvent.NONE
+    # At most one event lies in each direction: an interior optimum's two
+    # bound events have opposite signs, because gamma_min < gamma* <
+    # gamma_max, and a pinned optimum has one event.
+    horizon = DOMAIN_HORIZON_PCT / 100.0 * abs(theta0)
+    d_pos, e_pos = math.inf, BindingEvent.NONE
+    d_neg, e_neg = -math.inf, BindingEvent.NONE
+    for delta, event in events:
+        if not math.isfinite(delta) or abs(delta) > horizon:
+            continue
+        if math.copysign(1.0, delta) > 0.0:
+            d_pos, e_pos = delta, event
+        else:
+            d_neg, e_neg = delta, event
+    pct_pos = abs(d_pos) / abs(theta0) * 100.0
+    pct_neg = abs(d_neg) / abs(theta0) * 100.0
+    binding = e_pos if pct_pos <= pct_neg else e_neg
     return LocalDomain(theta_name=theta_name, theta0=theta0,
                        delta_pos=d_pos, delta_neg=d_neg,
                        delta_max_pos_pct=pct_pos, delta_max_neg_pct=pct_neg,

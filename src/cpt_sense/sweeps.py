@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 from cpt_sense.errors import ContinuationError, CptSenseError, SolverDisagreementError
-from cpt_sense.model import BEST_CASE, CptParams, ReferencePolicy
+from cpt_sense.model import BEST_CASE, PARAM_NAMES, CptParams, ReferencePolicy
 from cpt_sense.pricing import ActiveSet, OptimumRecord, revenue_function, solve
 from cpt_sense.scenario import TravelScenario
 from cpt_sense.sensitivity import (
@@ -47,6 +47,8 @@ class SweepSpec:
     clamp: ClassVar[tuple[float, float]] = (0.001, 0.999)
 
     def __post_init__(self):
+        if self.theta_name not in PARAM_NAMES:
+            raise ValueError("unknown parameter %r" % self.theta_name)
         if self.steps < 3:
             raise ValueError("steps must be >= 3, got %r" % self.steps)
         # at 1 or more the grid's low end reaches a nonpositive alpha, beta
@@ -93,6 +95,12 @@ class SweepRow:
 #: probability grid value moved into the clamp range; ``error`` holds the
 #: exception of a failed re-solve, whose ``active`` reads "error".
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+#: The re-solve fields of a row whose re-solve failed.
+_FAILED_RESOLVE = dict(gamma_star_numeric=math.nan, f_star_numeric=math.nan,
+                       mu_low=math.nan, mu_high=math.nan,
+                       active=ActiveSet.INTERIOR, mismatch_loss=math.nan)
 
 
 @dataclass(frozen=True)
@@ -188,23 +196,19 @@ def numeric_sweep(scenario: TravelScenario, params: CptParams,
         g1, f1 = taylor_predict(nominal, diffs, spec.theta_name, theta, order=1)
         _, f2 = taylor_predict(nominal, diffs, spec.theta_name, theta, order=2)
         try:
-            perturbed = params.replace(spec.theta_name, theta)
-            opt = solve(scenario, perturbed, policy)
-            mismatch = nominal.f_star - f_nominal(opt.gamma_star)
-            rows.append(SweepRow(
-                theta_name=spec.theta_name, theta_value=theta,
+            opt = solve(scenario, params.replace(spec.theta_name, theta),
+                        policy)
+            resolved = dict(
                 gamma_star_numeric=opt.gamma_star, f_star_numeric=opt.f_star,
-                gamma_star_taylor1=g1, f_star_taylor1=f1, f_star_taylor2=f2,
                 mu_low=opt.mu_low, mu_high=opt.mu_high, active=opt.active,
-                mismatch_loss=mismatch, clamped=clamped))
+                mismatch_loss=nominal.f_star - f_nominal(opt.gamma_star))
         except CptSenseError as exc:  # row-level marker, sweep completes
-            rows.append(SweepRow(
-                theta_name=spec.theta_name, theta_value=theta,
-                gamma_star_numeric=math.nan, f_star_numeric=math.nan,
-                gamma_star_taylor1=g1, f_star_taylor1=f1, f_star_taylor2=f2,
-                mu_low=math.nan, mu_high=math.nan, active=ActiveSet.INTERIOR,
-                mismatch_loss=math.nan, clamped=clamped,
-                error="%s: %s" % (type(exc).__name__, exc)))
+            resolved = dict(_FAILED_RESOLVE,
+                            error="%s: %s" % (type(exc).__name__, exc))
+        rows.append(SweepRow(
+            theta_name=spec.theta_name, theta_value=theta,
+            gamma_star_taylor1=g1, f_star_taylor1=f1, f_star_taylor2=f2,
+            clamped=clamped, **resolved))
     return rows
 
 

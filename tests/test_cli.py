@@ -387,6 +387,24 @@ def analysis_argv(command: str, out: Path) -> list[str]:
     return [command, *quick, "--out", str(out)]
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ANALYSIS_COMMANDS + ("gen-scenarios",))
+    def test_existing_file_as_out_is_usage_error(self, tmp_path, capsys,
+                                                 command):
+        # an existing regular file, since a read-only directory stays
+        # writable to root
+        out = tmp_path / "taken"
+        out.write_text("keep", encoding="utf-8")
+        argv = (["gen-scenarios", "--count", "2", "--out", str(out)]
+                if command == "gen-scenarios" else analysis_argv(command, out))
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write %s" % out)
+        assert len(err.splitlines()) == 1
+        assert out.read_text(encoding="utf-8") == "keep"
+        assert files_under(tmp_path) == {"taken"}
+
+
 class TestScenarioLabels:
     """A label names output files and rows, so every command that reads
     ``--scenarios`` refuses a set whose labels clash or could leave

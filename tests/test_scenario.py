@@ -9,8 +9,6 @@ import time
 import pytest
 
 from cpt_sense import (
-    GenerationError,
-    GeneratorRanges,
     TravelScenario,
     fixtures,
     generate_random,
@@ -143,15 +141,6 @@ class TestGenerateRandom:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             generate_random(count=0, seed=1)
-
-    def test_hopeless_ranges_diagnosed(self):
-        ranges = GeneratorRanges(u0=(-100.0, -90.0), x_low=(50.0, 60.0))
-        with pytest.raises(GenerationError, match="acceptance rate"):
-            generate_random(ranges, count=1, seed=1)
-
-    def test_b_sm_range_must_be_negative(self):
-        with pytest.raises(ValueError):
-            GeneratorRanges(b_sm=(-0.5, 0.1))
 
 
 class TestScenarioIO:

@@ -52,6 +52,8 @@ class TestSweepSpec:
             SweepSpec("alpha", steps=2)
         with pytest.raises(ValueError):
             SweepSpec("alpha", rel_range=0.0)
+        with pytest.raises(ValueError, match="unknown parameter 'gamma'"):
+            SweepSpec(theta_name="gamma")
 
     @pytest.mark.parametrize("rel_range", [1.0, 2.5, -0.2, math.inf, math.nan])
     def test_range_outside_unit_interval_rejected(self, rel_range):
