@@ -590,7 +590,8 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
     if not math.isfinite(l_gg):
         raise SingularPointError("l_gg is non-finite at gamma=%r" % gamma)
     l_gtheta, l_theta, l_thetatheta = {}, {}, {}
-    # partials[3:] holds one (f_t, f_gt, f_tt) block per parameter
+    # partials[3:] holds one (f_t, f_gt, f_tt) block per parameter, in
+    # PARAM_NAMES order
     for name, i in zip(PARAM_NAMES, range(3, 15, 3)):
         f_t, f_gt, f_tt = partials[i:i + 3]
         for slot, label, v in ((l_gtheta, "l_gtheta", -f_gt),
