@@ -70,7 +70,6 @@ from cpt_sense.sensitivity import (
     BindingEvent,
     LocalDomain,
     ParamSensitivity,
-    SensitivityDifferentials,
     all_domains,
     differentials,
     local_domain,
@@ -105,9 +104,9 @@ __all__ = [
     "LagrangianDerivatives", "LocalDomain", "MismatchResult", "NOMINAL_PARAMS",
     "OptimumRecord", "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox",
     "PolicyKind", "ReferencePolicy", "ScalarFunctionHandle", "Segment",
-    "SensitivityDifferentials", "SingularHessianError", "SingularPointError",
-    "SolverDisagreementError", "SubjectiveEvaluation", "SweepRow", "SweepSpec",
-    "TravelScenario", "acceptance_probability", "all_domains", "bracket_root",
+    "SingularHessianError", "SingularPointError", "SolverDisagreementError",
+    "SubjectiveEvaluation", "SweepRow", "SweepSpec", "TravelScenario",
+    "acceptance_probability", "all_domains", "bracket_root",
     "concavity_certificate", "differentials", "expected_revenue", "fixtures",
     "generate_random", "grid_golden_maximize", "is_valid", "kernel_backend",
     "kkt_residuals", "lagrangian_derivatives", "local_domain", "mismatch_loss",

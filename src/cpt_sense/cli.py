@@ -10,9 +10,11 @@ and ``gen-scenarios`` ``--count --seed --out --format``.
 
 All numeric CSV fields are written with 12 significant digits and a '.'
 decimal separator regardless of locale, and an absent value (a sweep row's
-``error`` when it has none) as an empty field; files are written atomically
-(temp + rename) in a deterministic order, so identical configurations and
-seeds produce byte-identical outputs.  Every command runs in one process;
+``error`` when it has none) as an empty field.  A command writes each of
+its files to a temporary file and renames them all, in a deterministic
+order, only once every one is written and no target is a directory, so a
+file that cannot be written leaves none behind; identical configurations
+and seeds produce byte-identical outputs.  Every command runs in one process;
 a sweep works through its (scenario, parameter) pairs in order.  Exit
 codes: 0 success, 2 invalid scenario, 3 solver failure, 64 usage error
 (an unknown flag, a flag the command does not take among them, a
@@ -70,23 +72,30 @@ def _usage_error(message) -> int:
     return EXIT_USAGE
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename; a
-    path that cannot be written is a usage error."""
+def _write_all(files: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) of ``files`` through a temporary file beside
+    it, and rename them all into place once every one is written and no
+    path is a directory; a path that cannot be written is a usage error
+    and leaves none of the files."""
+    tmps: list[str] = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name + ".")
-        try:
+        for path, text in files:
+            if path.is_dir():
+                raise IsADirectoryError("is a directory")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                       prefix=path.name + ".")
+            tmps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+        for (path, _), tmp in zip(files, tmps):
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         raise _UsageError("cannot write %s: %s" % (path, exc)) from None
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 #: The ``--reference`` values.
@@ -181,12 +190,18 @@ def _each_scenario(args, work) -> list:
     return rows
 
 
-def _emit(args, stem: str, rows: list[dict]) -> Path:
-    """Write ``rows``, whose key order is the column order, to
-    ``<out>/<stem>.<format>``."""
+def _table(args, stem: str, rows: list[dict]) -> tuple[Path, str]:
+    """``<out>/<stem>.<format>`` and the text of ``rows`` in that format;
+    the key order of a row is the column order."""
     path = Path(args.out) / ("%s.%s" % (stem, args.format))
-    _atomic_write(path, scn.rows_to_json(rows) if args.format == "json"
+    return path, (scn.rows_to_json(rows) if args.format == "json"
                   else scn.rows_to_csv(list(rows[0]), rows))
+
+
+def _emit(args, stem: str, rows: list[dict]) -> Path:
+    """Write ``rows`` to ``<out>/<stem>.<format>``."""
+    path, text = _table(args, stem, rows)
+    _write_all([(path, text)])
     return path
 
 
@@ -260,15 +275,13 @@ def cmd_sweep(args) -> int:
             diffs = differentials(nominal, s, params, policy)
             if spec is specs[0]:
                 summary[s.label] = _sweep_summary(nominal, diffs)
-            rows = numeric_sweep(s, params, policy, spec, nominal=nominal,
-                                 diffs=diffs)
-            files.append(("sweep_%s_%s" % (s.label, spec.theta_name),
-                          [_sweep_fields(r) for r in rows]))
+            rows = numeric_sweep(s, params, policy, spec, nominal, diffs)
+            files.append(_table(args, "sweep_%s_%s" % (s.label, spec.theta_name),
+                                [_sweep_fields(r) for r in rows]))
         return files
     files = _each_scenario(args, work)
-    for stem, rows in files:
-        _emit(args, stem, rows)
-    _atomic_write(Path(args.out) / "summary.json", scn.rows_to_json(summary))
+    _write_all(files + [(Path(args.out) / "summary.json",
+                         scn.rows_to_json(summary))])
     print("wrote %d sweep files + summary.json under %s"
           % (len(files), Path(args.out)))
     return EXIT_OK

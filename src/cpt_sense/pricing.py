@@ -24,8 +24,9 @@ cell, and the solve fails when it finds more revenue (by more than
 1e-12 of |f*|) more than two start cells from the answer.  A solve
 builds its revenue closures once, and the slope at its answer is the one
 the search took there (a node's, or the polish's stop test's); the
-multiplier and ``kkt_residuals`` read that slope, so the KKT check
-evaluates nothing again.  The concavity certificate is defined for the
+multiplier and ``kkt_residuals(record, slope)`` read that slope, so the
+KKT check evaluates nothing again (``revenue_gradient`` at gamma* gives
+the same bits).  The concavity certificate is defined for the
 best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
@@ -150,7 +151,6 @@ class LagrangianDerivatives:
     partial for each of alpha, beta, lambda, p.
     """
 
-    gamma: float
     l_gg: float
     l_gtheta: dict[str, float]
     l_theta: dict[str, float]
@@ -307,8 +307,7 @@ def solve(scenario: TravelScenario, params: CptParams,
         active=active, kkt_residual=0.0, degenerate=degenerate,
         gamma_min=lo, gamma_max=hi, gamma_oracle=gamma_oracle,
         evaluations=f.evaluations)
-    residual = kkt_residuals(record, scenario, params, policy,
-                             slope=slope_star).max_residual
+    residual = kkt_residuals(record, slope_star).max_residual
     # the record is not shared yet: set its residual the way a frozen
     # dataclass's own __init__ sets every field, instead of copying it
     object.__setattr__(record, "kkt_residual", residual)
@@ -459,19 +458,13 @@ def _polish(cell: tuple, f: ScalarFunctionHandle,
     return root, y, slope
 
 
-def kkt_residuals(record: OptimumRecord, scenario: TravelScenario,
-                  params: CptParams,
-                  policy: ReferencePolicy = BEST_CASE, *,
-                  slope: float | None = None) -> KktResiduals:
+def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:
     """First-order condition residuals of a solved record (diagnostic).
 
-    ``slope`` is the revenue slope at ``record.gamma_star`` when the caller
-    already holds it (``solve`` passes the one it took); without it the
-    slope is evaluated here, through ``revenue_gradient``, with the same
+    ``slope`` is the revenue slope at ``record.gamma_star``: ``solve``
+    passes the one it took, and ``revenue_gradient`` gives it with the same
     bits.
     """
-    if slope is None:
-        slope = revenue_gradient(scenario, params, policy)(record.gamma_star)
     return KktResiduals(
         stationarity=abs(-slope + record.mu_high - record.mu_low),
         comp_slack_lower=abs(record.mu_low * (record.gamma_min - record.gamma_star)),
@@ -570,8 +563,9 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
                            ) -> LagrangianDerivatives:
     """Partials of the minimization Lagrangian at (gamma, params).
 
-    The partials are the negated closed-form revenue partials of the
-    ``_core`` kernel on the policy's reference line (docs/derivatives.md).
+    The partials are the negated closed-form revenue partials of
+    ``_core.revenue_partials`` on the policy's reference line
+    (docs/derivatives.md), under every policy.
     The bound terms of the Lagrangian contribute nothing to any of them.
 
     Raises:
@@ -581,11 +575,8 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
     """
     args = (gamma, scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm)
     theta = (params.alpha, params.beta, params.lam, params.p_worst)
-    if policy.kind is PolicyKind.BEST_CASE:
-        partials = _core.bestcase_partials(*args, *theta)
-    else:
-        partials = _core.revenue_partials(
-            *args, *reference_line(policy, scenario), *theta)
+    partials = _core.revenue_partials(
+        *args, *reference_line(policy, scenario), *theta)
     l_gg = -partials[2]
     if not math.isfinite(l_gg):
         raise SingularPointError("l_gg is non-finite at gamma=%r" % gamma)
@@ -601,5 +592,5 @@ def lagrangian_derivatives(gamma: float, scenario: TravelScenario,
                 raise SingularPointError("%s[%s] is non-finite at gamma=%r"
                                          % (label, name, gamma))
             slot[name] = v
-    return LagrangianDerivatives(gamma=gamma, l_gg=l_gg, l_gtheta=l_gtheta,
-                                 l_theta=l_theta, l_thetatheta=l_thetatheta)
+    return LagrangianDerivatives(l_gg=l_gg, l_gtheta=l_gtheta, l_theta=l_theta,
+                                 l_thetatheta=l_thetatheta)

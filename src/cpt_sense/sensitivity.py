@@ -1,6 +1,9 @@
 """Local sensitivity of the solved tariff problem: analytic differentials,
 Taylor prediction of perturbed optima, and first-order active-set domains.
 
+``differentials`` returns a dict of one ``ParamSensitivity`` per parameter,
+in ``PARAM_NAMES`` order; ``taylor_predict`` and ``local_domain`` read it.
+
 All quantities are expressed for the maximized revenue f.  With the
 minimization Lagrangian L = -f + bound terms evaluated at the optimum:
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from cpt_sense.errors import SingularHessianError
 from cpt_sense.model import BEST_CASE, PARAM_NAMES, CptParams, ReferencePolicy
@@ -45,25 +47,6 @@ class ParamSensitivity:
     d2f_dtheta2: float
 
 
-@dataclass(frozen=True)
-class SensitivityDifferentials:
-    """Per-parameter differentials at a solved optimum."""
-
-    gamma_star: float
-    f_star: float
-    active: ActiveSet
-    per_param: dict[str, ParamSensitivity]
-
-    def __getitem__(self, name: str) -> ParamSensitivity:
-        return self.per_param[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.per_param)
-
-    def items(self):
-        return self.per_param.items()
-
-
 class BindingEvent(Enum):
     MULTIPLIER_VANISHES = "multiplier_vanishes"
     LOWER_BOUND_HIT = "lower_bound_hit"
@@ -82,8 +65,6 @@ class LocalDomain:
     nearer of the two.
     """
 
-    theta_name: str
-    theta0: float
     delta_pos: float
     delta_neg: float
     delta_max_pos_pct: float
@@ -100,8 +81,9 @@ class LocalDomain:
 
 def differentials(opt: OptimumRecord, scenario: TravelScenario,
                   params: CptParams, policy: ReferencePolicy = BEST_CASE
-                  ) -> SensitivityDifferentials:
-    """Analytic differentials of gamma*, the active multiplier and f*.
+                  ) -> dict[str, ParamSensitivity]:
+    """Analytic differentials of gamma*, the active multiplier and f*, one
+    ``ParamSensitivity`` per parameter name, in ``PARAM_NAMES`` order.
 
     Requires an accepted record (KKT residual within tolerance).  At an
     interior optimum the reduced Hessian L_gg must be positive; bound-pinned
@@ -140,12 +122,10 @@ def differentials(opt: OptimumRecord, scenario: TravelScenario,
         per_param[name] = ParamSensitivity(
             theta0=params.get(name), dgamma_dtheta=dgamma, dmu_dtheta=dmu,
             df_dtheta=f_t, d2f_dtheta2=d2f)
-    return SensitivityDifferentials(gamma_star=opt.gamma_star,
-                                    f_star=opt.f_star, active=opt.active,
-                                    per_param=per_param)
+    return per_param
 
 
-def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
+def taylor_predict(opt: OptimumRecord, diffs: dict[str, ParamSensitivity],
                    theta_name: str, theta_new: float, order: int = 1
                    ) -> tuple[float, float]:
     """Taylor prediction (gamma*_pred, f*_pred) at a perturbed parameter.
@@ -159,7 +139,7 @@ def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2, got %r" % order)
-    if theta_name not in diffs.per_param:
+    if theta_name not in diffs:
         raise ValueError("unknown parameter %r" % theta_name)
     if not math.isfinite(theta_new):
         raise ValueError("theta_new must be finite, got %r" % theta_new)
@@ -174,7 +154,7 @@ def taylor_predict(opt: OptimumRecord, diffs: SensitivityDifferentials,
     return gamma_pred, f_pred
 
 
-def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
+def local_domain(opt: OptimumRecord, diffs: dict[str, ParamSensitivity],
                  theta_name: str) -> LocalDomain:
     """Largest first-order parameter perturbation preserving the active set.
 
@@ -187,10 +167,9 @@ def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
     optimum (multiplier already ~0) therefore reports a domain of ~0 in the
     direction that releases it rather than erroring.
     """
-    if theta_name not in diffs.per_param:
+    if theta_name not in diffs:
         raise ValueError("unknown parameter %r" % theta_name)
     ps = diffs[theta_name]
-    theta0 = ps.theta0
 
     events: list[tuple[float, BindingEvent]] = []
     if opt.active is ActiveSet.INTERIOR:
@@ -212,7 +191,7 @@ def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
     # At most one event lies in each direction: an interior optimum's two
     # bound events have opposite signs, because gamma_min < gamma* <
     # gamma_max, and a pinned optimum has one event.
-    horizon = DOMAIN_HORIZON_PCT / 100.0 * abs(theta0)
+    horizon = DOMAIN_HORIZON_PCT / 100.0 * abs(ps.theta0)
     d_pos, e_pos = math.inf, BindingEvent.NONE
     d_neg, e_neg = -math.inf, BindingEvent.NONE
     for delta, event in events:
@@ -222,16 +201,15 @@ def local_domain(opt: OptimumRecord, diffs: SensitivityDifferentials,
             d_pos, e_pos = delta, event
         else:
             d_neg, e_neg = delta, event
-    pct_pos = abs(d_pos) / abs(theta0) * 100.0
-    pct_neg = abs(d_neg) / abs(theta0) * 100.0
+    pct_pos = abs(d_pos) / abs(ps.theta0) * 100.0
+    pct_neg = abs(d_neg) / abs(ps.theta0) * 100.0
     binding = e_pos if pct_pos <= pct_neg else e_neg
-    return LocalDomain(theta_name=theta_name, theta0=theta0,
-                       delta_pos=d_pos, delta_neg=d_neg,
+    return LocalDomain(delta_pos=d_pos, delta_neg=d_neg,
                        delta_max_pos_pct=pct_pos, delta_max_neg_pct=pct_neg,
                        event_pos=e_pos, event_neg=e_neg, binding_event=binding)
 
 
-def all_domains(opt: OptimumRecord, diffs: SensitivityDifferentials
+def all_domains(opt: OptimumRecord, diffs: dict[str, ParamSensitivity]
                 ) -> dict[str, LocalDomain]:
     """Local domains for every behavioral parameter."""
     return {name: local_domain(opt, diffs, name)

@@ -3,7 +3,8 @@ across active-set changes, and mismatch-loss accounting.
 
 A numeric sweep is the brute-force benchmark: the pricing problem is
 re-solved from scratch at every grid value of one parameter, while Taylor
-predictions from the nominal differentials ride along for comparison.  The
+predictions from the nominal differentials ride along for comparison; it
+takes the nominal optimum and its differentials from the caller.  The
 continuation walks the same parameter axis analytically, re-anchoring its
 linearization at every predicted active-set event and refining true
 breakpoints by bisection on the active set itself.
@@ -20,7 +21,7 @@ from cpt_sense.model import BEST_CASE, PARAM_NAMES, CptParams, ReferencePolicy
 from cpt_sense.pricing import ActiveSet, OptimumRecord, revenue_function, solve
 from cpt_sense.scenario import TravelScenario
 from cpt_sense.sensitivity import (
-    SensitivityDifferentials,
+    ParamSensitivity,
     differentials,
     local_domain,
     taylor_predict,
@@ -174,21 +175,18 @@ def mismatch_loss(scenario: TravelScenario, theta_true: CptParams,
 
 def numeric_sweep(scenario: TravelScenario, params: CptParams,
                   policy: ReferencePolicy, spec: SweepSpec,
-                  nominal: OptimumRecord | None = None,
-                  diffs: SensitivityDifferentials | None = None
-                  ) -> list[SweepRow]:
+                  nominal: OptimumRecord,
+                  diffs: dict[str, ParamSensitivity]) -> list[SweepRow]:
     """Exact re-optimization along one parameter axis.
 
-    Every grid value is solved from scratch; Taylor rows come from the
-    nominal differentials; the mismatch loss treats the nominal parameters
-    as the rider's true ones.  Solver failures (any ``CptSenseError``) are
-    recorded per row and do not abort the sweep; other exceptions propagate.
+    ``nominal`` is the optimum at ``params`` and ``diffs`` its
+    ``differentials``; the sweep solves neither again.  Every grid value is
+    solved from scratch; Taylor rows come from the nominal differentials;
+    the mismatch loss treats the nominal parameters as the rider's true
+    ones.  Solver failures (any ``CptSenseError``) are recorded per row and
+    do not abort the sweep; other exceptions propagate.
     """
     theta0 = params.get(spec.theta_name)
-    if nominal is None:
-        nominal = solve(scenario, params, policy)
-    if diffs is None:
-        diffs = differentials(nominal, scenario, params, policy)
     f_nominal = revenue_function(scenario, params, policy)
 
     rows: list[SweepRow] = []

@@ -104,14 +104,14 @@ def sweep_cache(nominal_solutions):
     def get(label, name, params=NOMINAL_PARAMS):
         key = (label, name, params)
         if key not in cache:
+            s = SCENARIOS[label]
             if params is NOMINAL_PARAMS:
                 opt, diffs = nominal_solutions[label]
-                cache[key] = numeric_sweep(SCENARIOS[label], params, BEST_CASE,
-                                           SweepSpec(name), nominal=opt,
-                                           diffs=diffs)
             else:
-                cache[key] = numeric_sweep(SCENARIOS[label], params, BEST_CASE,
-                                           SweepSpec(name))
+                opt = solve(s, params)
+                diffs = differentials(opt, s, params)
+            cache[key] = numeric_sweep(s, params, BEST_CASE, SweepSpec(name),
+                                       opt, diffs)
         return cache[key]
 
     return get

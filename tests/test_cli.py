@@ -404,6 +404,24 @@ class TestUnwritableOut:
         assert out.read_text(encoding="utf-8") == "keep"
         assert files_under(tmp_path) == {"taken"}
 
+    @pytest.mark.parametrize("command, target", [
+        ("solve", "solutions.csv"), ("domain", "domains.csv"),
+        ("mismatch", "mismatch.csv"), ("gen-scenarios", "scenarios.csv"),
+        ("sweep", "summary.json"), ("sweep", "sweep_S3_alpha.csv")])
+    def test_directory_as_target_writes_nothing(self, tmp_path, capsys,
+                                                command, target):
+        # the sweep cases refuse its last file (the summary) and a middle
+        # one (S3 of S1..S5); the files before the refused one stay unwritten
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        argv = (["gen-scenarios", "--count", "2", "--out", str(out)]
+                if command == "gen-scenarios" else analysis_argv(command, out))
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write %s" % (out / target))
+        assert len(err.splitlines()) == 1
+        assert files_under(out) == {target}
+
 
 class TestScenarioLabels:
     """A label names output files and rows, so every command that reads

@@ -37,6 +37,7 @@ from cpt_sense import (
     reference_line,
     resolve_reference,
     revenue_function,
+    revenue_gradient,
     solve,
     utilities_at,
 )
@@ -159,13 +160,15 @@ class TestKktResiduals:
     def test_accepted_solutions_within_gate(self, scenarios):
         for s in scenarios:
             opt = solve(s, NOMINAL_PARAMS)
-            res = kkt_residuals(opt, s, NOMINAL_PARAMS)
+            res = kkt_residuals(
+                opt, revenue_gradient(s, NOMINAL_PARAMS)(opt.gamma_star))
             assert res.max_residual <= KKT_TOL, s.label
 
     def test_negative_multiplier_flagged(self, s1):
         opt = solve(s1, NOMINAL_PARAMS)
         tampered = dataclasses.replace(opt, mu_low=-1.0)
-        res = kkt_residuals(tampered, s1, NOMINAL_PARAMS)
+        res = kkt_residuals(
+            tampered, revenue_gradient(s1, NOMINAL_PARAMS)(tampered.gamma_star))
         assert res.dual_lower_violation == 1.0
         assert res.max_residual > KKT_TOL
 
@@ -362,9 +365,12 @@ class TestLagrangianDerivatives:
             want = mp_partials(s, policy, g, params)
             got = kernel_partials(s, policy, g, params)
             assert_partials_match(got, want)
-            assert_partials_match(
-                as_partials(lagrangian_derivatives(g, s, params, policy))[2:],
-                want[2:])
+            derivs = as_partials(lagrangian_derivatives(g, s, params, policy))
+            assert_partials_match(derivs[2:], want[2:])
+            # one path under every policy: the kernel's partials, negated,
+            # bit for bit
+            assert ([v.hex() for v in derivs[2:]]
+                    == [v.hex() for v in got[2:]])
             if policy_name == "best":
                 assert _core.bestcase_partials(
                     g, s.u0, s.x_low, s.x_high, s.b_sm, params.alpha,
@@ -1257,5 +1263,6 @@ def test_held_slope_gives_the_public_residual(draw):
     through ``revenue_gradient``."""
     s, theta, policy = draw
     record = solve(s, theta, policy)
-    public = kkt_residuals(record, s, theta, policy).max_residual
+    slope = revenue_gradient(s, theta, policy)(record.gamma_star)
+    public = kkt_residuals(record, slope).max_residual
     assert record.kkt_residual.hex() == public.hex()

@@ -92,7 +92,7 @@ class TestDifferentials:
     def test_singular_hessian_rejected(self, s1, monkeypatch):
         opt = solve(s1, NOMINAL_PARAMS)
         flat = LagrangianDerivatives(
-            gamma=opt.gamma_star, l_gg=1e-12,
+            l_gg=1e-12,
             l_gtheta={n: 0.1 for n in PARAM_NAMES},
             l_theta={n: 0.1 for n in PARAM_NAMES},
             l_thetatheta={n: 0.1 for n in PARAM_NAMES})

@@ -29,6 +29,14 @@ S1_BETA_BREAKPOINTS = (0.726841921806388, 0.8839960682374295)
 S1_P_UPPER_SEGMENT_END = 0.6308757102843088
 
 
+def sweep(scenario, spec):
+    """``numeric_sweep`` at the nominal parameters, from their optimum and
+    its differentials."""
+    nominal = solve(scenario, NOMINAL_PARAMS)
+    return numeric_sweep(scenario, NOMINAL_PARAMS, BEST_CASE, spec, nominal,
+                         differentials(nominal, scenario, NOMINAL_PARAMS))
+
+
 class TestSweepSpec:
     def test_grid_covers_range_symmetrically(self):
         spec = SweepSpec("alpha", rel_range=0.2, steps=41)
@@ -68,7 +76,7 @@ class TestSweepSpec:
 
 class TestNumericSweep:
     def test_nominal_row_is_exact(self, s1):
-        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec("alpha"))
+        rows = sweep(s1, SweepSpec("alpha"))
         nominal = solve(s1, NOMINAL_PARAMS)
         mid = rows[20]
         assert mid.theta_value == pytest.approx(0.82, abs=0)
@@ -80,17 +88,17 @@ class TestNumericSweep:
 
     def test_deterministic(self, s1):
         spec = SweepSpec("beta", steps=11)
-        a = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec)
-        b = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec)
+        a = sweep(s1, spec)
+        b = sweep(s1, spec)
         assert a == b
 
     def test_alpha_tariff_nonincreasing_on_s1(self, s1):
-        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec("alpha"))
+        rows = sweep(s1, SweepSpec("alpha"))
         gammas = [r.gamma_star_numeric for r in rows]
         assert all(b <= a + 1e-7 for a, b in zip(gammas, gammas[1:]))
 
     def test_bound_rows_flat_on_s1_p_sweep(self, s1):
-        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec("p"))
+        rows = sweep(s1, SweepSpec("p"))
         pinned = [r for r in rows if r.active is ActiveSet.UPPER_BOUND]
         assert len(pinned) >= 2  # low worst-case probability pins the top
         assert all(r.theta_value < S1_P_UPPER_SEGMENT_END for r in pinned)
@@ -99,11 +107,11 @@ class TestNumericSweep:
             assert abs(a.mismatch_loss - b.mismatch_loss) <= 1e-9
 
     def test_mismatch_nonnegative_across_rows(self, s2):
-        rows = numeric_sweep(s2, NOMINAL_PARAMS, BEST_CASE, SweepSpec("lambda"))
+        rows = sweep(s2, SweepSpec("lambda"))
         assert all(r.mismatch_loss >= -1e-9 for r in rows)
 
     def test_rows_carry_multipliers_consistent_with_active(self, s1):
-        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec("beta"))
+        rows = sweep(s1, SweepSpec("beta"))
         for r in rows:
             if r.active is ActiveSet.INTERIOR:
                 assert r.mu_low == 0.0 and r.mu_high == 0.0
@@ -209,7 +217,7 @@ class TestPiecewiseContinuation:
     def test_predictions_track_numeric_sweep(self, s1):
         spec = SweepSpec("beta")
         approx = piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE, spec)
-        rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec)
+        rows = sweep(s1, spec)
         grid_step = 0.8 * 0.4 / 40
         for row in rows:
             near_breakpoint = any(abs(row.theta_value - bp) <= grid_step
