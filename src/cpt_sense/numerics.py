@@ -10,12 +10,16 @@ deterministic and reentrant.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 from cpt_sense.errors import BracketingError
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+#: Four float epsilons: ``bracket_root``'s position tolerance relative to
+#: |x|.
+_FOUR_EPS = 4.0 * sys.float_info.epsilon
 
 
 class ScalarFunctionHandle:
@@ -146,51 +150,89 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-12) -> float:
-    """Root of ``f`` on a sign-changing bracket [lo, hi].
+                 tol: float = 1e-12, f_lo: float | None = None,
+                 f_hi: float | None = None) -> float:
+    """Root of ``f`` on a sign-changing bracket [lo, hi], by Brent's method.
 
-    Bisection with a secant shortcut when the secant point falls safely
-    inside the bracket; stops when |f(root)| <= tol or the bracket width
-    drops to tol.  ``f`` is called directly at every probe, so a
-    ScalarFunctionHandle counts each one.
+    Brent-Dekker (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): inverse quadratic or secant steps from the last
+    three points, kept inside a bracket that always changes sign, with a
+    bisection step whenever an interpolated step would not shrink the
+    bracket fast enough.  It stops on the root's position, once the
+    bracket's half-width is at most ``tol + 4*eps*|x|`` (x the bracket end
+    of smaller |f|, which it returns), or on an exact zero; so the root
+    it returns is the same whatever the scale of ``f``, and lies within
+    twice that bound of a sign change of ``f``.  ``f`` is called directly
+    at every probe, so a ScalarFunctionHandle counts each one.
+
+    Args:
+        f: the function; may be a plain callable or a ScalarFunctionHandle.
+        lo, hi: the bracket.
+        tol: positive absolute tolerance on the root's position.
+        f_lo, f_hi: f at lo and at hi when the caller already has them;
+            an end given its value is not probed again.
 
     Raises:
         BracketingError: when f(lo) and f(hi) have the same sign.
-        ValueError: f is non-finite at a probe; the message names the
-            probe location.
+        ValueError: tol is not positive, or f is non-finite at a probe or
+            a given end value is; the message names the probe location.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive, got %r" % tol)
     isfinite = math.isfinite
-    f_lo = f(lo)
+    if f_lo is None:
+        f_lo = f(lo)
     if not isfinite(f_lo):
         raise _non_finite(f_lo, lo)
-    f_hi = f(hi)
+    if f_hi is None:
+        f_hi = f(hi)
     if not isfinite(f_hi):
         raise _non_finite(f_hi, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketingError(
             "no sign change on [%r, %r]: f=%r, %r" % (lo, hi, f_lo, f_hi))
 
-    a, b, fa, fb = lo, hi, f_lo, f_hi
+    # b is the best point so far, c the bracket's other end and a the
+    # point before b; d is the last step and e the one before it
+    a, b, c, fa, fb, fc = lo, hi, lo, f_lo, f_hi, f_lo
+    d = e = b - a
     for _ in range(200):
-        if b - a <= tol:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        delta = tol + _FOUR_EPS * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= delta or fb == 0.0:
             break
-        mid = 0.5 * (a + b)
-        if fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            width = b - a
-            if a + 0.01 * width < secant < b - 0.01 * width:
-                mid = secant
-        fm = f(mid)
-        if not isfinite(fm):
-            raise _non_finite(fm, mid)
-        if abs(fm) <= tol:
-            return mid
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
+        if abs(e) < delta or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # accept the step only inside the bracket and only if it is
+            # less than half the step before last; bisect otherwise
+            if 2.0 * p < min(3.0 * m * q - abs(delta * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > delta else (delta if m > 0.0 else -delta)
+        fb = f(b)
+        if not isfinite(fb):
+            raise _non_finite(fb, b)
+    return b

@@ -5,8 +5,11 @@ concavity certificate.
 The solver is a certified dyadic search on the 64-cell tariff lattice
 lo + span*i/64.  One node pass takes the 9 tariffs i = 0, 8, ..., 64.  A
 cell whose end slopes go from + to - is bisected at lattice midpoints down
-to one lattice cell and polished there by bracketed root finding, on the
-bracket the former 65-node scan used, so a root it found keeps its bits.
+to one lattice cell and polished there by Brent's root finding on the
+slope, started from the slopes the cell holds at its ends and stopped
+once the root's bracket is 1e-13 of the span (plus 4*eps*|gamma|) wide
+each side, so the root's accuracy does not depend on the revenue's
+scale.
 Every other cell closes once the revenue bound of ``_core``
 (docs/derivatives.md, "The revenue bound of a cell") holds it to
 f* + 1e-12*|f*|, f* the best candidate so far, and is bisected otherwise,
@@ -23,7 +26,7 @@ cross-checks every solve on the 9 start nodes, refined to half a start
 cell, and the solve fails when it finds more revenue (by more than
 1e-12 of |f*|) more than two start cells from the answer.  A solve
 builds its revenue closures once, and the slope at its answer is the one
-the search took there (a node's, or the polish's stop test's); the
+the search took there (a node's, or the polish's at its root); the
 multiplier and ``kkt_residuals(record, slope)`` read that slope, so the
 KKT check evaluates nothing again (``revenue_gradient`` at gamma* gives
 the same bits).  The concavity certificate is defined for the
@@ -261,11 +264,11 @@ def solve(scenario: TravelScenario, params: CptParams,
 
     value, fgrad, nodes, bound = _revenue_closures(scenario, params, policy)
     f = ScalarFunctionHandle(value)
-    # polish tolerance sits three decades below the gamma tolerance: the
-    # root finder may stop on |slope| alone, which costs gamma accuracy of
-    # roughly tol/|curvature| when the revenue is flat
+    # the polish stops once the root's bracket is 1e-13 of the span (plus
+    # 4*eps*|gamma|) wide each side, four decades below the gamma
+    # tolerance, whatever the scale of the revenue
     ys, slopes, stationary = _certified_stationary(
-        scenario.label, lo, hi, f, fgrad, nodes, bound, 1e-3 * gtol)
+        scenario.label, lo, hi, f, fgrad, nodes, bound, 1e-4 * gtol)
 
     # Endpoints first so that they win value ties exactly on the bound.
     f_lo, f_hi = ys[0], ys[-1]
@@ -326,15 +329,13 @@ def _certified_stationary(label: str, lo: float, hi: float,
     One node pass takes the ``START_CELLS + 1`` lattice tariffs
     lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
     lattice midpoints down to one lattice cell and polished there by
-    ``bracket_root``; below the lattice such a cell is polished at once.
-    A polish whose root may sit below its peak by more than the
-    certificate's slack (the absolute |slope| stop on a flat peak of tiny
-    revenue) is repeated on the slope scaled by its larger end magnitude.
-    The root, a candidate, splits its cell in two of slope 0 at the root;
-    nodes of slope exactly 0 are candidates too.  Every cell but a + to -
-    one closes when ``bound`` holds it to f* + CERTIFY_RTOL*|f*|, f* the
-    best candidate or box end so far; otherwise it is bisected, the cell
-    of the highest bound first.  Each node and polished root is one
+    ``bracket_root`` from the end slopes it holds, to ``polish_tol`` of
+    the root's position; below the lattice such a cell is polished at
+    once.  The root, a candidate, splits its cell in two of slope 0 at the
+    root; nodes of slope exactly 0 are candidates too.  Every cell but a
+    + to - one closes when ``bound`` holds it to f* + CERTIFY_RTOL*|f*|,
+    f* the best candidate or box end so far; otherwise it is bisected, the
+    cell of the highest bound first.  Each node and polished root is one
     counted value of ``f``.
 
     Raises:
@@ -437,25 +438,11 @@ def _split(cell: tuple, lo: float, span: float, nodes: Nodes,
 def _polish(cell: tuple, f: ScalarFunctionHandle,
             fgrad: Callable[[float], float], polish_tol: float
             ) -> tuple[float, float, float]:
-    """(root, revenue, slope) of the slope on a + to - cell."""
+    """(root, revenue, slope) of the slope on a + to - cell, the root
+    found from the slopes the cell holds at its ends."""
     a, b, f_a, f_b, s_a, s_b = cell[:6]
-    root = bracket_root(fgrad, a, b, polish_tol)
-    y = f(root)
-    slope = fgrad(root)
-    # the absolute |slope| stop costs about slope**2/(2*curvature) of
-    # revenue, the curvature taken as the cell's mean: on a flat peak of
-    # tiny revenue that can exceed the certificate's slack, and the root
-    # can even fall below an end; polish again, relative to the end
-    # slopes, and keep the root that earns more than the slack more
-    slack = CERTIFY_RTOL * abs(y)
-    if (y < f_a or y < f_b
-            or slope ** 2 * (b - a) > 2.0 * slack * (s_a - s_b)):
-        scale = max(s_a, -s_b)
-        again = bracket_root(lambda g: fgrad(g) / scale, a, b, polish_tol)
-        y_again = f(again)
-        if y_again > y + slack:
-            root, y, slope = again, y_again, fgrad(again)
-    return root, y, slope
+    root = bracket_root(fgrad, a, b, polish_tol, s_a, s_b)
+    return root, f(root), fgrad(root)
 
 
 def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:

@@ -12,8 +12,9 @@ column, JSON by key path (the top-level key, a scenario label or a row
 index, plays the row).  For every file and column that moved it prints the
 largest relative and absolute change of its numbers; it lists each
 non-numeric difference (text, a flag, an added or missing row, column or
-file) on its own line.  ``regen`` replaces every golden file with the fresh
-one.
+file) on its own line.  It ends with one summary line per column: its
+largest relative and absolute change across all files.  ``regen``
+replaces every golden file with the fresh one.
 
 ``records`` solves N generated scenarios under all five reference
 policies, each (scenario, policy) with its own seeded random rider
@@ -29,7 +30,9 @@ float, so two trees that print the same digest computed the same answers
 and the same evaluation counts; two that print the same answers digest
 computed the same answers, whatever their cross-check spent.  Beside each
 policy digest it prints the mean counted revenue values per solve of that
-policy's records, so a change in what a solve costs shows its size.
+policy's records and the mean slope values per polish of its solves, the
+one at the root included, so a change in what a solve costs shows its
+size.
 ``test_records_digest`` pins the default run's digests: a change that moves
 any answer re-pins them there and lists what moved in CHANGES.md.  The
 module name does not match pytest's ``test_*.py``, so it is not collected.
@@ -62,6 +65,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
+from cpt_sense import pricing  # noqa: E402
 from cpt_sense.cli import main  # noqa: E402
 from cpt_sense.errors import CptSenseError  # noqa: E402
 from cpt_sense.model import (  # noqa: E402
@@ -113,9 +117,12 @@ def _number(x):
         return None
 
 
-def compare(old: dict, new: dict) -> list[str]:
+def compare(old: dict, new: dict, totals: dict[str, list]) -> list[str]:
     """Report lines for one file: numeric changes per column, columns found
-    on one side only, then every other non-numeric difference."""
+    on one side only, then every other non-numeric difference.  Each
+    column's numeric changes also go into ``totals``, column -> [largest
+    relative change, largest absolute change, fields, files], across
+    files."""
     moved: dict[str, list] = {}
     one_sided: dict[tuple, int] = {}
     lines = []
@@ -139,6 +146,10 @@ def compare(old: dict, new: dict) -> list[str]:
         entry[0] = max(entry[0], relative)
         entry[1] = max(entry[1], absolute)
         entry[2] += 1
+    for column, (rel, ab, count) in moved.items():
+        total = totals.setdefault(column, [0.0, 0.0, 0, 0])
+        total[:] = (max(total[0], rel), max(total[1], ab), total[2] + count,
+                    total[3] + 1)
     numeric = ["  %s: max rel %.3g, max abs %.3g (%d fields)"
                % (column, rel, ab, count)
                for column, (rel, ab, count) in sorted(moved.items())]
@@ -148,9 +159,11 @@ def compare(old: dict, new: dict) -> list[str]:
 
 
 def diff(fresh: Path) -> int:
-    """Print what moved between the goldens and the fresh files; the number
-    of files that differ."""
+    """Print what moved between the goldens and the fresh files, then one
+    line per column with its largest numeric change across every file;
+    the number of files that differ."""
     differing = 0
+    totals: dict[str, list] = {}
     for case in sorted(CASES):
         want, got = GOLDEN / case, fresh / case
         names = sorted({p.name for p in want.glob("*")}
@@ -167,9 +180,13 @@ def diff(fresh: Path) -> int:
                 continue
             differing += 1
             print("%s:" % label)
-            for line in compare(fields(want / name), fields(got / name)):
+            for line in compare(fields(want / name), fields(got / name),
+                                totals):
                 print(line)
     print("%d golden files differ" % differing)
+    for column, (rel, ab, count, files) in sorted(totals.items()):
+        print("all files, %s: max rel %.3g, max abs %.3g (%d fields in %d "
+              "files)" % (column, rel, ab, count, files))
     return differing
 
 
@@ -193,18 +210,45 @@ RECORD_THETA = (("alpha", 0.2, 1.0), ("beta", 0.2, 1.5), ("lam", 0.3, 4.0),
 COST_FIELDS = ("gamma_oracle", "evaluations")
 
 
+@contextlib.contextmanager
+def logged_polish(log: list[tuple[float, float, float, int]]):
+    """Within the block, every polish of ``solve`` appends to ``log`` its
+    cell's ends, its root and the slope values it took, the one at the
+    root included."""
+    polish = pricing._polish
+
+    def logged(cell, f, fgrad, polish_tol):
+        probes = 0
+
+        def slope(x):
+            nonlocal probes
+            probes += 1
+            return fgrad(x)
+        result = polish(cell, f, slope, polish_tol)
+        log.append((cell[0], cell[1], result[0], probes))
+        return result
+
+    pricing._polish = logged
+    try:
+        yield
+    finally:
+        pricing._polish = polish
+
+
 def record_digest(count: int, seed: int
                   ) -> tuple[str, dict[str, str], str, int, int,
-                             dict[str, float]]:
+                             dict[str, tuple[float, float]]]:
     """(SHA-256 hex digest, the digest of each policy's share of the lines
     by policy kind, the answers digest, records hashed, errors hashed, the
-    mean ``evaluations`` of each policy's records by policy kind) of
-    ``records``."""
+    mean ``evaluations`` of each policy's records and the mean slope values
+    per polish of its records' solves, by policy kind) of ``records``."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
     answers = hashlib.sha256()
     by_policy = {}
     spent: dict[str, list[int]] = {}
+    polished: dict[str, list[int]] = {}
+    log: list[tuple[float, float, float, int]] = []
     records = errors = 0
 
     def feed(*parts, cost: bool = False) -> None:
@@ -226,12 +270,16 @@ def record_digest(count: int, seed: int
             theta = CptParams(**{name: rng.uniform(lo, hi)
                                  for name, lo, hi in RECORD_THETA})
             feed(s.label, repr(policy), repr(theta))
+            log.clear()
             try:
-                record = solve(s, theta, policy)
+                with logged_polish(log):
+                    record = solve(s, theta, policy)
             except (CptSenseError, ValueError) as exc:
                 feed("solve", type(exc).__name__, str(exc))
                 errors += 1
                 continue
+            polished.setdefault(policy.kind.value, []).extend(
+                probes for *_, probes in log)
             records += 1
             spent.setdefault(policy.kind.value, []).append(record.evaluations)
             for field in dataclasses.fields(record):
@@ -249,7 +297,13 @@ def record_digest(count: int, seed: int
     return (digest.hexdigest(),
             {kind: h.hexdigest() for kind, h in by_policy.items()},
             answers.hexdigest(), records, errors,
-            {kind: sum(n) / len(n) for kind, n in spent.items()})
+            {kind: (sum(n) / len(n), _mean(polished.get(kind, [])))
+             for kind, n in spent.items()})
+
+
+def _mean(xs: list[int]) -> float:
+    """The mean of xs, NaN when there is none."""
+    return sum(xs) / len(xs) if xs else math.nan
 
 
 def continuation_digest() -> tuple[str, int, int]:
@@ -292,8 +346,9 @@ def main_tool(argv: list[str] | None = None) -> int:
             args.count, args.seed)
         print(hexdigest)
         for kind, policy_digest in by_policy.items():
-            print("%s %s %.2f values per solve"
-                  % (policy_digest, kind, spent.get(kind, math.nan)))
+            values, slopes = spent.get(kind, (math.nan, math.nan))
+            print("%s %s %.2f values per solve, %.2f slope values per "
+                  "polish" % (policy_digest, kind, values, slopes))
         print("%s answers" % answers)
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)

@@ -208,3 +208,42 @@ class TestBracketRoot:
         assert {"lo": x == lo, "hi": x == hi, "interior": lo < x < hi}[where]
         if handled:
             assert fn.evaluations == len(probes)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-20])
+    def test_root_position_does_not_depend_on_scale(self, scale):
+        """The stop is on the root's position, not on |f|: the root of
+        c*(x**3 - 0.027) is 0.3 to the tolerance whatever c is."""
+        tol = 1e-12
+        root = bracket_root(lambda x: scale * (x ** 3 - 0.027), 0.0, 1.0, tol)
+        assert abs(root - 0.3) <= 2.0 * (tol + 4.0 * 2.0 ** -52 * 0.3)
+
+    def test_supplied_end_values_are_not_probed_again(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x ** 3 - 2.0
+        handle = ScalarFunctionHandle(f)
+        root = bracket_root(handle, 0.0, 2.0, 1e-15, -2.0, 6.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
+        assert handle.evaluations == len(probes) > 0
+        assert 0.0 not in probes and 2.0 not in probes
+        # the ends alone are probed again when their values are not given
+        again = ScalarFunctionHandle(lambda x: x ** 3 - 2.0)
+        assert bracket_root(again, 0.0, 2.0, 1e-15) == root
+        assert again.evaluations == handle.evaluations + 2
+
+    def test_superlinear_convergence(self):
+        """x**3 - 2 on [0, 2] to 1e-15 in at most 10 probes, the two ends
+        included; a bracket method that converges only linearly takes
+        dozens."""
+        handle = ScalarFunctionHandle(lambda x: x ** 3 - 2.0)
+        root = bracket_root(handle, 0.0, 2.0, 1e-15)
+        bound = 2.0 * (1e-15 + 4.0 * 2.0 ** -52 * root)
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= bound
+        assert handle.evaluations <= 10
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bracket_root(lambda x: x - 0.5, 0.0, 1.0, tol)

@@ -45,6 +45,7 @@ from cpt_sense.cli import main
 from cpt_sense.numerics import grid_golden_maximize
 from cpt_sense.pricing import KKT_TOL
 
+import golden_tool
 from finite_difference import central_derivative
 from term_loop_slope import term_loop_slope
 
@@ -951,8 +952,8 @@ class TestCrossCheck:
         polish = pricing.bracket_root
         misranked = set()
 
-        def faulty_root(fn, a, b, tol):
-            root = polish(fn, a, b, tol)
+        def faulty_root(fn, a, b, tol, f_a, f_b):
+            root = polish(fn, a, b, tol, f_a, f_b)
             holds_a = a <= gamma_a <= b
             if fault == "bound" or (fault == "dropped cell" and holds_a):
                 return s1.gamma_min
@@ -1134,7 +1135,7 @@ class TestCertificate:
         monkeypatch.setattr(pricing, "_revenue_closures", synthetic_closures(
             value, slope, lambda a, b, f_a, f_b, level: -math.inf))
         monkeypatch.setattr(pricing, "bracket_root",
-                            lambda fn, a, b, tol: s1.gamma_min)
+                            lambda fn, a, b, tol, f_a, f_b: s1.gamma_min)
         with pytest.raises(SolverDisagreementError,
                            match="exceeds the certified f"):
             solve(s1, NOMINAL_PARAMS)
@@ -1253,6 +1254,69 @@ class TestCertificate:
         record = solve(s, theta, policy)
         top = scan_max(s, theta, policy, 4001)
         assert record.f_star >= (1.0 - 1e-9) * top
+
+
+class TestPolish:
+    """The polish: Brent's root finding on the slope of a + to - cell,
+    from the slopes the cell holds at its ends, stopped on the root's
+    position."""
+
+    @pytest.mark.parametrize("name", ["best", "expected"])
+    def test_slope_values_per_polish(self, name):
+        """The polish converges superlinearly: at most 6 slope values per
+        polish on average, the one at its root included, over
+        generate_random(50, seed=31) at the nominal parameters, so a
+        polish that converges only linearly (about 20) fails."""
+        log = []
+        with golden_tool.logged_polish(log):
+            for s in EVAL_SCENARIOS:
+                solve(s, NOMINAL_PARAMS, POLICIES[name](s, 0.0))
+        assert len(log) >= 20
+        assert sum(probes for *_, probes in log) / len(log) <= 6.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=wide_draws())
+    def test_root_matches_mpmath(self, draw):
+        """An interior gamma* is within 1e-12 of the span of a 50-digit
+        mpmath root of the slope on the cell it was polished on, or, where
+        that root is ill-conditioned, within the slope's rounding error
+        over |f_gg| if that is larger.  f* is never below a 20001-point
+        dense scan by more than CERTIFY_RTOL*|f*|."""
+        s, theta, policy = draw
+        log = []
+        with golden_tool.logged_polish(log):
+            record = solve(s, theta, policy)
+        top = scan_max(s, theta, policy, 20001)
+        assert record.f_star >= top - pricing.CERTIFY_RTOL * abs(record.f_star)
+        if record.active is not ActiveSet.INTERIOR:
+            return
+        gamma = record.gamma_star
+        cells = [(a, b) for a, b, root, _ in log if root == gamma]
+        slope = revenue_gradient(s, theta, policy)
+        if not cells:  # a node of slope exactly 0
+            assert slope(gamma) == 0.0
+            return
+        a, b = cells[0]
+        with mp.workdps(50):
+            def revenue(x):
+                return mp_revenue(s, policy, x, theta.alpha, theta.beta,
+                                  theta.lam, theta.p_worst)
+
+            def mp_slope(x):
+                return mp.diff(revenue, mp.mpf(x))
+            rounding = max(abs(slope(x) - mp_slope(x)) for x in (a, gamma, b))
+            f_gg = abs(mp.diff(revenue, mp.mpf(gamma), 2))
+            allowance = max(1e-12 * s.gamma_span,
+                            float(rounding / f_gg) if f_gg else math.inf)
+            # the exact slope changes sign within the allowance of gamma*,
+            # so a root lies there, or a kink where the slope jumps from +
+            # to - (beta = 1 makes the value function piecewise linear),
+            # which the bracketing solver converges to without a zero
+            lo, hi = max(a, gamma - allowance), min(b, gamma + allowance)
+            assert mp_slope(lo) > 0 > mp_slope(hi), (lo, gamma, hi)
+            root = mp.findroot(mp_slope, (mp.mpf(lo), mp.mpf(hi)),
+                               solver="anderson", verify=False)
+        assert abs(float(root) - gamma) <= allowance
 
 
 @settings(max_examples=800, deadline=None)

@@ -19,17 +19,17 @@ re-pins it here and says why in CHANGES.md.
 
 import golden_tool
 
-RECORDS_DIGEST = "02de59ba817b9e0dda77bd43d3f476fe3b2fe48fcd8b9618f989cf4073274018"
+RECORDS_DIGEST = "981c4a8b2f72c433c641c4f5c55b499bbea58c5e1b2ab75bbc9aaddbee817b06"
 POLICY_DIGESTS = {
-    "static": "a125c3c6e32cadb894b25dad7c4dcba7768c6f7368a667e14f501636b7792627",
-    "expected": "757ef009216b7944e0d5c974bd6a82c656cc389250a77b5ba00bf5fda752352d",
-    "best": "73dfb4eeee04cbaa2bec55ff550b7d71a0fa82864ae1748055ad44a482da5715",
-    "worst": "6ed8f902422ac55974913cf13d9a709d1f34c32361c0ce467b6e00c582672bca",
-    "fixed": "f066f2441ff6c21bcc1d8482d6ca88918d8cdfe6195cc46f75adb0784dee83b2",
+    "static": "d73eaf940dc4d73f1185aff8a04f61332e64e759cb3136384acff7ce53f141ef",
+    "expected": "bbd1a4e0419593555c1f44a789d2817d3df962628a53e4685aada52b90ccd781",
+    "best": "79e6b9cb8d8fd25693dd2a62db2e2c912b70de910d40c98697210bc38c9a63a4",
+    "worst": "319aa52fc9676f9c74baec7ee856d8cc73bb6926c22e142da08e7ee6b59be777",
+    "fixed": "d8342dd6cbf99cad25ab443d48965c265eccfa5065fb2d762fc90829c5c6e48f",
 }
-ANSWERS_DIGEST = "8eaa23091fd004b8c9c0e7c7704fd8cce8e43d719ba33c8ac469003d6ac2c398"
+ANSWERS_DIGEST = "9ff1581a0645144fc85cd1a6f34cea9378b106ee04554e325dbe742184114529"
 CONTINUATION_DIGEST = (
-    "a977d30e08f0321575574c489bf4b568124ed3e5d19701b5222836f80fbd869e")
+    "3eb7ec2931fd47c9954f1e2e35742d8a0220ab48c3529eff439cdcac342d9b95")
 
 
 def test_records_digest_is_pinned():
