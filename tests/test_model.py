@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpt_sense import _core
@@ -344,10 +344,9 @@ class TestExpectedRevenue:
 
 
 def prospect_path_revenue(gamma, s, params, policy):
-    """``expected_revenue`` composed from the public pieces: a
-    ``BinaryProspect`` at the tariff, ``resolve_reference`` and the
-    kernel's helpers ``rank_weights``, ``cpt_value`` and
-    ``_stable_logistic``, each called rather than inlined."""
+    """``expected_revenue`` along the prospect path: a ``BinaryProspect``
+    at the tariff, ``resolve_reference`` and the kernel's primitives
+    ``rank_weights``, ``cpt_value`` and ``_stable_logistic``."""
     if not math.isfinite(gamma):
         raise ValueError(gamma)
     u_low = s.x_low + s.b_sm * gamma
@@ -399,8 +398,10 @@ def chain_calls(draw):
 
 class TestGeneralChain:
     """``expected_revenue`` forms the outcomes and the reference without a
-    ``BinaryProspect`` and calls an inlined kernel: the same bits and the
-    same exception types as the prospect path."""
+    ``BinaryProspect``: the same bits and the same exception types as the
+    prospect path.  ``acceptance_probability`` has the bits of the logistic
+    of ``subjective_utilities``, so the chain's two public entry points
+    give one answer."""
 
     @given(chain_calls())
     @settings(max_examples=1000, deadline=None)
@@ -413,6 +414,20 @@ class TestGeneralChain:
             assert got.type is type(err)
         else:
             assert _bits(expected_revenue(*call)) == want
+
+    @given(chain_calls())
+    @settings(max_examples=400, deadline=None)
+    def test_acceptance_has_the_bits_of_the_subjective_utilities(self, call):
+        gamma, s, theta, policy = call
+        try:
+            got = acceptance_probability(gamma, s, theta, policy)
+        except (ValueError, InvalidScenarioError):
+            assume(False)
+        prospect = BinaryProspect(s.x_low + s.b_sm * gamma,
+                                  s.x_high + s.b_sm * gamma, theta.p_worst)
+        ev = subjective_utilities(prospect, s.u0, theta, policy)
+        assert _bits(got) == _bits(_core._stable_logistic(
+            ev.u_alt_subjective - ev.u_smods_subjective))
 
     @pytest.mark.parametrize("field, infinite", [("x_low", -math.inf),
                                                  ("x_high", math.inf)])

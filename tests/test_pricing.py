@@ -28,11 +28,13 @@ from cpt_sense import (
     ReferencePolicy,
     _core,
     concavity_certificate,
+    differentials,
     expected_revenue,
     fixtures,
     generate_random,
     kkt_residuals,
     lagrangian_derivatives,
+    model,
     pricing,
     reference_line,
     resolve_reference,
@@ -44,6 +46,8 @@ from cpt_sense import (
 from cpt_sense.cli import main
 from cpt_sense.numerics import grid_golden_maximize
 from cpt_sense.pricing import KKT_TOL
+from cpt_sense.sweeps import (SweepSpec, mismatch_loss, numeric_sweep,
+                              piecewise_continuation)
 
 import golden_tool
 from finite_difference import central_derivative
@@ -674,7 +678,8 @@ class TestEvaluationContract:
     KKT check once; under every other reference no best-case kernel runs,
     and each revenue value is a node value of ``_core.revenue_evaluator``'s
     pass or a call of its value closure.  The revenue bound of a cell takes
-    no counted value under any reference."""
+    no counted value under any reference, and no analysis or CLI command
+    runs the general acceptance chain of ``model``."""
 
     BESTCASE_KERNELS = ("bestcase_revenue", "bestcase_revenue_gradient",
                         "bestcase_partials")
@@ -695,6 +700,9 @@ class TestEvaluationContract:
             count(_core, name)
         count(pricing, "grid_golden_maximize")
         count(pricing, "kkt_residuals")
+        # the general acceptance chain, at the model and at the kernel
+        count(model, "acceptance_probability")
+        count(_core, "acceptance_from_utilities")
         return calls
 
     @staticmethod
@@ -767,6 +775,33 @@ class TestEvaluationContract:
             assert sum(calls[k] for k in self.BESTCASE_KERNELS) == 0, s.label
             assert calls["grid_golden_maximize"] == 1
             assert calls["kkt_residuals"] == 1
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_no_analysis_runs_the_general_chain(self, calls, name):
+        """Solves, differentials, sweeps, the mismatch loss and the
+        continuation take every revenue from the closed forms, so the
+        general chain stays off every timed path."""
+        assumed = NOMINAL_PARAMS.replace("lambda", 1.2)
+        spec = SweepSpec("alpha", steps=5)
+        for s in fixtures():
+            policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
+            record = solve(s, NOMINAL_PARAMS, policy)
+            diffs = differentials(record, s, NOMINAL_PARAMS, policy)
+            numeric_sweep(s, NOMINAL_PARAMS, policy, spec, record, diffs)
+            mismatch_loss(s, NOMINAL_PARAMS, assumed, policy)
+            piecewise_continuation(s, NOMINAL_PARAMS, policy, spec)
+        assert calls["acceptance_probability"] == 0
+        assert calls["acceptance_from_utilities"] == 0
+
+    @pytest.mark.parametrize("reference", ["best", "expected"])
+    def test_no_cli_command_runs_the_general_chain(self, calls, tmp_path,
+                                                   reference):
+        for command in (["solve"], ["domain"], ["mismatch"],
+                        ["sweep", "--param", "alpha", "--steps", "3"]):
+            assert main(command + ["--reference", reference,
+                                   "--out", str(tmp_path)]) == 0, command
+        assert calls["acceptance_probability"] == 0
+        assert calls["acceptance_from_utilities"] == 0
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_one_evaluator_and_one_slope_at_the_answer(self, monkeypatch,
