@@ -33,12 +33,12 @@ oracle's golden steps) is one value-closure call.  The cell bound,
 takes no value of its own.  Under the best-case reference each counted
 value is one ``bestcase_revenue`` call, and the bound is the evaluator's
 on the best-case line; under every other, the pass, the value closure and
-the bound are those of ``revenue_evaluator``.  A node's value has the
-value closure's bits and its slope the scalar slope's, since
-``slope(gamma)`` is the one-node pass.  ``prelec_weight`` is cached per
-(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
-best-case kernels pay for w(p) once per rider rather than once per
-tariff.  The two best-case kernels inline the clamped logistic of
+the bound are those of ``revenue_evaluator``.  A node sums z once and
+takes one logistic for its value and its slope; its value has the value
+closure's bits and its slope the scalar slope's, since ``slope(gamma)``
+is the one-node pass.  ``prelec_weight`` is cached per (p, alpha) with a
+bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the best-case kernels
+pay for w(p) once per rider rather than once per tariff.  The two best-case kernels inline the clamped logistic of
 ``_stable_logistic``, and the evaluator's value closure and node pass
 inline it and the bases of ``_value_bases``, each in the same arithmetic
 order, so a value costs one Python frame, a pass one frame for all its
@@ -230,17 +230,17 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     Everything that does not depend on the tariff is computed here once:
     the distorted probabilities w(p) and w(1-p), the line's p-term, which
     bases are identically zero, and each branch's coefficients.  A node
-    then forms the three bases once, picks each branch, takes each term's
-    m**beta once for the value and the slope (and m**(beta-1) for the
-    slope) and one logistic, two where the value's z and the slope's z
-    round apart.
+    then forms the three bases once, picks each branch, sums z once, takes
+    each term's m**(beta-1) for z_g, and takes one logistic
+    sig = 1/(1 + exp(z)) for both the value gamma*sig and the slope
+    sig - gamma*sig*(1 - sig)*z_g.
 
     The value evaluates z = v(u0-R) - (w_low*v(u_low-R) + w_high*v(u_high-R))
     in the order of ``acceptance_from_utilities``, so on a reference that
     ``model.resolve_reference`` computes to the same bits the two agree
     exactly; a node's value is ``value`` at that tariff, bit for bit.  The
-    slope is the closed form of docs/derivatives.md, its z summed term by
-    term; ``slope(gamma)`` is the one-node pass ``nodes((gamma,))[1][0]``.
+    slope is the closed form of docs/derivatives.md on that z;
+    ``slope(gamma)`` is the one-node pass ``nodes((gamma,))[1][0]``.
 
     All three raise InvalidScenarioError when u0 lies outside
     [u_low, u_high] at a tariff; the slope and the pass raise
@@ -260,17 +260,13 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     neg_lam = -lam
     beta_1 = beta - 1.0
     singular = beta < 1.0
-    # slope coefficients, grouped as the slope's products associate: a
-    # term k*v adds k*m**beta to z (k*lam on a loss) and k*beta*m**(beta-1)
-    # *d_g to z_g (k*lam*beta on a loss), with k = 1 for the alternative
-    # and -w for a ride outcome.  A gain term of z is the value's term
-    # negated, since (-w)*m is -(w*m) exactly, so it needs no coefficient.
+    # slope coefficients: a term k*v of z adds k*beta*m**(beta-1)*d_g to
+    # z_g (k*lam*beta on a loss), with k = 1 for the alternative and -w
+    # for a ride outcome; z is the value's own sum
     alt_g, ride_g = -ref_g, b - ref_g
     lam_beta = lam * beta
-    low_gb, low_l = -w_low_gain * beta, -w_low_loss * lam
-    low_lb = low_l * beta
-    high_gb, high_l = -w_high_gain * beta, -w_high_loss * lam
-    high_lb = high_l * beta
+    low_gb, low_lb = -w_low_gain * beta, -w_low_loss * lam * beta
+    high_gb, high_lb = -w_high_gain * beta, -w_high_loss * lam * beta
 
     # inlines _value_bases's bases and _stable_logistic, in their
     # arithmetic order, so that a call costs one Python frame: it takes
@@ -311,19 +307,17 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             if not u_low <= u0 <= u_high:
                 raise _outside(u0, u_low, u_high, gamma)
             reference = ref_c + ref_g * gamma + ref_pp
-            # a_s and u_s as in value; zs and z_g the slope's running sums
-            a_s = u_s = zs = z_g = 0.0
+            # a_s and u_s as in value; z_g the slope of z
+            a_s = u_s = z_g = 0.0
             if not alt_zero:
                 d = u0 - reference
                 if d >= 0.0:
                     if d == 0.0 and singular:
                         raise _singular("u0 - R", gamma)
-                    a_s = zs = d ** beta
+                    a_s = d ** beta
                     z_g = beta * d ** beta_1 * alt_g
                 else:
-                    m_be = (-d) ** beta
-                    a_s = neg_lam * m_be
-                    zs = -(lam * m_be)
+                    a_s = neg_lam * (-d) ** beta
                     z_g = lam_beta * (-d) ** beta_1 * alt_g
             if not low_zero:
                 d = u_low - reference
@@ -331,40 +325,27 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
                     if d == 0.0 and singular:
                         raise _singular("u_low - R", gamma)
                     u_s = w_low_gain * d ** beta
-                    zs -= u_s
                     z_g += low_gb * d ** beta_1 * ride_g
                 else:
-                    m_be = (-d) ** beta
-                    u_s = w_low_loss * (neg_lam * m_be)
-                    zs -= low_l * m_be
+                    u_s = w_low_loss * (neg_lam * (-d) ** beta)
                     z_g += low_lb * (-d) ** beta_1 * ride_g
             if not high_zero:
                 d = u_high - reference
                 if d >= 0.0:
                     if d == 0.0 and singular:
                         raise _singular("u_high - R", gamma)
-                    t = w_high_gain * d ** beta
-                    zs -= t
+                    u_s += w_high_gain * d ** beta
                     z_g += high_gb * d ** beta_1 * ride_g
                 else:
-                    m_be = (-d) ** beta
-                    t = w_high_loss * (neg_lam * m_be)
-                    zs -= high_l * m_be
+                    u_s += w_high_loss * (neg_lam * (-d) ** beta)
                     z_g += high_lb * (-d) ** beta_1 * ride_g
-                u_s += t
             z = a_s - u_s
             if z > EXP_CLAMP:
                 z = EXP_CLAMP
             elif z < -EXP_CLAMP:
                 z = -EXP_CLAMP
-            if zs > EXP_CLAMP:
-                zs = EXP_CLAMP
-            elif zs < -EXP_CLAMP:
-                zs = -EXP_CLAMP
             sig = 1.0 / (1.0 + math.exp(z))
             values.append(gamma * sig)
-            if zs != z:
-                sig = 1.0 / (1.0 + math.exp(zs))
             slopes.append(sig - gamma * sig * (1.0 - sig) * z_g)
         return values, slopes
 

@@ -51,7 +51,6 @@ from cpt_sense.sweeps import (SweepSpec, mismatch_loss, numeric_sweep,
 
 import golden_tool
 from finite_difference import central_derivative
-from term_loop_slope import term_loop_slope
 
 # frozen from an independent dense-grid + golden-section oracle run
 ORACLE = {
@@ -460,12 +459,12 @@ EVAL_SCENARIOS = generate_random(count=50, seed=31)
 
 
 @st.composite
-def evaluation_points(draw, edges=True):
-    """(scenario, gamma, theta, policy) over generated scenarios and wide
-    theta: tariffs across the box, fixed levels across and beyond the ride
-    outcomes.  With ``edges``, also tariffs 1e-6 inside either edge of the
-    valid tariff range and fixed levels on a base's kink or just to either
-    side of it."""
+def evaluation_points(draw, edges=True, policies=tuple(sorted(POLICIES))):
+    """(scenario, gamma, theta, policy) over generated scenarios, wide
+    theta and the named ``policies``: tariffs across the box, fixed levels
+    across and beyond the ride outcomes.  With ``edges``, also tariffs 1e-6
+    inside either edge of the valid tariff range and fixed levels on a
+    base's kink or just to either side of it."""
     s = draw(st.sampled_from(EVAL_SCENARIOS))
     theta = CptParams(alpha=draw(st.floats(0.2, 1.0)),
                       beta=draw(st.floats(0.2, 1.5)),
@@ -481,7 +480,7 @@ def evaluation_points(draw, edges=True):
         inward = 1.0 if where == "lower edge" else -1.0
         gamma = edge + inward * 1e-6 * max(1.0, abs(edge))
     assume(gamma > 0.0)
-    name = draw(st.sampled_from(sorted(POLICIES)))
+    name = draw(st.sampled_from(policies))
     if name != "fixed":
         return s, gamma, theta, POLICIES[name](s, gamma)
     u_low, u_high, u0 = utilities_at(s, gamma)
@@ -578,23 +577,23 @@ def _hex(xs):
 
 
 class TestNodePass:
-    """``nodes(xs)`` of ``_core.revenue_evaluator`` against the value
-    closure and the term-by-term slope of ``term_loop_slope``: the same
-    bits at every node, and the same error where a node raises."""
+    """``nodes(xs)`` of ``_core.revenue_evaluator`` against its scalar
+    closures: each node's value has the bits of ``value`` and its slope
+    the bits of ``slope``, the one-node pass, and a pass raises the error
+    of the first node on which either closure raises."""
 
     @staticmethod
     def want(args, xs):
         """(values, slopes) as hex, or the error of the first node that
-        raises, from the value closure and the reference slope."""
-        value = _core.revenue_evaluator(*args)[0]
-        reference = term_loop_slope(*args)
+        raises, from the scalar value and slope closures."""
+        value, slope = _core.revenue_evaluator(*args)[:2]
         values, slopes = [], []
         for x in xs:
-            kind, slope = _outcome(reference, x)
-            if kind != "ok":
-                return kind, slope
-            values.append(value(x))
-            slopes.append(slope)
+            for fn, out in ((slope, slopes), (value, values)):
+                kind, result = _outcome(fn, x)
+                if kind != "ok":
+                    return kind, result
+                out.append(result)
         return "ok", (_hex(values), _hex(slopes))
 
     @staticmethod
@@ -607,7 +606,7 @@ class TestNodePass:
 
     @given(evaluation_points(), st.sampled_from(["alone", "box", "outside"]))
     @settings(max_examples=1500, deadline=None)
-    def test_nodes_are_value_and_term_loop_slope(self, point, where):
+    def test_nodes_are_value_and_scalar_slope(self, point, where):
         s, gamma, theta, policy = point
         args = _evaluator_args(s, policy, theta)
         xs = [gamma]
@@ -617,13 +616,24 @@ class TestNodePass:
             edge = (s.u0 - s.x_high) / s.b_sm
             xs.append(edge + 1e-6 * max(1.0, abs(edge)))
         assert self.got(args, xs) == self.want(args, xs)
-        # the scalar slope is the one-node pass
-        kind, got = _outcome(_core.revenue_evaluator(*args)[1], gamma)
-        want_kind, want = _outcome(term_loop_slope(*args), gamma)
-        assert kind == want_kind
-        if kind == "ok":
-            got, want = float(got).hex(), float(want).hex()
-        assert got == want
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_slope_is_revenue_partials_slope(self, policy_name, data):
+        # one z and one logistic per node: its slope is the closed form
+        # f_g = sig + gamma*sig'*z_g of ``revenue_partials`` up to the
+        # rounding of z, on the scale of its two terms
+        s, gamma, theta, policy = data.draw(
+            evaluation_points(policies=(policy_name,)))
+        args = _evaluator_args(s, policy, theta)
+        kind, partials = _outcome(_core.revenue_partials, gamma, *args)
+        if kind != "ok":
+            return
+        values, slopes = _core.revenue_evaluator(*args)[2]([gamma])
+        sig = values[0] / gamma
+        scale = abs(sig) + abs(slopes[0] - sig)
+        assert abs(slopes[0] - partials[1]) <= 1e-12 * scale
 
     @pytest.mark.parametrize("policy_name", sorted(VANISHING_BASES))
     def test_vanishing_base_raises_as_reference(self, policy_name):

@@ -19,17 +19,17 @@ re-pins it here and says why in CHANGES.md.
 
 import golden_tool
 
-RECORDS_DIGEST = "981c4a8b2f72c433c641c4f5c55b499bbea58c5e1b2ab75bbc9aaddbee817b06"
+RECORDS_DIGEST = "01ed2249c0ba5c866f076cd75cb44e0365d68c9a028e489dfa941873e86d7782"
 POLICY_DIGESTS = {
-    "static": "d73eaf940dc4d73f1185aff8a04f61332e64e759cb3136384acff7ce53f141ef",
-    "expected": "bbd1a4e0419593555c1f44a789d2817d3df962628a53e4685aada52b90ccd781",
+    "static": "3f2067bc720b4c079174bae08f0a08d0dcda63b913ba13b35648e778629546f0",
+    "expected": "54341762ff3fffa3670762e284df0c0f345ffb41243a9970f418384b36167438",
     "best": "79e6b9cb8d8fd25693dd2a62db2e2c912b70de910d40c98697210bc38c9a63a4",
     "worst": "319aa52fc9676f9c74baec7ee856d8cc73bb6926c22e142da08e7ee6b59be777",
-    "fixed": "d8342dd6cbf99cad25ab443d48965c265eccfa5065fb2d762fc90829c5c6e48f",
+    "fixed": "9986810e1d2395423ae2559ac3df93af2b2a1fe6325c3a2be1d4577f9c9e32e8",
 }
-ANSWERS_DIGEST = "9ff1581a0645144fc85cd1a6f34cea9378b106ee04554e325dbe742184114529"
+ANSWERS_DIGEST = "a0e47870b30c5042b9554b64be38e9a6ae9af4b7fe285bccf6f48f35191ff4ae"
 CONTINUATION_DIGEST = (
-    "3eb7ec2931fd47c9954f1e2e35742d8a0220ab48c3529eff439cdcac342d9b95")
+    "271d7c6174cb357a18007a32d9085c823c59457f630a0dca7bc14fedda913973")
 
 
 def test_records_digest_is_pinned():

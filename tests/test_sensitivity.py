@@ -5,23 +5,30 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpt_sense import sensitivity
 from cpt_sense import (
     ActiveSet,
     BindingEvent,
+    CptParams,
+    CptSenseError,
     LagrangianDerivatives,
     NOMINAL_PARAMS,
     PARAM_NAMES,
+    ReferencePolicy,
     SingularHessianError,
     all_domains,
     differentials,
+    generate_random,
     local_domain,
     revenue_gradient,
     solve,
     taylor_predict,
 )
 
+from exact_reference import exact_dgamma, exact_optimum
 from finite_difference import central_derivative
 
 
@@ -291,3 +298,92 @@ class TestLocalDomain:
                     theta = theta0 + 0.95 * edge * j / 11
                     probed = solve(s1, NOMINAL_PARAMS.replace(name, theta))
                     assert probed.active is opt.active, (name, theta)
+
+
+EXACT_SCENARIOS = generate_random(count=200, seed=12)
+#: The acceptance P* = f*/gamma* below which the exact test leaves the
+#: differentials out: there dgamma*/dalpha and dgamma*/dp lose about
+#: 1e-13/P* relative (``test_small_acceptance_differentials_are_exact``).
+#: Of 60000 uniform draws, those at P* >= 1e-4 erred by at most 1.2e-9.
+EXACT_MIN_ACCEPTANCE = 1e-4
+
+
+class TestExactBestCaseOptimum:
+    """``solve`` and ``differentials`` against the paper's exact optimum at
+    beta = 1 under the best-case reference, gamma* = (1 + W(e**-(c+1)))/k
+    clamped to the box (tests/exact_reference.py).  The gate on f* is
+    1e-13 relative: z = c + k*gamma rounds to about 1e-16 of its terms,
+    which moves f* by up to ~1e-14 of itself."""
+
+    @staticmethod
+    def check_dgamma(s, theta, opt):
+        """``differentials``' dgamma*/dtheta at ``opt`` to 1e-8 relative."""
+        diffs = differentials(opt, s, theta)
+        for name, want in exact_dgamma(s, theta.alpha, theta.lam,
+                                       theta.p_worst).items():
+            got = diffs[name].dgamma_dtheta
+            assert abs(got - want) <= 1e-8 * abs(want), name
+
+    @given(st.sampled_from(EXACT_SCENARIOS), st.floats(0.2, 1.0),
+           st.floats(0.3, 4.0), st.floats(0.02, 0.98))
+    @settings(max_examples=400, deadline=None)
+    def test_optimum_and_differentials_are_exact(self, s, alpha, lam, p):
+        theta = CptParams(alpha=alpha, beta=1.0, lam=lam, p_worst=p)
+        opt = solve(s, theta)
+        gamma, f, interior = exact_optimum(s, alpha, lam, p)
+        assert abs(opt.gamma_star - gamma) <= 1e-11 * gamma
+        assert abs(opt.f_star - f) <= 1e-13 * f
+        if interior and f / gamma >= EXACT_MIN_ACCEPTANCE:
+            assert opt.active is ActiveSet.INTERIOR
+            self.check_dgamma(s, theta, opt)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="at an interior optimum "
+        "f_gtheta reduces to s'*z_theta*(1 + gamma*(s - s_c)*z_g), which "
+        "cancels to s'*z_theta*s/s_c: the polish's ~1e-13 root error then "
+        "costs ~1e-13/P* relative in dgamma*/dalpha and dgamma*/dp")
+    def test_small_acceptance_differentials_are_exact(self):
+        # an interior optimum at P* = 7.9e-10, below the floor; its
+        # dgamma*/dalpha is off by 2.2e-5 relative
+        s = next(s for s in EXACT_SCENARIOS if s.label == "R0103")
+        alpha, lam, p = 0.8865388325104477, 3.5367822673977027, 0.9503828295072778
+        theta = CptParams(alpha=alpha, beta=1.0, lam=lam, p_worst=p)
+        self.check_dgamma(s, theta, solve(s, theta))
+
+
+SIGN_SCENARIOS = generate_random(count=200, seed=41)
+WIDE_THETA = st.builds(CptParams, alpha=st.floats(0.2, 1.0),
+                       beta=st.floats(0.2, 1.5), lam=st.floats(0.3, 4.0),
+                       p_worst=st.floats(0.02, 0.98))
+
+
+def solved(s, theta, policy):
+    """(optimum, differentials) under ``policy``; a draw whose
+    differentials raise is left out."""
+    opt = solve(s, theta, policy)
+    try:
+        return opt, differentials(opt, s, theta, policy)
+    except (CptSenseError, ValueError):
+        assume(False)
+
+
+class TestSigns:
+    """Signs of the differentials that hold for every scenario and rider
+    (docs/derivatives.md, "Signs")."""
+
+    @given(st.sampled_from(SIGN_SCENARIOS), WIDE_THETA)
+    @settings(max_examples=2000, deadline=None)
+    def test_best_case_lambda_raises_revenue_iff_accepted_above_half(
+            self, s, theta):
+        opt, diffs = solved(s, theta, ReferencePolicy.best_case())
+        accept = opt.f_star / opt.gamma_star
+        assume(abs(accept - 0.5) >= 1e-9)
+        df = diffs["lambda"].df_dtheta
+        assert df != 0.0 and (df > 0.0) == (accept > 0.5)
+
+    @given(st.sampled_from(SIGN_SCENARIOS), WIDE_THETA)
+    @settings(max_examples=2000, deadline=None)
+    def test_worst_case_lambda_has_no_effect(self, s, theta):
+        lam = solved(s, theta, ReferencePolicy.worst_case())[1]["lambda"]
+        assert (lam.df_dtheta, lam.dgamma_dtheta, lam.dmu_dtheta) \
+            == (0.0, 0.0, 0.0)
