@@ -26,11 +26,11 @@ best-case kernels evaluate directly.
 Hot-path contract.  Each revenue value a solve counts is either a node
 value or a value-closure call.  A solve evaluates its 9 start tariffs in
 one pass, ``nodes(xs) -> (values, slopes)``, and each node it adds while
-it bisects in a one-node pass; the slopes steer the search and the start
-values are the oracle's grid.  Every other value (polished roots, the
-oracle's golden steps) is one value-closure call.  The cell bound,
-``bound(a, b, f_a, f_b, level)``, reads the end values the nodes gave and
-takes no value of its own.  Under the best-case reference each counted
+it bisects, and each polished root, in a one-node pass; the slopes steer
+the search and the start values are the oracle's grid.  Every other
+value (the oracle's golden steps) is one value-closure call.  The cell
+bound, ``bound(a, b, f_a, f_b, level)``, reads the end values the nodes
+gave and takes no value of its own.  Under the best-case reference each counted
 value is one ``bestcase_revenue`` call, and the bound is the evaluator's
 on the best-case line; under every other, the pass, the value closure and
 the bound are those of ``revenue_evaluator``.  A node sums z once and

@@ -75,16 +75,18 @@ def _golden_section_max(f, lo, hi, tol):
 
 def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
                          presieve: int = 64, tol: float = 1e-9,
-                         grid_values: Sequence[float] | None = None
+                         grid_values: Sequence[float] | None = None,
+                         skip_near: tuple[float, float] | None = None
                          ) -> tuple[float, float]:
     """Global maximum of ``f`` on [lo, hi] via presieve plus golden refinement.
 
     Evaluates a uniform (presieve+1)-point grid, golden-refines around every
     interior pattern peak (the two cells beside it) and around both endpoint
-    cells, and returns the best point found.  A refinement stops once its
-    bracket is no wider than ``tol`` and returns the bracket's midpoint, so
-    where ``f`` is unimodal on a bracket the point found lies within tol/2
-    of that bracket's argmax.  A bracket of width w > tol costs
+    cells, except a bracket that ``skip_near`` excludes, and returns the
+    best point found.  A refinement stops once its bracket is no wider than
+    ``tol`` and returns the bracket's midpoint, so where ``f`` is unimodal
+    on a bracket the point found lies within tol/2 of that bracket's
+    argmax.  A bracket of width w > tol costs
     3 + ceil(log(w/tol) / log(1.618)) evaluations, one when w <= tol: at
     tol = one cell, at most 4 per endpoint cell and 5 per interior peak.
 
@@ -96,14 +98,21 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         grid_values: f at the grid points lo + (hi-lo)*i/presieve, with the
             last point hi, when the caller already has them; the grid is
             then not evaluated again, and these values are not counted.
+        skip_near: (center, radius): a bracket whose two ends x both have
+            abs(center - x) <= radius is not refined.  Rounded subtraction
+            is monotone, so every point of such a bracket would read as
+            within radius of center by the same test; a caller that
+            disregards those points loses nothing.  None refines every
+            bracket.
 
     Returns:
         (argmax, max value).
 
     Raises:
-        ValueError: on bad arguments, grid values of the wrong length, or a
-            non-finite objective or grid value; the message names the
-            offending probe location.
+        ValueError: on bad arguments (a negative or non-finite radius
+            among them), grid values of the wrong length, or a non-finite
+            objective or grid value; the message names the offending probe
+            location.
     """
     if not lo < hi:
         raise ValueError("need lo < hi, got [%r, %r]" % (lo, hi))
@@ -111,6 +120,13 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("presieve must be >= 8, got %r" % presieve)
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %r" % tol)
+    if skip_near is None:
+        center, radius = 0.0, -1.0  # a negative radius holds no bracket
+    else:
+        center, radius = skip_near
+        if not 0.0 <= radius < math.inf:
+            raise ValueError("radius must be finite and non-negative, got %r"
+                             % radius)
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
     # the bound method skips the instance-call lookup on each refinement
     # evaluation
@@ -137,6 +153,8 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]:
             brackets.append((xs[i - 1], xs[i + 1]))
     for a, b in brackets:
+        if abs(center - a) <= radius and abs(center - b) <= radius:
+            continue
         x, y = _golden_section_max(evaluate, a, b, tol)
         if y > best_y:
             best_x, best_y = x, y

@@ -24,9 +24,11 @@ bisections, or when a revenue value it took exceeds the certified f*.
 The derivative-free grid/golden oracle of ``numerics`` still
 cross-checks every solve on the 9 start nodes, refined to half a start
 cell, and the solve fails when it finds more revenue (by more than
-1e-12 of |f*|) more than two start cells from the answer.  A solve
-builds its revenue closures once, and the slope at its answer is the one
-the search took there (a node's, or the polish's at its root); the
+1e-12 of |f*|) more than two start cells from the answer; a bracket
+whose ends both lie within two start cells of the answer holds no point
+that test reads, so the oracle does not refine it.  A solve builds its
+revenue closures once, and the slope at its answer is the one the search
+took there (a node's, or the polish's node at its root); the
 multiplier and ``kkt_residuals(record, slope)`` read that slope, so the
 KKT check evaluates nothing again (``revenue_gradient`` at gamma* gives
 the same bits).  The concavity certificate is defined for the
@@ -108,10 +110,12 @@ class ActiveSet(Enum):
 class OptimumRecord:
     """Solved tariff with multipliers, active set and diagnostics.
 
-    ``gamma_oracle`` is the oracle's argmax on the 9 start nodes, to about
-    a quarter start cell (1/32 of the span); ``evaluations`` counts the
-    revenue values the solve took: its nodes, its polished roots and the
-    oracle's golden steps.
+    ``gamma_oracle`` is the oracle's best point among the 9 start nodes
+    and the brackets it refines, each to about a quarter start cell (1/32
+    of the span); it refines none whose ends both lie within two start
+    cells of ``gamma_star``.  ``evaluations`` counts the revenue values the
+    solve took: its nodes, its polished roots and the oracle's golden
+    steps in those brackets.
     """
 
     gamma_star: float
@@ -199,10 +203,15 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
         return gradient(gamma, u0, xl, xh, b, a, be, lam, p)
 
     def nodes(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        # slopes first, as in a scan of the slopes before any value: the
-        # gradient raises wherever the kernel does, and on a singular edge
-        slopes = [gradient(x, u0, xl, xh, b, a, be, lam, p) for x in xs]
-        return [kernel(x, u0, xl, xh, b, a, be, lam, p) for x in xs], slopes
+        # each node's slope before its value: the gradient raises wherever
+        # the kernel does, and on a singular edge, so the first node that
+        # raises does so as a scan of the slopes would.  One loop, not two
+        # comprehensions, since most passes hold one node
+        values, slopes = [], []
+        for x in xs:
+            slopes.append(gradient(x, u0, xl, xh, b, a, be, lam, p))
+            values.append(kernel(x, u0, xl, xh, b, a, be, lam, p))
+        return values, slopes
 
     bound = _core.revenue_evaluator(u0, xl, xh, b, xh, b, 0.0,
                                     a, be, lam, p)[3]
@@ -237,7 +246,8 @@ def solve(scenario: TravelScenario, params: CptParams,
     within 1e-9 of the span.  Multipliers are recovered from stationarity
     of the minimization Lagrangian, so an accepted record satisfies the
     first-order conditions by construction.  The oracle of ``numerics``
-    then runs once on the search's 9 start nodes.
+    then runs once on the search's 9 start nodes, refining only the
+    brackets that reach more than two start cells from the result.
 
     Raises:
         InvalidScenarioError: scenario fails validation.
@@ -291,13 +301,15 @@ def solve(scenario: TravelScenario, params: CptParams,
     degenerate = (active is not ActiveSet.INTERIOR
                   and max(mu_low, mu_high) < DEGENERATE_MU)
 
-    # the oracle reads the start nodes and refines each of its brackets to
-    # half a start cell, so that an endpoint cell takes golden steps too
-    # rather than one midpoint value; the verdict asks only whether it
-    # found more revenue more than two cells away
+    # the oracle reads the start nodes and refines its brackets to half a
+    # start cell, so that an endpoint cell takes golden steps too rather
+    # than one midpoint value; the verdict asks only whether it found more
+    # revenue more than two cells away, so a bracket whose ends both lie
+    # within two cells, by the verdict's own test, is not refined
     cell = span / START_CELLS
     gamma_oracle, f_oracle = grid_golden_maximize(
-        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid_values=ys)
+        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid_values=ys,
+        skip_near=(gamma_star, 2.0 * cell))
     if (f_oracle > f_star + 1e-12 * abs(f_star)
             and abs(gamma_star - gamma_oracle) > 2.0 * cell):
         raise SolverDisagreementError(
@@ -330,13 +342,14 @@ def _certified_stationary(label: str, lo: float, hi: float,
     lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
     lattice midpoints down to one lattice cell and polished there by
     ``bracket_root`` from the end slopes it holds, to ``polish_tol`` of
-    the root's position; below the lattice such a cell is polished at
-    once.  The root, a candidate, splits its cell in two of slope 0 at the
-    root; nodes of slope exactly 0 are candidates too.  Every cell but a
+    the root's position, and the root's revenue and slope are one node;
+    below the lattice such a cell is polished at once.  The root, a
+    candidate, splits its cell in two of slope 0 at the root; nodes of
+    slope exactly 0 are candidates too.  Every cell but a
     + to - one closes when ``bound`` holds it to f* + CERTIFY_RTOL*|f*|,
     f* the best candidate or box end so far; otherwise it is bisected, the
-    cell of the highest bound first.  Each node and polished root is one
-    counted value of ``f``.
+    cell of the highest bound first.  Each node, a polished root's among
+    them, is one counted value of ``f``.
 
     Raises:
         SolverDisagreementError: as ``solve`` states for the certificate.
@@ -376,7 +389,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
                 work += (lower, upper)
                 top = max(top, (upper[2], upper[0]))
             else:
-                root, y, s = _polish(cell, f, fgrad, polish_tol)
+                root, y, s = _polish(cell, f, fgrad, nodes, polish_tol)
                 stationary.append((root, y, s))
                 # the root splits its cell in two of slope 0 at the root,
                 # which the bound closes like any other: a second peak
@@ -426,23 +439,36 @@ def _split(cell: tuple, lo: float, span: float, nodes: Nodes,
         x = lo + span * i_m / LATTICE
     else:
         x, i_a, i_m, i_b = 0.5 * (a + b), -1, -1, -1
-    (y,), (s,) = nodes((x,))
-    f.evaluations += 1
-    if not math.isfinite(y):
-        raise _non_finite(y, x)
+    y, s = _node(x, nodes, f)
     if s == 0.0:
         stationary.append((x, y, s))
     return (a, x, f_a, y, s_a, s, i_a, i_m), (x, b, y, f_b, s, s_b, i_m, i_b)
 
 
+def _node(x: float, nodes: Nodes, f: ScalarFunctionHandle
+          ) -> tuple[float, float]:
+    """(revenue, slope) at x by a one-node pass, counted as one value of
+    ``f``, whose bits it has.
+
+    Raises:
+        ValueError: the revenue is non-finite at x.
+    """
+    (y,), (s,) = nodes((x,))
+    f.evaluations += 1
+    if not math.isfinite(y):
+        raise _non_finite(y, x)
+    return y, s
+
+
 def _polish(cell: tuple, f: ScalarFunctionHandle,
-            fgrad: Callable[[float], float], polish_tol: float
+            fgrad: Callable[[float], float], nodes: Nodes, polish_tol: float
             ) -> tuple[float, float, float]:
     """(root, revenue, slope) of the slope on a + to - cell, the root
-    found from the slopes the cell holds at its ends."""
+    found from the slopes the cell holds at its ends and its revenue and
+    slope taken by one counted node."""
     a, b, f_a, f_b, s_a, s_b = cell[:6]
     root = bracket_root(fgrad, a, b, polish_tol, s_a, s_b)
-    return root, f(root), fgrad(root)
+    return (root,) + _node(root, nodes, f)
 
 
 def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:

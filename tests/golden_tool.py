@@ -30,9 +30,9 @@ float, so two trees that print the same digest computed the same answers
 and the same evaluation counts; two that print the same answers digest
 computed the same answers, whatever their cross-check spent.  Beside each
 policy digest it prints the mean counted revenue values per solve of that
-policy's records and the mean slope values per polish of its solves, the
-one at the root included, so a change in what a solve costs shows its
-size.
+policy's records, the share of them the oracle's golden steps took, and
+the mean slope values per polish of its solves, the one at the root
+included, so a change in what a solve costs shows its size.
 ``test_records_digest`` pins the default run's digests: a change that moves
 any answer re-pins them there and lists what moved in CHANGES.md.  The
 module name does not match pytest's ``test_*.py``, so it is not collected.
@@ -217,14 +217,19 @@ def logged_polish(log: list[tuple[float, float, float, int]]):
     root included."""
     polish = pricing._polish
 
-    def logged(cell, f, fgrad, polish_tol):
+    def logged(cell, f, fgrad, nodes, polish_tol):
         probes = 0
 
         def slope(x):
             nonlocal probes
             probes += 1
             return fgrad(x)
-        result = polish(cell, f, slope, polish_tol)
+
+        def node(xs):
+            nonlocal probes
+            probes += len(xs)
+            return nodes(xs)
+        result = polish(cell, f, slope, node, polish_tol)
         log.append((cell[0], cell[1], result[0], probes))
         return result
 
@@ -235,20 +240,42 @@ def logged_polish(log: list[tuple[float, float, float, int]]):
         pricing._polish = polish
 
 
+@contextlib.contextmanager
+def logged_oracle(log: list[int]):
+    """Within the block, every oracle call of ``solve`` appends to ``log``
+    the revenue values it took."""
+    oracle = pricing.grid_golden_maximize
+
+    def logged(f, lo, hi, **kwargs):
+        before = f.evaluations
+        result = oracle(f, lo, hi, **kwargs)
+        log.append(f.evaluations - before)
+        return result
+
+    pricing.grid_golden_maximize = logged
+    try:
+        yield
+    finally:
+        pricing.grid_golden_maximize = oracle
+
+
 def record_digest(count: int, seed: int
                   ) -> tuple[str, dict[str, str], str, int, int,
-                             dict[str, tuple[float, float]]]:
+                             dict[str, tuple[float, float, float]]]:
     """(SHA-256 hex digest, the digest of each policy's share of the lines
-    by policy kind, the answers digest, records hashed, errors hashed, the
-    mean ``evaluations`` of each policy's records and the mean slope values
-    per polish of its records' solves, by policy kind) of ``records``."""
+    by policy kind, the answers digest, records hashed, errors hashed, and
+    by policy kind the mean ``evaluations`` of the policy's records, the
+    mean of those values its records' oracles took and the mean slope
+    values per polish of its records' solves) of ``records``."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
     answers = hashlib.sha256()
     by_policy = {}
     spent: dict[str, list[int]] = {}
+    oracle_spent: dict[str, list[int]] = {}
     polished: dict[str, list[int]] = {}
     log: list[tuple[float, float, float, int]] = []
+    oracle_log: list[int] = []
     records = errors = 0
 
     def feed(*parts, cost: bool = False) -> None:
@@ -271,8 +298,9 @@ def record_digest(count: int, seed: int
                                  for name, lo, hi in RECORD_THETA})
             feed(s.label, repr(policy), repr(theta))
             log.clear()
+            oracle_log.clear()
             try:
-                with logged_polish(log):
+                with logged_polish(log), logged_oracle(oracle_log):
                     record = solve(s, theta, policy)
             except (CptSenseError, ValueError) as exc:
                 feed("solve", type(exc).__name__, str(exc))
@@ -282,6 +310,7 @@ def record_digest(count: int, seed: int
                 probes for *_, probes in log)
             records += 1
             spent.setdefault(policy.kind.value, []).append(record.evaluations)
+            oracle_spent.setdefault(policy.kind.value, []).extend(oracle_log)
             for field in dataclasses.fields(record):
                 feed(field.name, repr(getattr(record, field.name)),
                      cost=field.name in COST_FIELDS)
@@ -297,7 +326,8 @@ def record_digest(count: int, seed: int
     return (digest.hexdigest(),
             {kind: h.hexdigest() for kind, h in by_policy.items()},
             answers.hexdigest(), records, errors,
-            {kind: (sum(n) / len(n), _mean(polished.get(kind, [])))
+            {kind: (_mean(n), _mean(oracle_spent[kind]),
+                    _mean(polished.get(kind, [])))
              for kind, n in spent.items()})
 
 
@@ -346,9 +376,10 @@ def main_tool(argv: list[str] | None = None) -> int:
             args.count, args.seed)
         print(hexdigest)
         for kind, policy_digest in by_policy.items():
-            values, slopes = spent.get(kind, (math.nan, math.nan))
-            print("%s %s %.2f values per solve, %.2f slope values per "
-                  "polish" % (policy_digest, kind, values, slopes))
+            values, oracle, slopes = spent.get(kind, (math.nan,) * 3)
+            print("%s %s %.2f values per solve (%.2f by the oracle), %.2f "
+                  "slope values per polish"
+                  % (policy_digest, kind, values, oracle, slopes))
         print("%s answers" % answers)
         print("%d scenarios x 5 policies: %d records, %d errors hashed"
               % (args.count, records, errors), file=sys.stderr)

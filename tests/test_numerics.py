@@ -133,6 +133,90 @@ class TestGridGoldenMaximize:
             grid_golden_maximize(lambda x: x, 0.0, 1.0, tol=0.0)
 
 
+class TestSkipNear:
+    """``skip_near=(center, radius)`` leaves unrefined every bracket whose
+    two ends lie within radius of center."""
+
+    @staticmethod
+    def probed(f, lo, hi, **kwargs):
+        """(argmax, max, the points the call evaluated, the evaluations a
+        ScalarFunctionHandle counted) of the oracle on [lo, hi] with 8
+        cells, half a cell's tolerance and the grid supplied, so that every
+        point it evaluates is a golden step."""
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return f(x)
+        handle = ScalarFunctionHandle(probe)
+        xs = _grid(lo, hi, 8)
+        x, y = grid_golden_maximize(handle, lo, hi, presieve=8, tol=0.5,
+                                    grid_values=[f(x) for x in xs], **kwargs)
+        return x, y, probes, handle.evaluations
+
+    @staticmethod
+    def peak(x):
+        # on the grid 0, 1, ..., 8 the pattern peak is node 2, its bracket
+        # [1, 3], and the maximum lies off the grid, at 2.3
+        return -(x - 2.3) ** 2
+
+    def test_bracket_inside_the_radius_takes_no_evaluation(self):
+        # [1, 3] lies within 1 of 2, its ends exactly at the radius
+        x, y, probes, evaluations = self.probed(self.peak, 0.0, 8.0,
+                                                skip_near=(2.0, 1.0))
+        assert (x, y) == (2.0, self.peak(2.0))  # the grid's best node
+        assert not any(1.0 < p < 3.0 for p in probes)
+        # the two endpoint cells alone, 5 golden steps each
+        assert evaluations == len(probes) == 10
+        # a radius that holds every bracket evaluates nothing
+        assert self.probed(self.peak, 0.0, 8.0,
+                           skip_near=(4.0, 4.0))[2:] == ([], 0)
+
+    def test_bracket_across_the_radius_is_refined(self):
+        x, y, probes, _ = self.probed(self.peak, 0.0, 8.0,
+                                      skip_near=(2.0, 0.999))
+        assert any(1.0 < p < 3.0 for p in probes)
+        assert abs(x - 2.3) <= 0.25 and y > self.peak(2.0)
+        # the same bits as the fully refining oracle
+        assert (x, y) == self.probed(self.peak, 0.0, 8.0)[:2]
+
+    # (id, objective, lo, hi, keyword arguments, argmax, max, evaluations)
+    # of the fully refining oracle, pinned before ``skip_near`` existed
+    PINNED = [
+        ("sin", math.sin, 0.0, 20.0, dict(presieve=64, tol=1e-9),
+         "0x1.921fb5715dff2p+0", "0x1.0000000000000p+0", 291),
+        ("two peaks", _two_peaks, 0.0, 5.0, dict(tol=1e-10),
+         "0x1.fffefd28ee30cp+1", "0x1.800816aa23ed0p+0", 251),
+    ]
+
+    @pytest.mark.parametrize("f, lo, hi, kwargs, x, y, evaluations",
+                             [case[1:] for case in PINNED],
+                             ids=[case[0] for case in PINNED])
+    def test_none_refines_every_bracket(self, f, lo, hi, kwargs, x, y,
+                                        evaluations):
+        for skip in ({}, dict(skip_near=None)):
+            handle = ScalarFunctionHandle(f)
+            got = grid_golden_maximize(handle, lo, hi, **kwargs, **skip)
+            assert [v.hex() for v in got] == [x, y]
+            assert handle.evaluations == evaluations
+
+    @pytest.mark.parametrize("skip_near", [None, (4.0, 1.0), (4.0, 4.0)])
+    def test_endpoints_still_win_ties(self, skip_near):
+        # a plateau [3, 5] as high as the lower bound: its brackets are
+        # skipped, partly or wholly, or refined, and the bound wins
+        def f(x):
+            return 1.0 if x == 0.0 or 3.0 <= x <= 5.0 else 0.5
+        assert self.probed(f, 0.0, 8.0, skip_near=skip_near)[:2] == (0.0, 1.0)
+        assert self.probed(lambda x: f(8.0 - x), 0.0, 8.0,
+                           skip_near=skip_near)[:2] == (8.0, 1.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf,
+                                        -math.inf])
+    def test_radius_must_be_finite_and_non_negative(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            grid_golden_maximize(math.sin, 0.0, 8.0, skip_near=(2.0, radius))
+
+
 class TestCentralDerivative:
     def test_cubic(self):
         got = central_derivative(lambda x: x ** 3, 2.0, richardson_levels=2)

@@ -112,11 +112,17 @@ class TestSolve:
             assert s.gamma_min <= opt.gamma_star <= s.gamma_max
 
     def test_oracle_cross_check_recorded(self, s1):
-        # the oracle refines to half a start cell and returns its bracket's
-        # midpoint: a quarter start cell, 2/64 of the span as before
+        # the oracle refines no bracket within two start cells of gamma*,
+        # and none farther out beats the start node of most revenue, so
+        # that node is the oracle's point (the quarter-cell agreement of a
+        # full refinement is test_criterion_01_oracle_equivalence's)
         opt = solve(s1, NOMINAL_PARAMS)
-        quarter = 0.25 * s1.gamma_span / pricing.START_CELLS
-        assert abs(opt.gamma_star - opt.gamma_oracle) <= quarter
+        cell = s1.gamma_span / pricing.START_CELLS
+        f = revenue_function(s1, NOMINAL_PARAMS)
+        nodes = [s1.gamma_min + s1.gamma_span * i / pricing.START_CELLS
+                 for i in range(pricing.START_CELLS)] + [s1.gamma_max]
+        assert opt.gamma_oracle == max(nodes, key=f)
+        assert abs(opt.gamma_star - opt.gamma_oracle) <= 2.0 * cell
         # more than the start nodes, fewer than the old 65-node pass
         assert pricing.START_CELLS + 1 < opt.evaluations < pricing.LATTICE + 1
 
@@ -818,9 +824,9 @@ class TestEvaluationContract:
                                                        name):
         """Each solve builds its revenue closures, and so one evaluator,
         once, and outside the root finder takes the slope at gamma* at most
-        once: in the polish's stop test for an interior answer, and for an
-        answer on a bound in the start pass, which is one gradient call per
-        node under the best case and no slope-closure call otherwise."""
+        once: in the polish's node at its root for an interior answer, and
+        for an answer on a bound in the start pass; a node is one gradient
+        call under the best case and no slope-closure call otherwise."""
         counts = Counter()
         at = []  # (tariff, inside the root finder) of every slope taken
         depth = [0]
@@ -1026,8 +1032,9 @@ class TestCrossCheck:
 
     def test_oracle_refines_to_half_a_start_cell(self, monkeypatch):
         """At most 5 counted values per endpoint cell and 6 per interior
-        peak of the start grid: golden steps down to half a start cell,
-        no further."""
+        peak of the start grid, golden steps down to half a start cell and
+        no further, and none for a bracket whose ends both lie within two
+        start cells of gamma*."""
         original = pricing.grid_golden_maximize
         spent = []
 
@@ -1035,21 +1042,95 @@ class TestCrossCheck:
             before = f.evaluations
             result = original(f, lo, hi, **kwargs)
             ys = kwargs["grid_values"]
-            assert len(ys) == pricing.START_CELLS + 1
-            assert kwargs["tol"] == 0.5 * (hi - lo) / pricing.START_CELLS
-            peaks = sum(1 for i in range(1, len(ys) - 1)
-                        if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1])
-            spent.append((f.evaluations - before, 2 * 5 + 6 * peaks))
+            n = pricing.START_CELLS
+            assert len(ys) == n + 1
+            assert kwargs["tol"] == 0.5 * (hi - lo) / n
+            center, radius = kwargs["skip_near"]
+            assert radius == 2.0 * (hi - lo) / n
+            xs = [lo + (hi - lo) * i / n for i in range(n)] + [hi]
+            brackets = [(0, 1, 5), (n - 1, n, 5)] + [
+                (i - 1, i + 1, 6) for i in range(1, n)
+                if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]]
+            budget = sum(values for i, j, values in brackets
+                         if abs(center - xs[i]) > radius
+                         or abs(center - xs[j]) > radius)
+            spent.append((f.evaluations - before, budget, center))
             return result
 
         monkeypatch.setattr(pricing, "grid_golden_maximize", counted)
+        skipped = 0
         for name in POLICIES:
             for s, theta in TestEvaluationContract.inputs():
                 policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
                 spent.clear()
-                solve(s, theta, policy)
-                [(count, budget)] = spent
+                record = solve(s, theta, policy)
+                [(count, budget, center)] = spent
+                assert center == record.gamma_star, (name, s.label)
                 assert count <= budget, (name, s.label)
+                skipped += budget < 2 * 5
+        # some solve skipped an endpoint cell, so the radius test is live
+        assert skipped > 0
+
+    # the optimum at 0.3 of the span, which the search finds; the value
+    # also holds a narrow, tall bump that the slope the search reads
+    # leaves out, and the bound closes every cell at the level, so only
+    # the oracle can see the bump
+    OPTIMUM = ((1.0, 0.3, 0.08),)
+    # (centre, width, height) of the bump, as fractions of the span: far
+    # out, inside the interior bracket [4/8, 6/8] of the start node 5/8,
+    # which the bump's tail makes a pattern peak; inside the endpoint cell
+    # [7/8, 1]; and within two start cells of the optimum.  Each is too
+    # narrow to lift a node the search takes above f*.
+    HIDDEN = {"interior bracket": (0.6875, 0.03, 10.0),
+              "endpoint cell": (0.94, 0.02, 100.0),
+              "within two cells": (0.35, 0.005, 10.0)}
+
+    def hide(self, monkeypatch, s, where):
+        """Serve the optimum's slope and a lying bound with its value plus
+        the bump at ``where``; the points the oracle evaluates."""
+        value, slope, _ = gaussian_peaks(s, self.OPTIMUM)
+        centre, width, height = self.HIDDEN[where]
+        centre = s.gamma_min + centre * s.gamma_span
+        width *= s.gamma_span
+
+        def hidden(x):
+            return value(x) + height * math.exp(-((x - centre) / width) ** 2)
+        monkeypatch.setattr(pricing, "_revenue_closures", synthetic_closures(
+            hidden, slope, lambda a, b, f_a, f_b, level: level))
+        original = pricing.grid_golden_maximize
+        probes = []
+
+        def probed(f, lo, hi, **kwargs):
+            def probe(x):
+                probes.append(x)
+                return f(x)
+            return original(probe, lo, hi, **kwargs)
+        monkeypatch.setattr(pricing, "grid_golden_maximize", probed)
+        return probes
+
+    @pytest.mark.parametrize("where", ["interior bracket", "endpoint cell"])
+    def test_oracle_finds_a_peak_the_search_missed(self, monkeypatch, s1,
+                                                   where):
+        self.hide(monkeypatch, s1, where)
+        with pytest.raises(SolverDisagreementError,
+                           match="oracle revenue .* beats solver revenue"):
+            solve(s1, NOMINAL_PARAMS)
+
+    def test_bump_within_two_cells_costs_the_oracle_nothing(self,
+                                                            monkeypatch, s1):
+        """The verdict ignores every point within two start cells of
+        gamma*, so the oracle does not refine the bracket [1/8, 3/8] of
+        the start node nearest the optimum, which holds the bump: the bump
+        goes unseen, and the oracle's golden steps all lie in the two
+        endpoint cells."""
+        probes = self.hide(monkeypatch, s1, "within two cells")
+        record = solve(s1, NOMINAL_PARAMS)
+        cell = s1.gamma_span / pricing.START_CELLS
+        assert abs(record.gamma_star - (s1.gamma_min + 0.3 * s1.gamma_span)
+                   ) < 1e-9 * s1.gamma_span
+        assert len(probes) == 2 * 5
+        assert all(x <= s1.gamma_min + cell or x >= s1.gamma_max - cell
+                   for x in probes)
 
     def test_sub_cell_peak_found(self):
         # a valley and a peak inside the first lattice cell, whose end
@@ -1250,14 +1331,15 @@ class TestCertificate:
             else:  # open: the end values round as in the bound's own test
                 assert top <= u + 1e-13 * abs(u), (a, b)
 
-    @pytest.mark.parametrize("label, evaluations", [("S2", 23), ("S4", 29)])
+    @pytest.mark.parametrize("label, evaluations", [("S2", 18), ("S4", 18)])
     def test_cells_beside_the_peak_close_unsplit(self, monkeypatch, scenarios,
                                                  label, evaluations):
         # under the expected reference the alternative's gain term is
         # concave (beta < 1), so the first-order bound alone leaves the
         # cells beside the polished root open: it bisected 21 (S2) and 23
-        # (S4) cells below the lattice there, and took 44 and 54 values.
-        # The second-order test closes them whole.
+        # (S4) cells below the lattice there, and took 44 and 54 values
+        # (with an oracle that refined every bracket).  The second-order
+        # test closes them whole.
         below_lattice = []
         split = pricing._split
 
@@ -1362,6 +1444,36 @@ class TestPolish:
             root = mp.findroot(mp_slope, (mp.mpf(lo), mp.mpf(hi)),
                                solver="anderson", verify=False)
         assert abs(float(root) - gamma) <= allowance
+
+
+@settings(max_examples=2000, deadline=None)
+@given(draw=wide_draws(), share=st.floats(0.0, 1.0))
+def test_skipping_oracle_raises_wherever_the_full_oracle_does(draw, share):
+    """The verdict of ``solve`` on an oracle that skips the brackets
+    within two start cells of the answer raises wherever the same verdict
+    on a fully refining oracle raises: at the solve's own answer, and at
+    injected wrong answers, each start node and a tariff at ``share`` of
+    the box, each with its own revenue as f*."""
+    s, theta, policy = draw
+    record = solve(s, theta, policy)
+    value = revenue_function(s, theta, policy)
+    lo, hi, n = s.gamma_min, s.gamma_max, pricing.START_CELLS
+    cell = s.gamma_span / n
+    xs = [lo + s.gamma_span * i / n for i in range(n)] + [hi]
+    ys = [value(x) for x in xs]
+
+    def raises(gamma, f_star, skip_near):
+        gamma_oracle, f_oracle = grid_golden_maximize(
+            value, lo, hi, presieve=n, tol=0.5 * cell, grid_values=ys,
+            skip_near=skip_near)
+        return (f_oracle > f_star + 1e-12 * abs(f_star)
+                and abs(gamma - gamma_oracle) > 2.0 * cell)
+
+    wrong = lo + share * s.gamma_span
+    for gamma, f_star in ([(record.gamma_star, record.f_star),
+                           (wrong, value(wrong))] + list(zip(xs, ys))):
+        if raises(gamma, f_star, None):
+            assert raises(gamma, f_star, (gamma, 2.0 * cell)), gamma
 
 
 @settings(max_examples=800, deadline=None)

@@ -19,13 +19,13 @@ re-pins it here and says why in CHANGES.md.
 
 import golden_tool
 
-RECORDS_DIGEST = "01ed2249c0ba5c866f076cd75cb44e0365d68c9a028e489dfa941873e86d7782"
+RECORDS_DIGEST = "1754c336d51818e86842ab3bdf08fe841ebd6ccb938629973f4aa7ec9692de74"
 POLICY_DIGESTS = {
-    "static": "3f2067bc720b4c079174bae08f0a08d0dcda63b913ba13b35648e778629546f0",
-    "expected": "54341762ff3fffa3670762e284df0c0f345ffb41243a9970f418384b36167438",
-    "best": "79e6b9cb8d8fd25693dd2a62db2e2c912b70de910d40c98697210bc38c9a63a4",
-    "worst": "319aa52fc9676f9c74baec7ee856d8cc73bb6926c22e142da08e7ee6b59be777",
-    "fixed": "9986810e1d2395423ae2559ac3df93af2b2a1fe6325c3a2be1d4577f9c9e32e8",
+    "static": "f6dd63f4463290ad1711d52188cdb7029e256eb45a2a4f927b187d90e4e18f9a",
+    "expected": "fbe92b83010e0e9bffab98ca702ee9bf580bc88d547f8ecedd778eb9a51c9e7e",
+    "best": "0cef76a0c0bc0a68f03617d7161b2be3bd194a33c1c08b3248855b3468d475aa",
+    "worst": "a8b6ea201e3ef0259053824e7dae5bff486c6bea06b494accd40a76c09b662b6",
+    "fixed": "bc260d4d50030cd77c0395a1d3e37cb8f360cd1f32af5c3b7f6497d3047fce46",
 }
 ANSWERS_DIGEST = "a0e47870b30c5042b9554b64be38e9a6ae9af4b7fe285bccf6f48f35191ff4ae"
 CONTINUATION_DIGEST = (
