@@ -29,15 +29,10 @@ from cpt_sense.model import (
     CptParams,
     PolicyKind,
     ReferencePolicy,
-    SubjectiveEvaluation,
     acceptance_probability,
     expected_revenue,
-    rank_dependent_weights,
     reference_line,
     resolve_reference,
-    subjective_utilities,
-    value,
-    weight,
 )
 from cpt_sense.numerics import (
     ScalarFunctionHandle,
@@ -46,11 +41,9 @@ from cpt_sense.numerics import (
 )
 from cpt_sense.pricing import (
     ActiveSet,
-    ConcavityReport,
     KktResiduals,
     LagrangianDerivatives,
     OptimumRecord,
-    concavity_certificate,
     kkt_residuals,
     lagrangian_derivatives,
     revenue_function,
@@ -99,19 +92,17 @@ def kernel_backend() -> str:
 
 __all__ = [
     "ActiveSet", "BEST_CASE", "BinaryProspect", "BindingEvent",
-    "BracketingError", "ConcavityReport", "ContinuationError", "CptParams",
-    "CptSenseError", "InvalidScenarioError", "KktResiduals",
-    "LagrangianDerivatives", "LocalDomain", "MismatchResult", "NOMINAL_PARAMS",
-    "OptimumRecord", "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox",
-    "PolicyKind", "ReferencePolicy", "ScalarFunctionHandle", "Segment",
+    "BracketingError", "ContinuationError", "CptParams", "CptSenseError",
+    "InvalidScenarioError", "KktResiduals", "LagrangianDerivatives",
+    "LocalDomain", "MismatchResult", "NOMINAL_PARAMS", "OptimumRecord",
+    "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox", "PolicyKind",
+    "ReferencePolicy", "ScalarFunctionHandle", "Segment",
     "SingularHessianError", "SingularPointError", "SolverDisagreementError",
-    "SubjectiveEvaluation", "SweepRow", "SweepSpec", "TravelScenario",
-    "acceptance_probability", "all_domains", "bracket_root",
-    "concavity_certificate", "differentials", "expected_revenue", "fixtures",
-    "generate_random", "grid_golden_maximize", "is_valid", "kernel_backend",
-    "kkt_residuals", "lagrangian_derivatives", "local_domain", "mismatch_loss",
-    "numeric_sweep", "piecewise_continuation", "rank_dependent_weights",
+    "SweepRow", "SweepSpec", "TravelScenario", "acceptance_probability",
+    "all_domains", "bracket_root", "differentials", "expected_revenue",
+    "fixtures", "generate_random", "grid_golden_maximize", "is_valid",
+    "kernel_backend", "kkt_residuals", "lagrangian_derivatives",
+    "local_domain", "mismatch_loss", "numeric_sweep", "piecewise_continuation",
     "reference_line", "require_valid", "resolve_reference", "revenue_function",
-    "revenue_gradient", "solve", "subjective_utilities", "taylor_predict",
-    "utilities_at", "validate", "value", "weight",
+    "revenue_gradient", "solve", "taylor_predict", "utilities_at", "validate",
 ]

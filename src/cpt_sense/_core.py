@@ -2,9 +2,13 @@
 
 ``model`` and ``pricing`` reach the value, weighting and acceptance chain
 only through these functions.  The general chain,
-``acceptance_from_utilities``, composes the primitives ``rank_weights``,
-``cpt_value`` and ``_stable_logistic``, since no solve, sweep or CLI path
-runs it; the timed kernels inline them (see the hot-path contract below).
+``acceptance_from_utilities``, composes the primitives ``prelec_weight``,
+``rank_weights``, ``cpt_value`` and ``_stable_logistic``, since no solve,
+sweep or CLI path runs it; the timed kernels inline them (see the
+hot-path contract below).  The primitives are the model's one public
+value function, probability distortion and rank-dependent weighting:
+they take plain floats and check nothing, and the tests check their
+properties directly.
 
 Model summary.  With u_low = x_low + b*gamma and u_high = x_high + b*gamma
 the ride outcomes, u0 the certain alternative and R the reference,
@@ -21,7 +25,8 @@ closed form per branch; ``revenue_evaluator`` and ``revenue_partials`` take
 that line as input.  Under the best-case reference (R = u_high) z reduces to
 lam*(w(p)*D^beta - G^beta) with the tariff-independent spread
 D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
-best-case kernels evaluate directly.
+best-case kernels evaluate directly.  ``bestcase_partials`` has no
+caller in the package; the benchmark times and traces it.
 
 Hot-path contract.  Each revenue value a solve counts is either a node
 value or a value-closure call.  A solve evaluates its 9 start tariffs in

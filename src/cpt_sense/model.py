@@ -1,5 +1,12 @@
-"""Rider behavioral model: reference-dependent values, distorted probabilities,
-rank-dependent weights, acceptance probability and expected revenue.
+"""Rider behavioral model: the parameter vector, the reference policies and
+their reference lines, and the general acceptance chain.
+
+The chain has one public way in, ``acceptance_probability`` (and
+``expected_revenue``, the tariff times it): one
+``_core.acceptance_from_utilities`` call, which composes the kernel's
+value, weighting and logistic primitives.  No solve, sweep or CLI path
+calls it; the tests and the benchmark check the solver's closed forms
+against it.
 
 All operations are pure functions of their arguments and safe to call from
 any number of threads.  Utilities are dimensionless "utils", tariffs are
@@ -149,47 +156,6 @@ class BinaryProspect:
             raise ValueError("p_worst must be in (0, 1), got %r" % self.p_worst)
 
 
-@dataclass(frozen=True)
-class SubjectiveEvaluation:
-    """Intermediate quantities of one subjective evaluation.
-
-    Decision weights may sum to less than one (subcertainty).  The value at
-    the reference is exactly zero, so whichever outcome coincides with the
-    reference contributes nothing.
-    """
-
-    reference: float
-    w_low: float
-    w_high: float
-    v_low: float
-    v_high: float
-    u_smods_subjective: float
-    u_alt_subjective: float
-
-
-def value(u: float, reference: float, params: CptParams) -> float:
-    """Subjective value of utility ``u`` relative to ``reference``.
-
-    (u - R)^beta in the gain branch, -lambda (R - u)^beta in the loss
-    branch; continuous, with value exactly 0 at u == R.
-    """
-    _require_finite(u=u, reference=reference)
-    return _core.cpt_value(u, reference, params.beta, params.lam)
-
-
-def weight(prob: float, alpha: float) -> float:
-    """Distorted probability exp(-(-ln p)^alpha).
-
-    w(0) = 0 and w(1) = 1 hold by definition (no log evaluated at the
-    endpoints); strictly increasing on (0, 1).
-    """
-    if not math.isfinite(prob) or not 0.0 <= prob <= 1.0:
-        raise ValueError("prob must lie in [0, 1], got %r" % prob)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be > 0, got %r" % alpha)
-    return _core.prelec_weight(prob, alpha)
-
-
 def resolve_reference(policy: ReferencePolicy, prospect: BinaryProspect,
                       u_alt: float) -> float:
     """Reference utility level implied by ``policy`` for this offer."""
@@ -230,52 +196,6 @@ def reference_line(policy: ReferencePolicy,
     if policy.kind is PolicyKind.WORST_CASE:
         return scenario.x_low, scenario.b_sm, 0.0
     return float(policy.level), 0.0, 0.0  # FIXED_VALUE
-
-
-def rank_dependent_weights(prospect: BinaryProspect, reference: float,
-                           alpha: float) -> tuple[float, float]:
-    """Decision weights (w_low, w_high) for the two prospect outcomes.
-
-    Outcomes strictly below the reference are weighted by differences of the
-    distorted cumulative distribution, outcomes at or above it by
-    differences of the distorted decumulative distribution.  Closed forms
-    for the two-outcome case:
-
-        reference <= u_low          -> (1 - w(1-p), w(1-p))
-        u_low < reference <= u_high -> (w(p),       w(1-p))
-        reference > u_high          -> (w(p),       1 - w(p))
-    """
-    _require_finite(reference=reference)
-    return _core.rank_weights(prospect.p_worst, alpha,
-                              prospect.u_low < reference,
-                              prospect.u_high >= reference)
-
-
-def subjective_utilities(prospect: BinaryProspect, u_alt: float,
-                         params: CptParams,
-                         policy: ReferencePolicy = BEST_CASE) -> SubjectiveEvaluation:
-    """Subjective utilities of the ride prospect and of the certain alternative.
-
-    Requires a non-trivial choice set (u_low <= u_alt <= u_high); outside it
-    one option dominates and the evaluation is refused.
-    """
-    if not prospect.u_low <= u_alt <= prospect.u_high:
-        raise InvalidScenarioError(
-            "choice set is trivial: u_alt=%r outside [%r, %r]"
-            % (u_alt, prospect.u_low, prospect.u_high))
-    reference = resolve_reference(policy, prospect, u_alt)
-    w_low, w_high = rank_dependent_weights(prospect, reference, params.alpha)
-    v_low = _core.cpt_value(prospect.u_low, reference, params.beta, params.lam)
-    v_high = _core.cpt_value(prospect.u_high, reference, params.beta, params.lam)
-    return SubjectiveEvaluation(
-        reference=reference,
-        w_low=w_low,
-        w_high=w_high,
-        v_low=v_low,
-        v_high=v_high,
-        u_smods_subjective=w_low * v_low + w_high * v_high,
-        u_alt_subjective=_core.cpt_value(u_alt, reference, params.beta, params.lam),
-    )
 
 
 def acceptance_probability(gamma: float, scenario: "TravelScenario",

@@ -1,6 +1,6 @@
 """Bounded expected-revenue maximization over the tariff, with KKT
-multipliers, residual diagnostics, closed-form Lagrangian partials and a
-concavity certificate.
+multipliers, residual diagnostics, closed-form Lagrangian partials and the
+paper's concavity inequality.
 
 The solver is a certified dyadic search on the 64-cell tariff lattice
 lo + span*i/64.  One node pass takes the 9 tariffs i = 0, 8, ..., 64.  A
@@ -31,8 +31,8 @@ revenue closures once, and the slope at its answer is the one the search
 took there (a node's, or the polish's node at its root); the
 multiplier and ``kkt_residuals(record, slope)`` read that slope, so the
 KKT check evaluates nothing again (``revenue_gradient`` at gamma* gives
-the same bits).  The concavity certificate is defined for the
-best-case reference only.
+the same bits).  ``certificate_margin``, the paper's concavity
+inequality, is defined for the best-case reference only.
 
 Sign conventions: the optimizer maximizes the revenue f, equivalently
 minimizes -f.  The Lagrangian of the minimization form is
@@ -48,7 +48,6 @@ by their bound (never by index).
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -72,15 +71,11 @@ from cpt_sense.numerics import (
 )
 from cpt_sense.scenario import TravelScenario, require_valid
 
-logger = logging.getLogger(__name__)
-
 #: Residual gate for accepting a KKT point.
 KKT_TOL = 1e-7
 #: Active multipliers below this are flagged as degenerate (strict
 #: complementarity effectively fails, which matters for local sensitivity).
 DEGENERATE_MU = 1e-6
-#: Numeric curvature threshold used by the concavity consistency check.
-CURVATURE_TOL = 1e-8
 #: Cells of the dyadic tariff lattice the search bisects on and polishes in.
 LATTICE = 64
 #: Cells of the search's first node pass, and of its oracle cross-check.
@@ -96,7 +91,7 @@ MIN_CELL = 1e-14
 MIN_CELL_OF_TARIFF = 1e-13
 #: Most cells one solve may bisect.
 MAX_BISECTIONS = 1000
-#: Tariff points of the concavity certificate and of its curvature scan.
+#: Tariff points of the concavity certificate.
 CERTIFICATE_POINTS = 101
 
 
@@ -489,17 +484,6 @@ def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:
     )
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
-    """Certificate inequality result plus an independent curvature scan."""
-
-    certified: bool
-    margin: float
-    max_numeric_curvature: float
-    numerically_concave: bool
-    consistent: bool
-
-
 def certificate_margin(scenario: TravelScenario,
                        params: CptParams) -> tuple[bool, float]:
     """Evaluate the printed concavity inequality on a tariff grid.
@@ -509,8 +493,10 @@ def certificate_margin(scenario: TravelScenario,
         exp(-lam*G^beta) * (E + gamma*lam*beta*b*G^(beta-1))  <=  -E^2
 
     with G the best-outcome margin over the alternative and
-    E = exp(-exp(-lam*D^beta*(-ln p)^alpha)).  It is applied verbatim; see
-    the consistency scan for how its verdict is audited.
+    E = exp(-exp(-lam*D^beta*(-ln p)^alpha)).  It is applied verbatim, as
+    printed, and it does not prove concavity: on some narrow boxes near
+    the choice-set edge it holds where the revenue is convex (README, "Math
+    notes").  The CLI's ``concave_certified`` column is its verdict.
     """
     lo, hi = scenario.gamma_min, scenario.gamma_max
     a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
@@ -529,45 +515,6 @@ def certificate_margin(scenario: TravelScenario,
                 e_term + gamma * lam * be * scenario.b_sm * big_g ** (be - 1.0))
         margin = min(margin, rhs - lhs)
     return margin >= 0.0, margin
-
-
-def concavity_certificate(scenario: TravelScenario,
-                          params: CptParams) -> ConcavityReport:
-    """Concavity certificate plus an independent curvature scan, best case.
-
-    The certificate inequality is evaluated verbatim on a 101-point tariff
-    grid.  Separately, the closed-form second tariff derivative f_gg of the
-    best-case revenue (``_core.bestcase_partials``) is scanned on 101
-    points inset from each bound by 0.4% of the span.  A certificate that
-    claims concavity the scan does not confirm is reported as inconsistent
-    and logged, never silently passed.
-    """
-    require_valid(scenario)
-    certified, margin = certificate_margin(scenario, params)
-
-    theta = (params.alpha, params.beta, params.lam, params.p_worst)
-    lo, hi = scenario.gamma_min, scenario.gamma_max
-    inset = 4e-3 * (hi - lo)
-    inner_lo, inner_hi = lo + inset, hi - inset
-    max_curv = -math.inf
-    for i in range(CERTIFICATE_POINTS):
-        x = inner_lo + (inner_hi - inner_lo) * i / (CERTIFICATE_POINTS - 1)
-        f_gg = _core.bestcase_partials(x, scenario.u0, scenario.x_low,
-                                       scenario.x_high, scenario.b_sm,
-                                       *theta)[2]
-        max_curv = max(max_curv, f_gg)
-
-    numerically_concave = max_curv <= CURVATURE_TOL
-    consistent = (not certified) or numerically_concave
-    if not consistent:
-        logger.warning(
-            "scenario %r: concavity certificate holds but numeric curvature "
-            "reaches %r; certificate and scan disagree",
-            scenario.label, max_curv)
-    return ConcavityReport(certified=certified, margin=margin,
-                           max_numeric_curvature=max_curv,
-                           numerically_concave=numerically_concave,
-                           consistent=consistent)
 
 
 def lagrangian_derivatives(gamma: float, scenario: TravelScenario,

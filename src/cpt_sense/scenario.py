@@ -217,13 +217,14 @@ def scenarios_to_json(scenarios: list[TravelScenario] | tuple[TravelScenario, ..
 
 def scenarios_from_json(text: str) -> list[TravelScenario]:
     """Scenarios from a JSON array of objects with exactly the
-    ``CSV_COLUMNS`` fields.
+    ``CSV_COLUMNS`` fields.  Numeric fields are stored as floats.
 
     Raises:
         ValueError: text that is not JSON or not an array, or an entry that
             is not an object, lacks a field, has an unknown one, or holds
-            a non-string label or a non-number in a numeric field; the
-            message names the entry, counted from 1.
+            a non-string label, a non-number in a numeric field or an
+            integer too large for a float; the message names the entry,
+            counted from 1.
     """
     data = json.loads(text)
     if not isinstance(data, list):
@@ -248,5 +249,10 @@ def scenarios_from_json(text: str) -> list[TravelScenario]:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("scenario JSON entry %d: %s=%r is not a "
                                  "number" % (i, name, v))
+            try:
+                row[name] = float(v)
+            except OverflowError:
+                raise ValueError("scenario JSON entry %d: %s is an integer "
+                                 "too large for a float" % (i, name)) from None
         out.append(TravelScenario(**row))
     return out

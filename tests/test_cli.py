@@ -107,6 +107,23 @@ class TestSolveCommand:
         assert len(lines) == 9
 
 
+    def test_concave_certified_only_under_the_best_case(self, tmp_path):
+        # a narrow box near the choice-set edge, where the paper's
+        # inequality holds with margin 6.42 at nominal theta; the column
+        # reads it under the best-case reference only
+        edge = scn.TravelScenario("E1", u0=7.989, x_low=0.0, x_high=10.0,
+                                  b_sm=-0.5, gamma_min=4.0, gamma_max=4.02)
+        path = tmp_path / "edge.csv"
+        path.write_text(scenarios_to_csv([edge]), encoding="utf-8")
+        for reference, want in (("best", "True"), ("expected", "False")):
+            out = tmp_path / reference
+            assert run(["solve", "--scenarios", str(path), "--reference",
+                        reference, "--out", str(out)]) == 0
+            with open(out / "solutions.csv", newline="") as f:
+                (row,) = csv.DictReader(f)
+            assert row["concave_certified"] == want
+
+
 class TestSweepCommand:
     def test_emits_per_parameter_files_and_summary(self, tmp_path, s1_csv):
         out = tmp_path / "out"
@@ -324,6 +341,8 @@ class TestUsageErrors:
         ["solve", "--scenarios", "{json_missing}"],
         ["domain", "--scenarios", "{json_unknown}"],
         ["solve", "--scenarios", "{json_not_object}"],
+        ["solve", "--scenarios", "{json_huge_int}"],
+        ["validate", "--scenarios", "{json_huge_int}"],
         ["solve", "--scenarios", "{directory}"],
         ["solve", "--steps", "5"],
         ["mismatch", "--param", "beta"],
@@ -341,6 +360,7 @@ class TestUsageErrors:
             "json_missing.json": json.dumps([{"label": "x"}]),
             "json_unknown.json": json.dumps([dict(s1_json, speed=1.0)]),
             "json_not_object.json": json.dumps([list(s1_json.values())]),
+            "json_huge_int.json": json.dumps([dict(s1_json, u0=10 ** 400)]),
         }
         paths = {"directory": tmp_path / "a_directory"}
         paths["directory"].mkdir()

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpt_sense import _core
@@ -22,12 +22,8 @@ from cpt_sense import (
     acceptance_probability,
     expected_revenue,
     generate_random,
-    rank_dependent_weights,
     resolve_reference,
     revenue_function,
-    subjective_utilities,
-    value,
-    weight,
 )
 
 NOM = CptParams(alpha=0.82, beta=0.8, lam=2.25, p_worst=0.75)
@@ -98,6 +94,10 @@ class TestBinaryProspect:
                 BinaryProspect(u_low=0.0, u_high=1.0, p_worst=p)
 
 
+def value(u, reference, params):
+    return _core.cpt_value(u, reference, params.beta, params.lam)
+
+
 class TestValue:
     def test_zero_at_reference(self):
         assert value(3.7, 3.7, NOM) == 0.0
@@ -122,11 +122,8 @@ class TestValue:
         lo, hi = min(a, b), max(a, b)
         assert value(lo, ref, NOM) < value(hi, ref, NOM)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            value(math.nan, 0.0, NOM)
-        with pytest.raises(ValueError):
-            value(0.0, math.inf, NOM)
+
+weight = _core.prelec_weight
 
 
 class TestWeight:
@@ -150,16 +147,6 @@ class TestWeight:
             return
         lo, hi = min(a, b), max(a, b)
         assert weight(lo, 0.82) < weight(hi, 0.82)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            weight(-0.1, 0.82)
-        with pytest.raises(ValueError):
-            weight(1.1, 0.82)
-        with pytest.raises(ValueError):
-            weight(math.nan, 0.82)
-        with pytest.raises(ValueError):
-            weight(0.5, 0.0)
 
 
 class TestResolveReference:
@@ -205,17 +192,24 @@ def cdf_rule_weights(prospect, reference, alpha):
     return tuple(out)
 
 
+def weights_at(prospect, reference, alpha):
+    """``_core.rank_weights`` with its branch flags read from ``reference``."""
+    return _core.rank_weights(prospect.p_worst, alpha,
+                              prospect.u_low < reference,
+                              prospect.u_high >= reference)
+
+
 class TestRankDependentWeights:
     def test_reference_at_best_case(self):
         prospect = BinaryProspect(0.0, 4.0, 0.75)
-        w_low, w_high = rank_dependent_weights(prospect, 4.0, 0.82)
+        w_low, w_high = weights_at(prospect, 4.0, 0.82)
         assert w_low == pytest.approx(PRELEC_075_082, rel=1e-15)
         assert w_high == pytest.approx(PRELEC_025_082, rel=1e-15)
 
     def test_identity_distortion_recovers_probabilities(self):
         prospect = BinaryProspect(0.0, 4.0, 0.3)
         for ref in (-1.0, 0.0, 2.0, 4.0, 5.0):
-            w_low, w_high = rank_dependent_weights(prospect, ref, 1.0)
+            w_low, w_high = weights_at(prospect, ref, 1.0)
             assert w_low == pytest.approx(0.3, rel=1e-12)
             assert w_high == pytest.approx(0.7, rel=1e-12)
 
@@ -223,7 +217,7 @@ class TestRankDependentWeights:
     @pytest.mark.parametrize("alpha", [0.4, 0.82, 1.0, 1.9])
     def test_matches_cdf_rule_oracle(self, reference, alpha):
         prospect = BinaryProspect(0.0, 4.0, 0.75)
-        got = rank_dependent_weights(prospect, reference, alpha)
+        got = weights_at(prospect, reference, alpha)
         want = cdf_rule_weights(prospect, reference, alpha)
         assert got[0] == pytest.approx(want[0], rel=1e-14, abs=1e-15)
         assert got[1] == pytest.approx(want[1], rel=1e-14, abs=1e-15)
@@ -232,42 +226,41 @@ class TestRankDependentWeights:
     @settings(max_examples=200)
     def test_nonnegative_weights(self, p, alpha, ref):
         prospect = BinaryProspect(-1.0, 3.0, p)
-        w_low, w_high = rank_dependent_weights(prospect, ref, alpha)
+        w_low, w_high = weights_at(prospect, ref, alpha)
         assert w_low >= 0.0
         assert w_high >= 0.0
 
 
+def best_case_evaluation(u_low, u_high, u_alt, p_worst, params):
+    """Weights, outcome values and the ride's and the alternative's
+    subjective utilities under the best-case reference R = u_high, from
+    the kernel's primitives."""
+    prospect = BinaryProspect(u_low, u_high, p_worst)
+    w_low, w_high = weights_at(prospect, u_high, params.alpha)
+    v_low, v_high = value(u_low, u_high, params), value(u_high, u_high, params)
+    return (w_low, w_high, v_low, v_high, w_low * v_low + w_high * v_high,
+            value(u_alt, u_high, params))
+
+
 class TestSubjectiveUtilities:
     def test_best_case_structure(self):
-        prospect = BinaryProspect(1.0, 5.0, 0.75)
-        ev = subjective_utilities(prospect, 3.0, NOM, BEST_CASE)
-        assert ev.reference == 5.0
-        assert ev.v_high == 0.0
-        assert ev.u_smods_subjective == pytest.approx(ev.w_low * ev.v_low, abs=0)
+        w_low, _, v_low, v_high, u_s, _ = best_case_evaluation(
+            1.0, 5.0, 3.0, 0.75, NOM)
+        assert v_high == 0.0
+        assert u_s == pytest.approx(w_low * v_low, abs=0)
 
     def test_alternative_at_reference_scores_zero(self):
-        prospect = BinaryProspect(1.0, 5.0, 0.75)
-        ev = subjective_utilities(prospect, 5.0, NOM, BEST_CASE)
-        assert ev.u_alt_subjective == 0.0
+        assert best_case_evaluation(1.0, 5.0, 5.0, 0.75, NOM)[5] == 0.0
 
     def test_s1_frozen_values(self, s1):
         u_low, u_high = 1.62, 14.61  # S1 utilities at a 6.0 tariff
-        prospect = BinaryProspect(u_low, u_high, 0.75)
-        ev = subjective_utilities(prospect, s1.u0, NOM, BEST_CASE)
-        assert ev.u_smods_subjective == pytest.approx(S1_G6_U_SUBJ, rel=1e-13)
-        assert ev.u_alt_subjective == pytest.approx(S1_G6_A_SUBJ, rel=1e-13)
-
-    def test_trivial_choice_set_rejected(self):
-        prospect = BinaryProspect(1.0, 5.0, 0.75)
-        with pytest.raises(InvalidScenarioError):
-            subjective_utilities(prospect, 0.5, NOM, BEST_CASE)
-        with pytest.raises(InvalidScenarioError):
-            subjective_utilities(prospect, 5.5, NOM, BEST_CASE)
+        *_, u_s, a_s = best_case_evaluation(u_low, u_high, s1.u0, 0.75, NOM)
+        assert u_s == pytest.approx(S1_G6_U_SUBJ, rel=1e-13)
+        assert a_s == pytest.approx(S1_G6_A_SUBJ, rel=1e-13)
 
     def test_weights_allow_subcertainty(self):
-        prospect = BinaryProspect(1.0, 5.0, 0.5)
-        ev = subjective_utilities(prospect, 3.0, NOM, BEST_CASE)
-        assert ev.w_low + ev.w_high < 1.0
+        w_low, w_high, *_ = best_case_evaluation(1.0, 5.0, 3.0, 0.5, NOM)
+        assert w_low + w_high < 1.0
 
 
 class TestAcceptanceProbability:
@@ -399,9 +392,7 @@ def chain_calls(draw):
 class TestGeneralChain:
     """``expected_revenue`` forms the outcomes and the reference without a
     ``BinaryProspect``: the same bits and the same exception types as the
-    prospect path.  ``acceptance_probability`` has the bits of the logistic
-    of ``subjective_utilities``, so the chain's two public entry points
-    give one answer."""
+    prospect path."""
 
     @given(chain_calls())
     @settings(max_examples=1000, deadline=None)
@@ -414,20 +405,6 @@ class TestGeneralChain:
             assert got.type is type(err)
         else:
             assert _bits(expected_revenue(*call)) == want
-
-    @given(chain_calls())
-    @settings(max_examples=400, deadline=None)
-    def test_acceptance_has_the_bits_of_the_subjective_utilities(self, call):
-        gamma, s, theta, policy = call
-        try:
-            got = acceptance_probability(gamma, s, theta, policy)
-        except (ValueError, InvalidScenarioError):
-            assume(False)
-        prospect = BinaryProspect(s.x_low + s.b_sm * gamma,
-                                  s.x_high + s.b_sm * gamma, theta.p_worst)
-        ev = subjective_utilities(prospect, s.u0, theta, policy)
-        assert _bits(got) == _bits(_core._stable_logistic(
-            ev.u_alt_subjective - ev.u_smods_subjective))
 
     @pytest.mark.parametrize("field, infinite", [("x_low", -math.inf),
                                                  ("x_high", math.inf)])

@@ -203,6 +203,19 @@ class TestMalformedScenarioFiles:
         with pytest.raises(ValueError, match="entry 2.*" + problem):
             scenarios_from_json(text)
 
+    def test_json_integer_too_large_for_a_float_named(self, s1):
+        good = json.loads(scenarios_to_json([s1]))[0]
+        text = json.dumps([good, dict(good, u0=10 ** 400)])
+        with pytest.raises(ValueError) as exc:
+            scenarios_from_json(text)
+        assert str(exc.value) == ("scenario JSON entry 2: u0 is an integer "
+                                  "too large for a float")
+
+    def test_json_integers_stored_as_floats(self, s1):
+        entry = dict(json.loads(scenarios_to_json([s1]))[0], gamma_min=4)
+        (s,) = scenarios_from_json(json.dumps([entry]))
+        assert type(s.gamma_min) is float and s.gamma_min == 4.0
+
     def test_json_top_level_must_be_array(self, s1):
         good = json.loads(scenarios_to_json([s1]))[0]
         with pytest.raises(ValueError, match="array"):
