@@ -10,9 +10,12 @@ class InvalidScenarioError(CptSenseError):
 
 
 class SingularPointError(CptSenseError):
-    """A derivative is non-finite at the evaluation point.
+    """A derivative is non-finite at the evaluation point, or the slope at
+    an optimum is not zero because the optimum sits on a base zero of z,
+    where the slope jumps (a cusp).
 
-    The message names the offending term.
+    The message names the offending term, or the optimum and its KKT
+    residual.
     """
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from cpt_sense.errors import SingularHessianError
+from cpt_sense.errors import SingularHessianError, SingularPointError
 from cpt_sense.model import BEST_CASE, PARAM_NAMES, CptParams, ReferencePolicy
 from cpt_sense.pricing import (
     KKT_TOL,
@@ -91,13 +91,16 @@ def differentials(opt: OptimumRecord, scenario: TravelScenario,
     move with the parameters.
 
     Raises:
-        ValueError: record fails the KKT gate.
+        SingularPointError: record fails the KKT gate, as an optimum on a
+            cusp does: where a base of z vanishes the slope jumps, so the
+            stationarity the differentials solve does not hold.  The
+            message names gamma* and its KKT residual.
         SingularHessianError: interior optimum with |L_gg| below 1e-10.
     """
     if opt.kkt_residual > KKT_TOL:
-        raise ValueError(
-            "record has KKT residual %r above the %r acceptance gate"
-            % (opt.kkt_residual, KKT_TOL))
+        raise SingularPointError(
+            "record at gamma*=%r has KKT residual %r above the %r acceptance "
+            "gate" % (opt.gamma_star, opt.kkt_residual, KKT_TOL))
     derivs = lagrangian_derivatives(opt.gamma_star, scenario, params, policy)
 
     interior = opt.active is ActiveSet.INTERIOR

@@ -12,6 +12,7 @@ breakpoints by bisection on the active set itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import ClassVar
@@ -224,8 +225,10 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
     estimate.  Both directions are walked; each anchor's segment ends at
     the breakpoint before the next anchor, or halfway to it when no
     breakpoint lies between them, so segments are contiguous across the
-    whole range.  Each parameter value is solved and differentiated once
-    per call.
+    whole range.  Each parameter value is solved once per call and
+    differentiated only as an anchor: only an anchor's local domain and
+    segment slope read the differentials, while the range-end probe and the
+    bisection midpoints read the optimum's active set alone.
 
     Raises:
         ContinuationError: more than 32 segments, or two consecutive
@@ -240,16 +243,18 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
         hi_range = min(hi_range, spec.clamp[1])
     bp_tol = 1e-6 * abs(theta0)
 
-    solved: dict[float, tuple] = {}
+    @functools.cache
+    def solve_at(theta) -> OptimumRecord:
+        """The optimum at theta, solved on first use."""
+        return solve(scenario, params.replace(name, theta), policy)
 
-    def solve_at(theta):
-        """(optimum, differentials) at theta, solved on first use."""
-        if theta not in solved:
-            perturbed = params.replace(name, theta)
-            opt = solve(scenario, perturbed, policy)
-            solved[theta] = (opt, differentials(opt, scenario, perturbed,
-                                                policy))
-        return solved[theta]
+    @functools.cache
+    def anchor_at(theta) -> tuple[OptimumRecord, dict[str, ParamSensitivity]]:
+        """(optimum, differentials) at an anchor, differentiated on first
+        use; probes and bisection midpoints read only the optimum."""
+        opt = solve_at(theta)
+        return opt, differentials(opt, scenario, params.replace(name, theta),
+                                  policy)
 
     def walk(direction: int) -> tuple[list[Segment], list[float]]:
         """Segments and breakpoints, nominal outward to the range limit."""
@@ -262,7 +267,7 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
             """Close the anchor's segment at ``boundary``; ``nxt`` anchors
             the next one, which starts there."""
             nonlocal anchor, start
-            opt, diffs = solve_at(anchor)
+            opt, diffs = anchor_at(anchor)
             segments.append(Segment(
                 theta_lo=min(start, boundary), theta_hi=max(start, boundary),
                 theta_anchor=anchor, gamma_anchor=opt.gamma_star,
@@ -270,7 +275,7 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
             anchor, start = nxt, boundary
 
         while len(segments) < 2 * MAX_SEGMENTS:
-            opt, diffs = solve_at(anchor)
+            opt, diffs = anchor_at(anchor)
             dom = local_domain(opt, diffs, name)
             step = dom.delta_pos if direction > 0 else dom.delta_neg
             target = anchor + step if math.isfinite(step) else limit
@@ -283,7 +288,7 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
                 # range, so the range end itself is probed before stopping
                 target = limit
 
-            if solve_at(target)[0].active is opt.active:
+            if solve_at(target).active is opt.active:
                 if at_limit:
                     advance(limit, None)  # no change within range
                     return segments, breakpoints
@@ -295,7 +300,7 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
             inside, outside = anchor, target
             while abs(outside - inside) > bp_tol:
                 mid = 0.5 * (inside + outside)
-                if solve_at(mid)[0].active is opt.active:
+                if solve_at(mid).active is opt.active:
                     inside = mid
                 else:
                     outside = mid

@@ -42,13 +42,17 @@ all five reference policies (``fixed:0.0`` for the fixed one) for each of
 the four parameters, at the nominal parameters and the default
 ``SweepSpec``, and prints one SHA-256 over the ``repr`` of every
 ``PiecewiseApprox``; a call that raises is hashed as its error type and
-message.  ``test_records_digest`` pins it too: a change that moves a
-breakpoint or a segment re-pins it there and says why in CHANGES.md.
+message.  It then prints on stderr the mean ``solve`` and
+``differentials`` calls per continuation, so a change in what a
+continuation costs shows its size.  ``test_records_digest`` pins the
+digest too: a change that moves a breakpoint or a segment re-pins it there
+and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -65,7 +69,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from cpt_sense import pricing  # noqa: E402
+from cpt_sense import pricing, sweeps  # noqa: E402
 from cpt_sense.cli import main  # noqa: E402
 from cpt_sense.errors import CptSenseError  # noqa: E402
 from cpt_sense.model import (  # noqa: E402
@@ -241,6 +245,27 @@ def logged_polish(log: list[tuple[float, float, float, int]]):
 
 
 @contextlib.contextmanager
+def counted_continuation(counts: collections.Counter):
+    """Within the block, every ``solve`` and ``differentials`` call of
+    ``piecewise_continuation`` adds one to ``counts`` under its name."""
+    saved = {name: getattr(sweeps, name) for name in ("solve", "differentials")}
+
+    def counted(name, call):
+        def counting(*args):
+            counts[name] += 1
+            return call(*args)
+        return counting
+
+    for name, call in saved.items():
+        setattr(sweeps, name, counted(name, call))
+    try:
+        yield
+    finally:
+        for name, call in saved.items():
+            setattr(sweeps, name, call)
+
+
+@contextlib.contextmanager
 def logged_oracle(log: list[int]):
     """Within the block, every oracle call of ``solve`` appends to ``log``
     the revenue values it took."""
@@ -385,10 +410,14 @@ def main_tool(argv: list[str] | None = None) -> int:
               % (args.count, records, errors), file=sys.stderr)
         return 0
     if args.mode == "continuation":
-        hexdigest, calls, errors = continuation_digest()
+        counts: collections.Counter = collections.Counter()
+        with counted_continuation(counts):
+            hexdigest, calls, errors = continuation_digest()
         print(hexdigest)
-        print("%d continuation calls, %d errors hashed" % (calls, errors),
-              file=sys.stderr)
+        print("%d continuation calls, %d errors hashed; %.2f solves and %.2f "
+              "differentials per call"
+              % (calls, errors, counts["solve"] / calls,
+                 counts["differentials"] / calls), file=sys.stderr)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)

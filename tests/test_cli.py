@@ -22,6 +22,8 @@ from cpt_sense.model import ReferencePolicy
 from cpt_sense.scenario import fixtures, scenarios_to_csv, scenarios_to_json
 from cpt_sense.sweeps import SWEEP_COLUMNS
 
+from test_sensitivity import R1433, R1433_THETA
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -514,6 +516,27 @@ class TestAnalysisFailures:
         assert capsys.readouterr().err == \
             "S2: solver failure: no sign change\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,code", [
+        ("solve", 0), ("mismatch", 0), ("domain", 3), ("sweep", 3)])
+    def test_optimum_on_a_cusp(self, tmp_path, capsys, command, code):
+        # the optimum solves, but its KKT residual bars the differentials
+        # that domain and sweep read
+        path = tmp_path / "cusp.csv"
+        path.write_text(scenarios_to_csv([R1433]), encoding="utf-8")
+        rider = ["--alpha", repr(R1433_THETA.alpha),
+                 "--beta", repr(R1433_THETA.beta),
+                 "--lambda", repr(R1433_THETA.lam),
+                 "--p", repr(R1433_THETA.p_worst)]
+        assert run(analysis_argv(command, tmp_path / "out") + rider + [
+            "--scenarios", str(path), "--reference", "expected"]) == code
+        err = capsys.readouterr().err
+        if code:
+            (line,) = err.splitlines()
+            assert line.startswith("R1433: solver failure: record at gamma*=")
+            assert "KKT residual" in line
+        else:
+            assert err == ""
 
 
 def readme_flag_table() -> dict[str, set[str]]:

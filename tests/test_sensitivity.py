@@ -1,11 +1,13 @@
 """Unit tests for local sensitivity: differentials, Taylor prediction and
 active-set domains."""
 
+import contextlib
 import dataclasses
 import math
+import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpt_sense import sensitivity
@@ -19,6 +21,8 @@ from cpt_sense import (
     PARAM_NAMES,
     ReferencePolicy,
     SingularHessianError,
+    SingularPointError,
+    TravelScenario,
     all_domains,
     differentials,
     generate_random,
@@ -27,9 +31,21 @@ from cpt_sense import (
     solve,
     taylor_predict,
 )
+from cpt_sense.pricing import KKT_TOL
 
 from exact_reference import exact_dgamma, exact_optimum
 from finite_difference import central_derivative
+from test_pricing import wide_draws
+
+#: R1433 of generate_random(2000, seed=21) with its rider under the expected
+#: reference: ``solve`` returns an interior gamma* on a cusp, where
+#: u0 - R = 3e-13 and the slope jumps from +0.23 to -0.11.
+R1433 = TravelScenario(
+    "R1433", u0=5.364591399034937, x_low=-5.030401095370149,
+    x_high=12.106238562044314, b_sm=-0.6400118652091471,
+    gamma_min=3.243320331386506, gamma_max=7.832015242260743)
+R1433_THETA = CptParams(alpha=0.4204997774406266, beta=1.025351336050258,
+                        lam=0.3838948113815594, p_worst=0.12343346218330442)
 
 
 def reoptimized_gamma(scenario, name):
@@ -93,8 +109,17 @@ class TestDifferentials:
     def test_unaccepted_record_rejected(self, s1):
         opt = solve(s1, NOMINAL_PARAMS)
         tampered = dataclasses.replace(opt, kkt_residual=1.0)
-        with pytest.raises(ValueError, match="KKT residual"):
+        with pytest.raises(SingularPointError, match="KKT residual"):
             differentials(tampered, s1, NOMINAL_PARAMS)
+
+    def test_optimum_on_a_cusp_rejected(self):
+        policy = ReferencePolicy.expected_utility()
+        opt = solve(R1433, R1433_THETA, policy)
+        assert opt.active is ActiveSet.INTERIOR
+        assert opt.kkt_residual > KKT_TOL
+        with pytest.raises(SingularPointError, match=re.escape(
+                "gamma*=%r has KKT residual" % opt.gamma_star)):
+            differentials(opt, R1433, R1433_THETA, policy)
 
     def test_singular_hessian_rejected(self, s1, monkeypatch):
         opt = solve(s1, NOMINAL_PARAMS)
@@ -107,6 +132,17 @@ class TestDifferentials:
                             lambda *args: flat)
         with pytest.raises(SingularHessianError):
             differentials(opt, s1, NOMINAL_PARAMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=wide_draws())
+@example(draw=(R1433, R1433_THETA, ReferencePolicy.expected_utility()))
+def test_solve_then_differentials_raise_only_package_errors(draw):
+    """Every failure of ``solve`` and then ``differentials`` is a
+    ``CptSenseError``, the one class a caller has to catch."""
+    s, theta, policy = draw
+    with contextlib.suppress(CptSenseError):
+        differentials(solve(s, theta, policy), s, theta, policy)
 
 
 def half_factor_order2(opt, diffs, name, theta):

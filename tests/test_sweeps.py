@@ -1,5 +1,6 @@
 """Unit tests for numeric sweeps, piecewise continuation and mismatch loss."""
 
+import collections
 import math
 from types import SimpleNamespace
 
@@ -20,7 +21,10 @@ from cpt_sense import (
     sweeps,
 )
 from cpt_sense.cli import main
-from cpt_sense.model import BEST_CASE
+from cpt_sense.model import BEST_CASE, CptParams, ReferencePolicy
+from cpt_sense.scenario import TravelScenario
+
+import golden_tool
 
 # frozen from an independent dense-grid double-solve oracle
 S1_MISMATCH_LAM_12 = dict(gamma_assumed=5.2084074738574575,
@@ -239,6 +243,41 @@ class TestPiecewiseContinuation:
         monkeypatch.setattr(sweeps, "solve", recording_solve)
         piecewise_continuation(s1, NOMINAL_PARAMS, BEST_CASE, SweepSpec(name))
         assert sorted({t for t in solved if solved.count(t) > 1}) == []
+
+    @pytest.mark.parametrize("label,name,policy", [
+        ("S1", "beta", BEST_CASE),
+        ("S2", "alpha", ReferencePolicy.expected_utility()),
+    ], ids=["S1-beta-best", "S2-alpha-expected"])
+    def test_differentials_only_at_anchors(self, scenarios, label, name,
+                                           policy):
+        # the range-end probes and bisection midpoints read only the
+        # optimum's active set, so only an anchor is differentiated
+        (s,) = [s for s in scenarios if s.label == label]
+        counts = collections.Counter()
+        with golden_tool.counted_continuation(counts):
+            approx = piecewise_continuation(s, NOMINAL_PARAMS, policy,
+                                            SweepSpec(name))
+        assert approx.breakpoints
+        assert counts["differentials"] == len(
+            {seg.theta_anchor for seg in approx.segments})
+
+    def test_unread_differential_does_not_abort(self):
+        # the range-end probe p = 0.999 has f* ~ 3e-12 and a degenerate
+        # curvature, but no segment is anchored there
+        s = TravelScenario(
+            "R0185", u0=4.629171331288944, x_low=-9.091232763021393,
+            x_high=9.670269408377498, b_sm=-0.3882896727317865,
+            gamma_min=1.1340348852310655, gamma_max=9.847374061122656)
+        theta = CptParams(alpha=0.34388216658640164, beta=0.8093033571826065,
+                          lam=3.490809879599457, p_worst=0.8407262719521534)
+        approx = piecewise_continuation(
+            s, theta, ReferencePolicy.static_alternative(), SweepSpec("p"))
+        assert approx.breakpoints == ()
+        (seg,) = approx.segments
+        assert (seg.theta_lo, seg.theta_hi, seg.theta_anchor, seg.slope) == (
+            0.6725810175617228, 0.999, 0.8407262719521534,
+            -1.9309541617519184)
+        assert seg.active is ActiveSet.INTERIOR
 
 
 class TestContinuationGuards:
