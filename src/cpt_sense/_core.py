@@ -32,18 +32,22 @@ Hot-path contract.  Each revenue value a solve counts is either a node
 value or a value-closure call.  A solve evaluates its 9 start tariffs in
 one pass, ``nodes(xs) -> (values, slopes)``, and each node it adds while
 it bisects, and each polished root, in a one-node pass; the slopes steer
-the search and the start values are the oracle's grid.  Every other
-value (the oracle's golden steps) is one value-closure call.  The cell
-bound, ``bound(a, b, f_a, f_b, level)``, reads the end values the nodes
-gave and takes no value of its own.  Under the best-case reference each counted
-value is one ``bestcase_revenue`` call, and the bound is the evaluator's
-on the best-case line; under every other, the pass, the value closure and
-the bound are those of ``revenue_evaluator``.  A node sums z once and
-takes one logistic for its value and its slope; its value has the value
-closure's bits and its slope the scalar slope's, since ``slope(gamma)``
-is the one-node pass.  ``prelec_weight`` is cached per (p, alpha) with a
-bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the best-case kernels
-pay for w(p) once per rider rather than once per tariff.  The two best-case kernels inline the clamped logistic of
+the search and the start values are the oracle's grid.  Every other value
+(the oracle's golden steps) is one value-closure call.  The cell bound,
+``bound(a, b, f_a, f_b, level)``, reads the end values the nodes gave and
+takes no value of its own; ``_revenue_bound`` builds it, and
+``revenue_evaluator`` calls it for its own.  Under the best-case reference
+each counted value is one ``bestcase_revenue`` call, and the bound is
+``_revenue_bound``'s on the best-case line, built without an evaluator: on
+that line no rank weight moves with the tariff, so the bound takes no
+distorted probability and a solve no w(1-p).  Under every other, the pass,
+the value closure and the bound are those of ``revenue_evaluator``.  A
+node sums z once and takes one logistic for its value and its slope; its
+value has the value closure's bits and its slope the scalar slope's, since
+``slope(gamma)`` is the one-node pass.  ``prelec_weight`` is cached per
+(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
+best-case kernels pay for w(p) once per rider rather than once per tariff.
+The two best-case kernels inline the clamped logistic of
 ``_stable_logistic``, and the evaluator's value closure and node pass
 inline it and the bases of ``_value_bases``, each in the same arithmetic
 order, so a value costs one Python frame, a pass one frame for all its
@@ -251,6 +255,7 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     [u_low, u_high] at a tariff; the slope and the pass raise
     SingularPointError, naming the base, where a base that is not
     identically zero vanishes with beta < 1 and the slope is infinite.
+    The bound is ``_revenue_bound``'s on the same line.
     """
     w_p = prelec_weight(p_worst, alpha)
     w_q = prelec_weight(1.0 - p_worst, alpha)
@@ -357,6 +362,35 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
     def slope(gamma):
         return nodes((gamma,))[1][0]
 
+    bound = _revenue_bound(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
+                           alpha, beta, lam, p_worst)
+    return value, slope, nodes, bound
+
+
+def _revenue_bound(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
+                   alpha, beta, lam, p_worst):
+    """``bound(a, b, f_a, f_b, level)``: an upper bound of the expected
+    revenue under the reference line R = ref_c + ref_g*gamma +
+    ref_p*p_worst on the tariff cell [a, b] from the values at its ends,
+    or ``level`` where a second-order test proves the revenue no higher
+    (docs/derivatives.md, "The revenue bound of a cell"), valid when b < 0
+    and ref_g is 0 or b, as on every policy's line.
+
+    Everything the bound reads that does not depend on the cell is
+    computed here once: the line's p-term, the terms of z whose base moves
+    with the tariff and each one's branch coefficients.  A ride outcome's
+    base moves only where ref_g is 0, so only there does the bound read a
+    rank weight, and only there does it take w(p) and w(1-p); on the best,
+    worst and expected lines it takes no distorted probability.
+    """
+    ref_pp = ref_p * p_worst
+    alt_zero, low_zero, high_zero = _zero_bases(u0, x_low, x_high, b,
+                                                ref_c, ref_g, ref_p)
+    neg_lam = -lam
+    beta_1 = beta - 1.0
+    alt_g, ride_g = -ref_g, b - ref_g
+    lam_beta = lam * beta
+
     # the terms of z whose base moves with the tariff, as (base offset,
     # base tariff coefficient, branch data at d > 0, branch data at d < 0);
     # a branch holds (convex, c*beta*m_g, c) for the term c*m**beta with
@@ -368,10 +402,13 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
         moving.append((u0, 0.0, (convex_at, beta * alt_g, 1.0),
                        (not convex_at, lam_beta * alt_g, neg_lam)))
     if ride_g != 0.0:
-        for zero, x, w_gain, w_loss in ((low_zero, x_low, w_low_gain,
-                                         w_low_loss),
-                                        (high_zero, x_high, w_high_gain,
-                                         w_high_loss)):
+        # each ride outcome's (gain, loss) rank weights, as in
+        # revenue_evaluator
+        w_p = prelec_weight(p_worst, alpha)
+        w_q = prelec_weight(1.0 - p_worst, alpha)
+        for zero, x, w_gain, w_loss in ((low_zero, x_low, 1.0 - w_q, w_p),
+                                        (high_zero, x_high, w_q,
+                                         1.0 - w_p)):
             if not zero:
                 moving.append((x, b, (not convex_at, -w_gain * beta * ride_g,
                                       -w_gain),
@@ -513,7 +550,7 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
                          + (abs(z_a) + g_a + abs(z_b) + g_b) * w)
         return min(low, phi_a, phi_b) >= slack
 
-    return value, slope, nodes, bound
+    return bound
 
 
 def _valley(phi, slope, kappa, w):

@@ -88,7 +88,8 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     on a bracket the point found lies within tol/2 of that bracket's
     argmax.  A bracket of width w > tol costs
     3 + ceil(log(w/tol) / log(1.618)) evaluations, one when w <= tol: at
-    tol = one cell, at most 4 per endpoint cell and 5 per interior peak.
+    tol = half a cell, as ``pricing.solve`` refines, 5 per endpoint cell
+    and 6 per interior peak (at tol = one cell, 1 and 5).
 
     Args:
         f: objective; may be a plain callable or a ScalarFunctionHandle.

@@ -175,8 +175,8 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
     both at a list of tariffs, and the revenue bound of a tariff cell, as
     (value, slope, nodes, bound).
 
-    The best-case kernels under the best-case policy, with the bound of
-    ``_core``'s evaluator on the best-case line; one reference-line
+    The best-case kernels under the best-case policy, with ``_core``'s
+    cell bound on the best-case line, built alone; one reference-line
     evaluator from ``_core`` otherwise.  Each value ``nodes`` returns is
     the value function's at that tariff, bit for bit.
     """
@@ -208,8 +208,7 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
             values.append(kernel(x, u0, xl, xh, b, a, be, lam, p))
         return values, slopes
 
-    bound = _core.revenue_evaluator(u0, xl, xh, b, xh, b, 0.0,
-                                    a, be, lam, p)[3]
+    bound = _core._revenue_bound(u0, xl, xh, b, xh, b, 0.0, a, be, lam, p)
     return f, fgrad, nodes, bound
 
 
@@ -278,23 +277,27 @@ def solve(scenario: TravelScenario, params: CptParams,
     # Endpoints first so that they win value ties exactly on the bound.
     f_lo, f_hi = ys[0], ys[-1]
     gamma_star, f_star, slope_star = lo, f_lo, slopes[0]
-    for cand, y, s in [(hi, f_hi, slopes[-1])] + sorted(stationary):
-        if y > f_star:
-            gamma_star, f_star, slope_star = cand, y, s
+    if f_hi > f_star:
+        gamma_star, f_star, slope_star = hi, f_hi, slopes[-1]
+    if stationary:
+        for cand, y, s in sorted(stationary):
+            if y > f_star:
+                gamma_star, f_star, slope_star = cand, y, s
 
+    mu_low = mu_high = 0.0
+    degenerate = False
     if gamma_star <= lo + gtol:
         gamma_star, f_star, slope_star = lo, f_lo, slopes[0]
         active = ActiveSet.LOWER_BOUND
+        mu_low = max(0.0, -slope_star)
+        degenerate = mu_low < DEGENERATE_MU
     elif gamma_star >= hi - gtol:
         gamma_star, f_star, slope_star = hi, f_hi, slopes[-1]
         active = ActiveSet.UPPER_BOUND
+        mu_high = max(0.0, slope_star)
+        degenerate = mu_high < DEGENERATE_MU
     else:
         active = ActiveSet.INTERIOR
-
-    mu_low = max(0.0, -slope_star) if active is ActiveSet.LOWER_BOUND else 0.0
-    mu_high = max(0.0, slope_star) if active is ActiveSet.UPPER_BOUND else 0.0
-    degenerate = (active is not ActiveSet.INTERIOR
-                  and max(mu_low, mu_high) < DEGENERATE_MU)
 
     # the oracle reads the start nodes and refines its brackets to half a
     # start cell, so that an endpoint cell takes golden steps too rather
@@ -312,11 +315,10 @@ def solve(scenario: TravelScenario, params: CptParams,
             "%r at gamma*=%r more than 2 start cells away"
             % (scenario.label, f_oracle, gamma_oracle, f_star, gamma_star))
 
-    record = OptimumRecord(
-        gamma_star=gamma_star, f_star=f_star, mu_low=mu_low, mu_high=mu_high,
-        active=active, kkt_residual=0.0, degenerate=degenerate,
-        gamma_min=lo, gamma_max=hi, gamma_oracle=gamma_oracle,
-        evaluations=f.evaluations)
+    # the fields in their order, positionally: a keyword per field costs
+    # the frozen __init__ a name match each
+    record = OptimumRecord(gamma_star, f_star, mu_low, mu_high, active, 0.0,
+                           degenerate, lo, hi, gamma_oracle, f.evaluations)
     residual = kkt_residuals(record, slope_star).max_residual
     # the record is not shared yet: set its residual the way a frozen
     # dataclass's own __init__ sets every field, instead of copying it
@@ -351,22 +353,23 @@ def _certified_stationary(label: str, lo: float, hi: float,
         ValueError: a node's revenue is non-finite.
     """
     span = hi - lo
-    step = LATTICE // START_CELLS
-    index = list(range(0, LATTICE + 1, step))
+    index = range(0, LATTICE + 1, LATTICE // START_CELLS)
     xs = [lo + span * i / LATTICE for i in index]
     xs[-1] = hi
     ys, slopes = nodes(xs)
     f.evaluations += len(ys)
-    for x, y in zip(xs, ys):
-        if not math.isfinite(y):
-            raise _non_finite(y, x)
-    stationary = [(x, y, s) for x, y, s in zip(xs, ys, slopes) if s == 0.0]
+    if not all(map(math.isfinite, ys)):
+        raise next(_non_finite(y, x) for x, y in zip(xs, ys)
+                   if not math.isfinite(y))
+    # a slope of exactly 0 is rare: scan for one only when there is one
+    stationary = ([(x, y, s) for x, y, s in zip(xs, ys, slopes) if s == 0.0]
+                  if 0.0 in slopes else [])
     top = max(zip(ys, xs))  # the largest node value, at its tariff
 
     # a cell is (a, b, f_a, f_b, s_a, s_b, i_a, i_b), i_* its ends' lattice
     # indices, or -1 below the lattice
-    work = [(xs[j], xs[j + 1], ys[j], ys[j + 1], slopes[j], slopes[j + 1],
-             index[j], index[j + 1]) for j in range(START_CELLS)]
+    work = list(zip(xs, xs[1:], ys, ys[1:], slopes, slopes[1:], index,
+                    index[1:]))
     heap: list = []
     min_width = max(MIN_CELL * span,
                     MIN_CELL_OF_TARIFF * max(abs(lo), abs(hi)))
@@ -395,7 +398,10 @@ def _certified_stationary(label: str, lo: float, hi: float,
                              (root, b, y, f_b, 0.0, s_b, -1, -1)]
                 else:
                     pending.append(cell)
-        best = max([ys[0], ys[-1]] + [y for _, y, _ in stationary])
+        best = max(ys[0], ys[-1])
+        for _, y, _ in stationary:
+            if y > best:  # the first of equal maxima, as max keeps it
+                best = y
         level = best + CERTIFY_RTOL * abs(best)
         for cell in pending:
             u = bound(cell[0], cell[1], cell[2], cell[3], level)
@@ -473,15 +479,15 @@ def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:
     passes the one it took, and ``revenue_gradient`` gives it with the same
     bits.
     """
-    return KktResiduals(
-        stationarity=abs(-slope + record.mu_high - record.mu_low),
-        comp_slack_lower=abs(record.mu_low * (record.gamma_min - record.gamma_star)),
-        comp_slack_upper=abs(record.mu_high * (record.gamma_star - record.gamma_max)),
-        dual_lower_violation=max(0.0, -record.mu_low),
-        dual_upper_violation=max(0.0, -record.mu_high),
-        primal_violation=max(record.gamma_min - record.gamma_star,
-                             record.gamma_star - record.gamma_max, 0.0),
-    )
+    gamma, lo, hi = record.gamma_star, record.gamma_min, record.gamma_max
+    mu_low, mu_high = record.mu_low, record.mu_high
+    # stationarity, both complementary slacks, both dual and the primal
+    # violation, in field order
+    return KktResiduals(abs(-slope + mu_high - mu_low),
+                        abs(mu_low * (lo - gamma)),
+                        abs(mu_high * (gamma - hi)),
+                        max(0.0, -mu_low), max(0.0, -mu_high),
+                        max(lo - gamma, gamma - hi, 0.0))
 
 
 def certificate_margin(scenario: TravelScenario,

@@ -5,6 +5,7 @@ or fingerprint the solver's records bit for bit.
     python tests/golden_tool.py regen   # rewrite tests/data/golden/
     python tests/golden_tool.py records [--count N] [--seed S]
     python tests/golden_tool.py continuation
+    python tests/golden_tool.py phases [--count N] [--seed S]
 
 ``diff`` and ``regen`` run every ``test_golden.CASES`` command afresh,
 exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
@@ -47,6 +48,27 @@ message.  It then prints on stderr the mean ``solve`` and
 continuation costs shows its size.  ``test_records_digest`` pins the
 digest too: a change that moves a breakpoint or a segment re-pins it there
 and says why in CHANGES.md.
+
+``phases`` prints where the time of a best-case ``solve`` goes, in µs per
+solve, as the benchmark's online requests call it: N draws (default 6000)
+of a scenario from a pool of ``generate_random(500, seed=S)`` with rider
+parameters drawn per draw from ``PHASE_THETA``, so that nearly every draw
+is a new rider.  It times each phase by wrapping ``pricing``'s module
+bindings from outside (``require_valid``, ``_revenue_closures`` and the
+``nodes`` and ``bound`` closures it returns, ``_certified_stationary``,
+``_split``, ``_polish``, ``bracket_root``, ``grid_golden_maximize``,
+``OptimumRecord`` and ``kkt_residuals``), as the benchmark's tracer does,
+and edits nothing in ``src/``.  The start pass is the ``nodes`` call made
+outside a split or a polish; the start-cell set-up runs from its end to
+the search's first split, polish or bound call; the polish and split loop
+is the rest of the search outside its bound calls, and the two rows after it
+are its split and polish calls and, of those, the root finder; the
+candidate pick runs from the search's return to the oracle's call.
+``other`` is what is left of the instrumented solve.  It runs the draws
+``PHASE_PASSES`` times and prints the pass of least instrumented time,
+then the least uninstrumented mean of ``PHASE_PASSES`` more passes: the
+wrappers' own clock reads and frames inflate the phases, not that line.
+Solves that raise are left out of the table and counted.
 """
 
 from __future__ import annotations
@@ -64,6 +86,7 @@ import random
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -74,6 +97,7 @@ from cpt_sense.cli import main  # noqa: E402
 from cpt_sense.errors import CptSenseError  # noqa: E402
 from cpt_sense.model import (  # noqa: E402
     NOMINAL_PARAMS, PARAM_NAMES, CptParams, ReferencePolicy)
+from cpt_sense.pricing import ActiveSet  # noqa: E402
 from cpt_sense.pricing import solve  # noqa: E402
 from cpt_sense.scenario import fixtures, generate_random  # noqa: E402
 from cpt_sense.sensitivity import differentials  # noqa: E402
@@ -385,15 +409,213 @@ def continuation_digest() -> tuple[str, int, int]:
     return digest.hexdigest(), calls, errors
 
 
+#: (field, low, high) of the rider parameters ``phases`` draws: those of
+#: the benchmark's online requests.
+PHASE_THETA = (("alpha", 0.4, 1.0), ("beta", 0.4, 1.2), ("lam", 1.0, 3.5),
+               ("p_worst", 0.2, 0.9))
+#: Scenarios ``phases`` draws from, and the passes it times.
+PHASE_POOL = 500
+PHASE_PASSES = 5
+#: ``phases`` table rows, in the order a solve runs them.
+PHASE_ROWS = ("require_valid", "_revenue_closures", "start pass",
+              "start-cell set-up", "polish and split loop",
+              "split and polish calls (of the loop)", "Brent (of the calls)",
+              "bounds", "candidate pick", "oracle", "OptimumRecord",
+              "kkt_residuals", "other")
+#: Rows that are parts of the row above them, not of the solve's sum.
+PHASE_PARTS = PHASE_ROWS[5:7]
+
+
+def phase_draws(count: int, seed: int) -> list[tuple]:
+    """``count`` (scenario, theta) pairs of ``phases``."""
+    pool = generate_random(count=PHASE_POOL, seed=seed)
+    rng = random.Random(seed)
+    return [(pool[rng.randrange(len(pool))],
+             CptParams(**{name: rng.uniform(lo, hi)
+                          for name, lo, hi in PHASE_THETA}))
+            for _ in range(count)]
+
+
+@contextlib.contextmanager
+def phase_clock(times: dict[str, int], marks: dict[str, int]):
+    """Within the block, each call of a ``pricing`` binding that
+    ``phases`` times adds its ns to ``times[phase]``, and ``marks`` holds
+    the clock at the phase boundaries no call spans ("start pass end",
+    "first cell call", "search end", "oracle start") and the bound calls
+    ("bound calls").  The caller zeroes both before each solve, the first
+    cell call's mark to None."""
+    clock = time.perf_counter_ns
+    depth = [0]  # splits and polishes open
+    saved = {name: getattr(pricing, name) for name in (
+        "require_valid", "_revenue_closures", "_certified_stationary",
+        "_split", "_polish", "bracket_root", "grid_golden_maximize",
+        "OptimumRecord", "kkt_residuals")}
+
+    def timed(phase, call):
+        def wrapper(*args, **kwargs):
+            t0 = clock()
+            try:
+                return call(*args, **kwargs)
+            finally:
+                times[phase] += clock() - t0
+        return wrapper
+
+    def cell_call(call):
+        def wrapper(*args):
+            t0 = clock()
+            if marks["first cell call"] is None:
+                marks["first cell call"] = t0
+            depth[0] += 1
+            try:
+                return call(*args)
+            finally:
+                depth[0] -= 1
+                times[PHASE_PARTS[0]] += clock() - t0
+        return wrapper
+
+    def closures(*args):
+        value, slope, nodes, bound = saved["_revenue_closures"](*args)
+
+        def timed_nodes(xs):
+            if depth[0]:
+                return nodes(xs)
+            t0 = clock()
+            try:
+                return nodes(xs)
+            finally:
+                marks["start pass end"] = t1 = clock()
+                times["start pass"] += t1 - t0
+
+        def timed_bound(a, b, f_a, f_b, level):
+            t0 = clock()
+            if marks["first cell call"] is None:
+                marks["first cell call"] = t0
+            try:
+                return bound(a, b, f_a, f_b, level)
+            finally:
+                times["bounds"] += clock() - t0
+                marks["bound calls"] += 1
+        return value, slope, timed_nodes, timed_bound
+
+    def search(*args):
+        try:
+            return saved["_certified_stationary"](*args)
+        finally:
+            marks["search end"] = clock()
+
+    def oracle(*args, **kwargs):
+        marks["oracle start"] = clock()
+        return saved["grid_golden_maximize"](*args, **kwargs)
+
+    wrappers = {
+        "require_valid": timed("require_valid", saved["require_valid"]),
+        "_revenue_closures": timed("_revenue_closures", closures),
+        "_certified_stationary": timed("search", search),
+        "_split": cell_call(saved["_split"]),
+        "_polish": cell_call(saved["_polish"]),
+        "bracket_root": timed(PHASE_PARTS[1], saved["bracket_root"]),
+        "grid_golden_maximize": timed("oracle", oracle),
+        "OptimumRecord": timed("OptimumRecord", saved["OptimumRecord"]),
+        "kkt_residuals": timed("kkt_residuals", saved["kkt_residuals"]),
+    }
+    for name, wrapper in wrappers.items():
+        setattr(pricing, name, wrapper)
+    try:
+        yield
+    finally:
+        for name, call in saved.items():
+            setattr(pricing, name, call)
+
+
+def solve_phases(draws: list[tuple]
+                 ) -> tuple[dict[str, float], float, int, float, float]:
+    """(µs per solve by ``PHASE_ROWS`` row, µs per uninstrumented solve,
+    solves that raised, interior share, bound calls per solve) of
+    ``phases`` over ``draws``."""
+    clock = time.perf_counter_ns
+    timed = ("require_valid", "_revenue_closures", "search", "start pass",
+             "bounds", "oracle", "OptimumRecord",
+             "kkt_residuals") + PHASE_PARTS
+    zero = dict.fromkeys(timed, 0)
+    times = dict(zero)
+    marks: dict = {}
+    best = None
+    with phase_clock(times, marks):
+        for _ in range(PHASE_PASSES):
+            rows: collections.Counter = collections.Counter()
+            solved = raised = interior = bounds = 0
+            for s, theta in draws:
+                times.update(zero)
+                marks.update({"first cell call": None, "bound calls": 0})
+                t0 = clock()
+                try:
+                    record = pricing.solve(s, theta)
+                except (CptSenseError, ValueError):
+                    raised += 1
+                    continue
+                total = clock() - t0
+                row = dict(times)
+                search = row.pop("search")
+                setup = (marks["first cell call"] or marks["search end"]) \
+                    - marks["start pass end"]
+                row["start-cell set-up"] = setup
+                row["polish and split loop"] = (
+                    search - row["start pass"] - setup - row["bounds"])
+                row["candidate pick"] = (marks["oracle start"]
+                                         - marks["search end"])
+                row["other"] = total - sum(
+                    v for k, v in row.items() if k not in PHASE_PARTS)
+                rows.update(row)
+                solved += 1
+                interior += record.active is ActiveSet.INTERIOR
+                bounds += marks["bound calls"]
+            total_ns = sum(v for k, v in rows.items() if k not in PHASE_PARTS)
+            if best is None or total_ns < best[0]:
+                best = (total_ns, rows, solved, raised, interior, bounds)
+    _, rows, solved, raised, interior, bounds = best
+    if not solved:
+        raise SystemExit("phases: every solve raised")
+    plain = math.inf
+    for _ in range(PHASE_PASSES):
+        t0 = clock()
+        for s, theta in draws:
+            try:
+                pricing.solve(s, theta)
+            except (CptSenseError, ValueError):
+                pass
+        plain = min(plain, (clock() - t0) / len(draws))
+    return ({row: rows[row] / solved / 1e3 for row in PHASE_ROWS},
+            plain / 1e3, raised, interior / solved, bounds / solved)
+
+
 def main_tool(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode",
-                        choices=["diff", "regen", "records", "continuation"])
-    parser.add_argument("--count", type=int, default=320,
-                        help="records: generated scenarios (default 320)")
+    parser.add_argument("mode", choices=["diff", "regen", "records",
+                                         "continuation", "phases"])
+    parser.add_argument("--count", type=int, default=None,
+                        help="records: generated scenarios (default 320); "
+                        "phases: draws (default 6000)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="records: scenario and parameter seed (default 0)")
+                        help="records and phases: scenario and parameter "
+                        "seed (default 0)")
     args = parser.parse_args(argv)
+    if args.mode == "phases":
+        count = 6000 if args.count is None else args.count
+        if count < 1:
+            parser.error("--count must be at least 1")
+        rows, plain, raised, interior, bounds = solve_phases(
+            phase_draws(count, args.seed))
+        print("| phase | µs |\n| --- | --- |")
+        for row, us in rows.items():
+            print("| %s | %.1f |" % (row, us))
+        instrumented = sum(us for row, us in rows.items()
+                           if row not in PHASE_PARTS)
+        print("instrumented solve %.1f µs, uninstrumented %.1f µs; %.0f%% "
+              "interior, %.2f bound calls per solve, %d of %d solves raised"
+              % (instrumented, plain, 100.0 * interior, bounds, raised, count))
+        return 0
+    if args.count is None:
+        args.count = 320
     if args.mode == "records":
         if args.count < 1:
             parser.error("--count must be at least 1")

@@ -755,16 +755,33 @@ class TestEvaluationContract:
                                lam=rng.uniform(1.0, 3.5),
                                p_worst=rng.uniform(0.2, 0.9))
 
-    def test_best_case_counts(self, calls):
+    def test_best_case_counts(self, calls, monkeypatch):
+        original = _core._revenue_bound
+        bounds = Counter()
+
+        def counting_bound(*args):
+            bound = original(*args)
+
+            def counted_bound(*cell):
+                before = sum(calls.values())
+                result = bound(*cell)
+                assert sum(calls.values()) == before  # no counted value
+                bounds["calls"] += 1
+                return result
+            return counted_bound
+
+        monkeypatch.setattr(_core, "_revenue_bound", counting_bound)
         solved = 0
         for s, theta in self.inputs():
             calls.clear()
+            bounds.clear()
             record = solve(s, theta)
             assert calls["bestcase_revenue"] == record.evaluations, s.label
             # a node is one value and one slope call, the start pass first
             assert calls["bestcase_revenue_gradient"] > pricing.START_CELLS
             assert calls["grid_golden_maximize"] == 1
             assert calls["kkt_residuals"] == 1
+            assert bounds["calls"] > 0, s.label
             solved += 1
         assert solved == 55
 
@@ -845,11 +862,13 @@ class TestEvaluationContract:
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_one_evaluator_and_one_slope_at_the_answer(self, monkeypatch,
                                                        name):
-        """Each solve builds its revenue closures, and so one evaluator,
-        once, and outside the root finder takes the slope at gamma* at most
-        once: in the polish's node at its root for an interior answer, and
-        for an answer on a bound in the start pass; a node is one gradient
-        call under the best case and no slope-closure call otherwise."""
+        """Each solve builds its revenue closures once, and so one cell
+        bound and, off the best case, one evaluator (the best case builds
+        its bound alone), and outside the root finder takes the slope at
+        gamma* at most once: in the polish's node at its root for an
+        interior answer, and for an answer on a bound in the start pass; a
+        node is one gradient call under the best case and no slope-closure
+        call otherwise."""
         counts = Counter()
         at = []  # (tariff, inside the root finder) of every slope taken
         depth = [0]
@@ -858,11 +877,13 @@ class TestEvaluationContract:
             original = getattr(module, attr)
             monkeypatch.setattr(module, attr, wrap(original))
 
-        def closures(original):
-            def wrapper(*args):
-                counts["closures"] += 1
-                return original(*args)
-            return wrapper
+        def counted(key):
+            def wrap(original):
+                def wrapper(*args):
+                    counts[key] += 1
+                    return original(*args)
+                return wrapper
+            return wrap
 
         def evaluator(original):
             def wrapper(*args):
@@ -890,8 +911,9 @@ class TestEvaluationContract:
                     depth[0] -= 1
             return wrapper
 
-        install(pricing, "_revenue_closures", closures)
+        install(pricing, "_revenue_closures", counted("closures"))
         install(_core, "revenue_evaluator", evaluator)
+        install(_core, "_revenue_bound", counted("bounds"))
         install(_core, "bestcase_revenue_gradient", gradient)
         install(pricing, "bracket_root", root_finder)
         seen = set()
@@ -901,7 +923,8 @@ class TestEvaluationContract:
             policy = POLICIES[name](s, 0.5 * (s.gamma_min + s.gamma_max))
             record = solve(s, theta, policy)
             assert counts["closures"] == 1, s.label
-            assert counts["evaluators"] == 1, s.label
+            assert counts["bounds"] == 1, s.label
+            assert counts["evaluators"] == (name != "best"), s.label
             outside = sum(1 for x, inside in at
                           if x == record.gamma_star and not inside)
             assert outside <= 1, s.label

@@ -423,3 +423,23 @@ class TestSigns:
         lam = solved(s, theta, ReferencePolicy.worst_case())[1]["lambda"]
         assert (lam.df_dtheta, lam.dgamma_dtheta, lam.dmu_dtheta) \
             == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("policy", [ReferencePolicy.best_case(),
+                                        ReferencePolicy.static_alternative(),
+                                        ReferencePolicy.worst_case()],
+                             ids=["best", "static", "worst"])
+    @given(st.sampled_from(SIGN_SCENARIOS), WIDE_THETA)
+    @settings(max_examples=2000, deadline=None)
+    def test_p_lowers_revenue(self, policy, s, theta):
+        opt, diffs = solved(s, theta, policy)
+        assume(opt.f_star != 0.0)
+        assert diffs["p"].df_dtheta < 0.0
+
+    @given(st.sampled_from(SIGN_SCENARIOS), WIDE_THETA)
+    @settings(max_examples=2000, deadline=None)
+    def test_static_lambda_lowers_revenue(self, s, theta):
+        opt, diffs = solved(s, theta, ReferencePolicy.static_alternative())
+        assume(opt.f_star != 0.0)
+        df = diffs["lambda"].df_dtheta
+        u_low = s.x_low + s.b_sm * opt.gamma_star
+        assert df < 0.0 if s.u0 > u_low else df <= 0.0
