@@ -25,8 +25,9 @@ closed form per branch; ``revenue_evaluator`` and ``revenue_partials`` take
 that line as input.  Under the best-case reference (R = u_high) z reduces to
 lam*(w(p)*D^beta - G^beta) with the tariff-independent spread
 D = x_high - x_low and G = x_high + b*gamma - u0, which the dedicated
-best-case kernels evaluate directly.  ``bestcase_partials`` has no
-caller in the package; the benchmark times and traces it.
+best-case kernels evaluate directly.  ``bestcase_revenue_gradient`` and
+``bestcase_partials`` have no caller in the package; the benchmark times
+and traces them.
 
 Hot-path contract.  Each revenue value a solve counts is either a node
 value or a value-closure call.  A solve evaluates its 9 start tariffs in
@@ -37,21 +38,25 @@ the search and the start values are the oracle's grid.  Every other value
 ``bound(a, b, f_a, f_b, level)``, reads the end values the nodes gave and
 takes no value of its own; ``_revenue_bound`` builds it, and
 ``revenue_evaluator`` calls it for its own.  Under the best-case reference
-each counted value is one ``bestcase_revenue`` call, and the bound is
-``_revenue_bound``'s on the best-case line, built without an evaluator: on
-that line no rank weight moves with the tariff, so the bound takes no
-distorted probability and a solve no w(1-p).  Under every other, the pass,
-the value closure and the bound are those of ``revenue_evaluator``.  A
-node sums z once and takes one logistic for its value and its slope; its
-value has the value closure's bits and its slope the scalar slope's, since
-``slope(gamma)`` is the one-node pass.  ``prelec_weight`` is cached per
-(p, alpha) with a bound of ``PRELEC_CACHE_SIZE`` = 256 entries, so the
-best-case kernels pay for w(p) once per rider rather than once per tariff.
-The two best-case kernels inline the clamped logistic of
-``_stable_logistic``, and the evaluator's value closure and node pass
-inline it and the bases of ``_value_bases``, each in the same arithmetic
-order, so a value costs one Python frame, a pass one frame for all its
-nodes, and both return the same bits.
+each counted value is one ``bestcase_revenue`` call, each slope (a node's
+or the polish's) one call of the closure ``bestcase_slope`` builds once per
+solve with the rider's factor w(p)*D^beta, so no solve calls
+``bestcase_revenue_gradient``, which is one call of a fresh closure; and
+the bound is ``_revenue_bound``'s on the best-case line, built without an
+evaluator: on that line no rank weight moves with the tariff, so the bound
+takes no distorted probability and a solve no w(1-p).  Under every other,
+the pass, the value closure and the bound are those of
+``revenue_evaluator``.  A node sums z once and takes one logistic for its
+value and its slope; its value has the value closure's bits and its slope
+the scalar slope's, since ``slope(gamma)`` is the one-node pass.
+``prelec_weight`` is cached per (p, alpha) with a bound of
+``PRELEC_CACHE_SIZE`` = 256 entries, so the value kernel pays for w(p)
+once per rider rather than once per tariff.  The value kernel and the
+slope closure inline the clamped logistic of ``_stable_logistic``, and the
+evaluator's value closure and node pass inline it and the bases of
+``_value_bases``, each in the same arithmetic order, so a value costs one
+Python frame, a pass one frame for all its nodes, and both return the same
+bits.
 """
 
 import functools
@@ -158,25 +163,50 @@ def bestcase_revenue(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
 
 
 def bestcase_revenue_gradient(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
-    """d/dgamma of bestcase_revenue, from the hand-derived closed form."""
-    big_g = x_high + b * gamma - u0
-    if big_g < 0.0:
-        raise InvalidScenarioError(
-            "alternative utility exceeds the best ride outcome at gamma=%r" % gamma)
-    if big_g == 0.0 and beta < 1.0:
-        raise SingularPointError(
-            "(x_high + b*gamma - u0)**(beta-1) is singular at a zero base")
-    z = lam * (prelec_weight(p_worst, alpha) * (x_high - x_low) ** beta
-               - big_g ** beta)
-    # _stable_logistic(z), inlined
-    if z > EXP_CLAMP:
-        z = EXP_CLAMP
-    elif z < -EXP_CLAMP:
-        z = -EXP_CLAMP
-    sig = 1.0 / (1.0 + math.exp(z))
-    s1 = -sig * (1.0 - sig)
-    z_g = -lam * beta * b * big_g ** (beta - 1.0)
-    return sig + gamma * s1 * z_g
+    """d/dgamma of bestcase_revenue, from the hand-derived closed form: one
+    call of ``bestcase_slope``'s closure."""
+    return bestcase_slope(u0, x_low, x_high, b, alpha, beta, lam,
+                          p_worst)(gamma)
+
+
+def bestcase_slope(u0, x_low, x_high, b, alpha, beta, lam, p_worst):
+    """``slope(gamma)``: d/dgamma of bestcase_revenue, with the rider's
+    factors taken here once.
+
+    w(p)*D^beta, -lam*beta*b and beta - 1 do not depend on the tariff, so a
+    solve takes them once rather than at each of its slopes; the closure
+    uses each in the order the closed form multiplies it, so every slope
+    has the bits of the formula evaluated whole.  It raises
+    InvalidScenarioError where x_high + b*gamma - u0 < 0, as
+    bestcase_revenue does, and SingularPointError on a zero base with
+    beta < 1, where the slope is infinite.
+    """
+    wd = prelec_weight(p_worst, alpha) * (x_high - x_low) ** beta
+    k_g = -lam * beta * b
+    beta_1 = beta - 1.0
+    singular = beta < 1.0
+
+    def slope(gamma):
+        big_g = x_high + b * gamma - u0
+        if big_g < 0.0:
+            raise InvalidScenarioError(
+                "alternative utility exceeds the best ride outcome at "
+                "gamma=%r" % gamma)
+        if big_g == 0.0 and singular:
+            raise SingularPointError(
+                "(x_high + b*gamma - u0)**(beta-1) is singular at a zero base")
+        z = lam * (wd - big_g ** beta)
+        # _stable_logistic(z), inlined
+        if z > EXP_CLAMP:
+            z = EXP_CLAMP
+        elif z < -EXP_CLAMP:
+            z = -EXP_CLAMP
+        sig = 1.0 / (1.0 + math.exp(z))
+        s1 = -sig * (1.0 - sig)
+        z_g = k_g * big_g ** beta_1
+        return sig + gamma * s1 * z_g
+
+    return slope
 
 
 def _outside(u0, u_low, u_high, gamma):

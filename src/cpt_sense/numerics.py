@@ -27,7 +27,10 @@ class ScalarFunctionHandle:
 
     Every call counts, and a non-finite value raises ValueError naming the
     probe location.  Evaluations must be side-effect-free on the underlying
-    problem state.
+    problem state.  ``grid_golden_maximize`` calls a handle's function
+    directly in its golden steps, checks each value the same way, and adds
+    a bracket's steps to ``evaluations`` once the bracket is refined; a
+    bracket that raises adds none.
     """
 
     def __init__(self, fn: Callable[[float], float]):
@@ -48,34 +51,59 @@ def _non_finite(y: float, x: float) -> ValueError:
 
 
 def _golden_section_max(f, lo, hi, tol):
-    """Golden-section maximization on [lo, hi] down to interval width tol."""
+    """Golden-section maximization on [lo, hi] down to interval width tol,
+    as (argmax, max, values taken).
+
+    ``f`` is called directly, and each value is checked as it comes: a
+    non-finite one raises ValueError naming its probe.  A bracket of width
+    w > tol takes 3 + ceil(log(w/tol) / log(1.618)) values, one when
+    w <= tol.
+    """
+    isfinite = math.isfinite
     a, b = lo, hi
     h = b - a
     if h <= tol:
         x = 0.5 * (a + b)
-        return x, f(x)
+        y = f(x)
+        if not isfinite(y):
+            raise _non_finite(y, x)
+        return x, y, 1
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
     yc = f(c)
+    if not isfinite(yc):
+        raise _non_finite(yc, c)
     yd = f(d)
+    if not isfinite(yd):
+        raise _non_finite(yd, d)
+    n = 3  # c, d and the midpoint at the end
     while h > tol:
+        n += 1
         if yc > yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INV_PHI2 * h
             yc = f(c)
+            if not isfinite(yc):
+                raise _non_finite(yc, c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
             yd = f(d)
+            if not isfinite(yd):
+                raise _non_finite(yd, d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    y = f(x)
+    if not isfinite(y):
+        raise _non_finite(y, x)
+    return x, y, n
 
 
 def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
                          presieve: int = 64, tol: float = 1e-9,
-                         grid_values: Sequence[float] | None = None,
+                         grid: tuple[Sequence[float], Sequence[float]]
+                         | None = None,
                          skip_near: tuple[float, float] | None = None
                          ) -> tuple[float, float]:
     """Global maximum of ``f`` on [lo, hi] via presieve plus golden refinement.
@@ -92,13 +120,15 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     and 6 per interior peak (at tol = one cell, 1 and 5).
 
     Args:
-        f: objective; may be a plain callable or a ScalarFunctionHandle.
+        f: objective; may be a plain callable or a ScalarFunctionHandle,
+            whose count each refined bracket adds its evaluations to.
         lo, hi: bounds, lo < hi.
         presieve: grid cell count, at least 8.
         tol: absolute interval tolerance of the golden refinement.
-        grid_values: f at the grid points lo + (hi-lo)*i/presieve, with the
-            last point hi, when the caller already has them; the grid is
-            then not evaluated again, and these values are not counted.
+        grid: (points, values) when the caller already has the grid: the
+            points lo + (hi-lo)*i/presieve, with the first lo and the last
+            hi, and f at each.  The grid is then not evaluated again, and
+            these values are not counted.
         skip_near: (center, radius): a bracket whose two ends x both have
             abs(center - x) <= radius is not refined.  Rounded subtraction
             is monotone, so every point of such a bracket would read as
@@ -111,9 +141,9 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
 
     Raises:
         ValueError: on bad arguments (a negative or non-finite radius
-            among them), grid values of the wrong length, or a non-finite
-            objective or grid value; the message names the offending probe
-            location.
+            among them), a grid of the wrong length or one that does not
+            run from lo to hi, or a non-finite objective or grid value;
+            the message names the offending probe location.
     """
     if not lo < hi:
         raise ValueError("need lo < hi, got [%r, %r]" % (lo, hi))
@@ -129,22 +159,22 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
             raise ValueError("radius must be finite and non-negative, got %r"
                              % radius)
     handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
-    # the bound method skips the instance-call lookup on each refinement
-    # evaluation
-    evaluate = handle.__call__
 
-    xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
-    xs[-1] = hi
-    if grid_values is None:
-        ys = [evaluate(x) for x in xs]
+    if grid is None:
+        xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
+        xs[-1] = hi
+        ys = [handle(x) for x in xs]
     else:
-        if len(grid_values) != len(xs):
-            raise ValueError("need %d grid values, got %d"
-                             % (len(xs), len(grid_values)))
-        if not all(map(math.isfinite, grid_values)):
-            raise next(_non_finite(y, x) for x, y in zip(xs, grid_values)
+        xs, ys = grid
+        if not len(xs) == len(ys) == presieve + 1:
+            raise ValueError("need %d grid points and values, got %d and %d"
+                             % (presieve + 1, len(xs), len(ys)))
+        if xs[0] != lo or xs[-1] != hi:
+            raise ValueError("grid must run from lo to hi, got [%r, %r]"
+                             % (xs[0], xs[-1]))
+        if not all(map(math.isfinite, ys)):
+            raise next(_non_finite(y, x) for x, y in zip(xs, ys)
                        if not math.isfinite(y))
-        ys = grid_values
 
     best_y = max(ys)
     best_x = xs[ys.index(best_y)]  # the first maximum, as max keeps it
@@ -153,10 +183,14 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     for i in range(1, presieve):
         if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]:
             brackets.append((xs[i - 1], xs[i + 1]))
+    # the golden steps call the objective itself and check each value
+    # there, a frame fewer per step than the handle's call
+    fn = handle._fn
     for a, b in brackets:
         if abs(center - a) <= radius and abs(center - b) <= radius:
             continue
-        x, y = _golden_section_max(evaluate, a, b, tol)
+        x, y, n = _golden_section_max(fn, a, b, tol)
+        handle.evaluations += n
         if y > best_y:
             best_x, best_y = x, y
 

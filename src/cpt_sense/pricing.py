@@ -175,10 +175,11 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
     both at a list of tariffs, and the revenue bound of a tariff cell, as
     (value, slope, nodes, bound).
 
-    The best-case kernels under the best-case policy, with ``_core``'s
-    cell bound on the best-case line, built alone; one reference-line
-    evaluator from ``_core`` otherwise.  Each value ``nodes`` returns is
-    the value function's at that tariff, bit for bit.
+    Under the best-case policy each value is one ``bestcase_revenue``
+    call and each slope one call of the closure ``bestcase_slope`` builds
+    once, beside ``_core``'s cell bound on the best-case line, built alone;
+    one reference-line evaluator from ``_core`` otherwise.  Each value
+    ``nodes`` returns is the value function's at that tariff, bit for bit.
     """
     u0, xl, xh, b = scenario.u0, scenario.x_low, scenario.x_high, scenario.b_sm
     a, be, lam, p = params.alpha, params.beta, params.lam, params.p_worst
@@ -189,27 +190,27 @@ def _revenue_closures(scenario: TravelScenario, params: CptParams,
 
     # looked up per call, not bound at import, so that a wrapper installed
     # on the module (a tracer, a test's counter) sees every evaluation
-    kernel, gradient = _core.bestcase_revenue, _core.bestcase_revenue_gradient
+    kernel = _core.bestcase_revenue
+    # the slope closure takes the rider's factors once per solve; the
+    # polish's root finder calls it as it is
+    slope = _core.bestcase_slope(u0, xl, xh, b, a, be, lam, p)
 
     def f(gamma: float) -> float:
         return kernel(gamma, u0, xl, xh, b, a, be, lam, p)
 
-    def fgrad(gamma: float) -> float:
-        return gradient(gamma, u0, xl, xh, b, a, be, lam, p)
-
     def nodes(xs: Sequence[float]) -> tuple[list[float], list[float]]:
-        # each node's slope before its value: the gradient raises wherever
+        # each node's slope before its value: the slope raises wherever
         # the kernel does, and on a singular edge, so the first node that
         # raises does so as a scan of the slopes would.  One loop, not two
         # comprehensions, since most passes hold one node
         values, slopes = [], []
         for x in xs:
-            slopes.append(gradient(x, u0, xl, xh, b, a, be, lam, p))
+            slopes.append(slope(x))
             values.append(kernel(x, u0, xl, xh, b, a, be, lam, p))
         return values, slopes
 
     bound = _core._revenue_bound(u0, xl, xh, b, xh, b, 0.0, a, be, lam, p)
-    return f, fgrad, nodes, bound
+    return f, slope, nodes, bound
 
 
 def revenue_function(scenario: TravelScenario, params: CptParams,
@@ -271,7 +272,7 @@ def solve(scenario: TravelScenario, params: CptParams,
     # the polish stops once the root's bracket is 1e-13 of the span (plus
     # 4*eps*|gamma|) wide each side, four decades below the gamma
     # tolerance, whatever the scale of the revenue
-    ys, slopes, stationary = _certified_stationary(
+    xs, ys, slopes, stationary = _certified_stationary(
         scenario.label, lo, hi, f, fgrad, nodes, bound, 1e-4 * gtol)
 
     # Endpoints first so that they win value ties exactly on the bound.
@@ -299,14 +300,15 @@ def solve(scenario: TravelScenario, params: CptParams,
     else:
         active = ActiveSet.INTERIOR
 
-    # the oracle reads the start nodes and refines its brackets to half a
-    # start cell, so that an endpoint cell takes golden steps too rather
-    # than one midpoint value; the verdict asks only whether it found more
-    # revenue more than two cells away, so a bracket whose ends both lie
-    # within two cells, by the verdict's own test, is not refined
+    # the oracle reads the start nodes, points and values, and refines its
+    # brackets to half a start cell, so that an endpoint cell takes golden
+    # steps too rather than one midpoint value; the verdict asks only
+    # whether it found more revenue more than two cells away, so a bracket
+    # whose ends both lie within two cells, by the verdict's own test, is
+    # not refined
     cell = span / START_CELLS
     gamma_oracle, f_oracle = grid_golden_maximize(
-        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid_values=ys,
+        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid=(xs, ys),
         skip_near=(gamma_star, 2.0 * cell))
     if (f_oracle > f_star + 1e-12 * abs(f_star)
             and abs(gamma_star - gamma_oracle) > 2.0 * cell):
@@ -330,10 +332,10 @@ def _certified_stationary(label: str, lo: float, hi: float,
                           f: ScalarFunctionHandle,
                           fgrad: Callable[[float], float], nodes: Nodes,
                           bound: Bound, polish_tol: float
-                          ) -> tuple[list[float], list[float],
+                          ) -> tuple[list[float], list[float], list[float],
                                      list[tuple[float, float, float]]]:
-    """The values and slopes at the start nodes, and every stationary
-    candidate (tariff, revenue, slope) the certificate needs.
+    """The start nodes with their values and slopes, and every
+    stationary candidate (tariff, revenue, slope) the certificate needs.
 
     One node pass takes the ``START_CELLS + 1`` lattice tariffs
     lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
@@ -426,7 +428,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
         raise SolverDisagreementError(
             "scenario %r: revenue %r at gamma=%r exceeds the certified "
             "f*=%r" % (label, top[0], top[1], best))
-    return ys, slopes, stationary
+    return xs, ys, slopes, stationary
 
 
 def _split(cell: tuple, lo: float, span: float, nodes: Nodes,

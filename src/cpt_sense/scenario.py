@@ -43,37 +43,40 @@ class TravelScenario:
         return self.gamma_max - self.gamma_min
 
 
+#: The numeric fields of a scenario, in the order ``validate`` names them.
+_NUMERIC_FIELDS = ("u0", "x_low", "x_high", "b_sm", "gamma_min", "gamma_max")
+
+
 def validate(scenario: TravelScenario) -> list[str]:
     """Every violated validity condition, not just the first; empty if ok.
 
     Choice-set validity is checked at the tariff box endpoints only: both
     ride utilities fall with the tariff, so the worst outcome is weakest at
     gamma_min and the best outcome weakest at gamma_max, and endpoint checks
-    imply validity across the whole box.
+    imply validity across the whole box.  A scenario with a non-finite
+    field reports those fields alone.
     """
-    problems: list[str] = []
-    fields = {
-        "u0": scenario.u0, "x_low": scenario.x_low, "x_high": scenario.x_high,
-        "b_sm": scenario.b_sm, "gamma_min": scenario.gamma_min,
-        "gamma_max": scenario.gamma_max,
-    }
-    for name, v in fields.items():
-        if not math.isfinite(v):
-            problems.append("%s is not finite" % name)
-    if problems:
-        return problems
+    u0, x_low, x_high = scenario.u0, scenario.x_low, scenario.x_high
+    b, g_min, g_max = scenario.b_sm, scenario.gamma_min, scenario.gamma_max
+    values = (u0, x_low, x_high, b, g_min, g_max)
+    # one scan in C for the valid case; the names only when one fails
+    if not all(map(math.isfinite, values)):
+        return ["%s is not finite" % name
+                for name, v in zip(_NUMERIC_FIELDS, values)
+                if not math.isfinite(v)]
 
-    if not scenario.b_sm < 0.0:
+    problems: list[str] = []
+    if not b < 0.0:
         problems.append("tariff coefficient b_sm must be negative")
-    if not scenario.gamma_min < scenario.gamma_max:
+    if not g_min < g_max:
         problems.append("empty tariff interval (gamma_min >= gamma_max)")
-    if not scenario.x_low <= scenario.x_high:
+    if not x_low <= x_high:
         problems.append("x_low exceeds x_high")
-    if scenario.x_low + scenario.b_sm * scenario.gamma_min > scenario.u0:
+    if x_low + b * g_min > u0:
         problems.append(
             "smods dominates: worst ride outcome beats the alternative "
             "even at gamma_min")
-    if scenario.u0 > scenario.x_high + scenario.b_sm * scenario.gamma_max:
+    if u0 > x_high + b * g_max:
         problems.append(
             "alternative dominates: u0 exceeds the best ride outcome at "
             "gamma_max")
@@ -169,9 +172,26 @@ def rows_to_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _json_ready(x):
+    """x with every non-finite float, nested in dicts and lists too,
+    replaced by None."""
+    if type(x) is float:
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_ready(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_ready(v) for v in x]
+    return x
+
+
 def rows_to_json(rows) -> str:
-    """JSON text of ``rows``, indented by two spaces, with a final newline."""
-    return json.dumps(rows, indent=2) + "\n"
+    """JSON text of ``rows``, indented by two spaces, with a final newline.
+
+    JSON has no infinity or NaN (RFC 8259, section 6), so a non-finite
+    number, such as an unbounded domain's percentage or a failed sweep
+    row's fields, is written as null.
+    """
+    return json.dumps(_json_ready(rows), indent=2, allow_nan=False) + "\n"
 
 
 def scenario_row(s: TravelScenario) -> dict:

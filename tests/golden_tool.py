@@ -5,7 +5,7 @@ or fingerprint the solver's records bit for bit.
     python tests/golden_tool.py regen   # rewrite tests/data/golden/
     python tests/golden_tool.py records [--count N] [--seed S]
     python tests/golden_tool.py continuation
-    python tests/golden_tool.py phases [--count N] [--seed S]
+    python tests/golden_tool.py phases [--count N] [--seed S] [--policy REF]
 
 ``diff`` and ``regen`` run every ``test_golden.CASES`` command afresh,
 exactly as the test does.  ``diff`` compares the fresh files with the goldens field by field: CSV rows by position and
@@ -49,13 +49,16 @@ continuation costs shows its size.  ``test_records_digest`` pins the
 digest too: a change that moves a breakpoint or a segment re-pins it there
 and says why in CHANGES.md.
 
-``phases`` prints where the time of a best-case ``solve`` goes, in µs per
-solve, as the benchmark's online requests call it: N draws (default 6000)
+``phases`` prints where the time of a ``solve`` goes, in µs per solve,
+as the benchmark's online requests call it: N draws (default 6000)
 of a scenario from a pool of ``generate_random(500, seed=S)`` with rider
 parameters drawn per draw from ``PHASE_THETA``, so that nearly every draw
-is a new rider.  It times each phase by wrapping ``pricing``'s module
-bindings from outside (``require_valid``, ``_revenue_closures`` and the
-``nodes`` and ``bound`` closures it returns, ``_certified_stationary``,
+is a new rider, each solved under the reference ``--policy`` (one of the
+CLI's ``--reference`` forms, default ``best``; ``expected`` runs the
+evaluator path of the benchmark's expected-reference batch requests).  It
+times each phase by wrapping ``pricing``'s module bindings from outside
+(``require_valid``, ``_revenue_closures`` and the ``nodes`` and ``bound``
+closures it returns, ``_certified_stationary``,
 ``_split``, ``_polish``, ``bracket_root``, ``grid_golden_maximize``,
 ``OptimumRecord`` and ``kkt_residuals``), as the benchmark's tracer does,
 and edits nothing in ``src/``.  The start pass is the ``nodes`` call made
@@ -93,7 +96,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from cpt_sense import pricing, sweeps  # noqa: E402
-from cpt_sense.cli import main  # noqa: E402
+from cpt_sense.cli import _parse_reference, main  # noqa: E402
 from cpt_sense.errors import CptSenseError  # noqa: E402
 from cpt_sense.model import (  # noqa: E402
     NOMINAL_PARAMS, PARAM_NAMES, CptParams, ReferencePolicy)
@@ -527,11 +530,11 @@ def phase_clock(times: dict[str, int], marks: dict[str, int]):
             setattr(pricing, name, call)
 
 
-def solve_phases(draws: list[tuple]
+def solve_phases(draws: list[tuple], policy: ReferencePolicy
                  ) -> tuple[dict[str, float], float, int, float, float]:
     """(µs per solve by ``PHASE_ROWS`` row, µs per uninstrumented solve,
     solves that raised, interior share, bound calls per solve) of
-    ``phases`` over ``draws``."""
+    ``phases`` over ``draws``, each solved under ``policy``."""
     clock = time.perf_counter_ns
     timed = ("require_valid", "_revenue_closures", "search", "start pass",
              "bounds", "oracle", "OptimumRecord",
@@ -549,7 +552,7 @@ def solve_phases(draws: list[tuple]
                 marks.update({"first cell call": None, "bound calls": 0})
                 t0 = clock()
                 try:
-                    record = pricing.solve(s, theta)
+                    record = pricing.solve(s, theta, policy)
                 except (CptSenseError, ValueError):
                     raised += 1
                     continue
@@ -580,7 +583,7 @@ def solve_phases(draws: list[tuple]
         t0 = clock()
         for s, theta in draws:
             try:
-                pricing.solve(s, theta)
+                pricing.solve(s, theta, policy)
             except (CptSenseError, ValueError):
                 pass
         plain = min(plain, (clock() - t0) / len(draws))
@@ -598,13 +601,17 @@ def main_tool(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="records and phases: scenario and parameter "
                         "seed (default 0)")
+    parser.add_argument("--policy", type=_parse_reference,
+                        default=ReferencePolicy.best_case(),
+                        help="phases: the reference of every solve, in a "
+                        "--reference form of the CLI (default best)")
     args = parser.parse_args(argv)
     if args.mode == "phases":
         count = 6000 if args.count is None else args.count
         if count < 1:
             parser.error("--count must be at least 1")
         rows, plain, raised, interior, bounds = solve_phases(
-            phase_draws(count, args.seed))
+            phase_draws(count, args.seed), args.policy)
         print("| phase | µs |\n| --- | --- |")
         for row, us in rows.items():
             print("| %s | %.1f |" % (row, us))

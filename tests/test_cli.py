@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -39,6 +40,14 @@ def run_python(*args, cwd=None):
                           text=True, env=env, cwd=cwd)
 
 
+def strict_json(text: str):
+    """JSON text parsed as RFC 8259 defines it: the NaN, Infinity and
+    -Infinity that Python's json module accepts by default raise."""
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
 def read_all_outputs(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -48,6 +57,59 @@ def s1_csv(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text(scenarios_to_csv([fixtures()[0]]), encoding="utf-8")
     return path
+
+
+class TestJsonOutput:
+    """Every JSON file a command writes is JSON: a non-finite number is
+    null."""
+
+    COMMANDS = {
+        "solve": ["solve", "--format", "json"],
+        "domain": ["domain", "--format", "json"],
+        "mismatch": ["mismatch", "--assume", "lambda=2.7", "--format",
+                     "json"],
+        # summary.json, whatever the format of the sweep files
+        "sweep csv": ["sweep", "--param", "all", "--steps", "5"],
+        "sweep json": ["sweep", "--param", "all", "--steps", "5",
+                       "--format", "json"],
+    }
+
+    @staticmethod
+    def nulls(node) -> int:
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            return sum(map(TestJsonOutput.nulls, node))
+        return node is None
+
+    @pytest.mark.parametrize("reference", ["best", "expected"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_json_file_parses_strictly(self, tmp_path, command,
+                                             reference):
+        out = tmp_path / "out"
+        assert run(self.COMMANDS[command] + ["--reference", reference,
+                                             "--out", str(out)]) == 0
+        files = sorted(out.glob("*.json"))
+        assert files
+        nulls = sum(self.nulls(strict_json(p.read_text(encoding="utf-8")))
+                    for p in files)
+        # an unbounded domain's percentages are null, and the fixtures
+        # have one under either reference
+        assert (nulls > 0) == command.startswith(("domain", "sweep"))
+
+    def test_gen_scenarios_json_parses_strictly(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["gen-scenarios", "--count", "5", "--seed", "7",
+                    "--format", "json", "--out", str(out)]) == 0
+        [path] = out.glob("*.json")
+        assert len(strict_json(path.read_text(encoding="utf-8"))) == 5
+
+    def test_rows_to_json_writes_non_finite_as_null(self):
+        rows = [{"a": math.inf, "b": [-math.inf, math.nan, 1.5],
+                 "c": {"d": math.nan}, "e": "inf", "f": None, "g": True}]
+        assert strict_json(scn.rows_to_json(rows)) == [
+            {"a": None, "b": [None, None, 1.5], "c": {"d": None},
+             "e": "inf", "f": None, "g": True}]
 
 
 class TestSolveCommand:
@@ -185,8 +247,12 @@ class TestSweepCommand:
             assert {r["clamped"] for r in rows} == {"False", "True"}
             marks = [(r["clamped"] == "True", r["error"] or None) for r in rows]
         else:
-            rows = json.loads((out / "sweep_S1_p.json").read_text())
+            rows = strict_json((out / "sweep_S1_p.json").read_text())
             marks = [(r["clamped"], r["error"]) for r in rows]
+            # the failed re-solve's numbers are null
+            assert {k for k, v in rows[1].items() if v is None} == {
+                "gamma_star_numeric", "f_star_numeric", "mu_low", "mu_high",
+                "mismatch_loss"}
         failed = "BracketingError: no sign change"
         assert marks == ([(False, None), (False, failed)] + [(False, None)] * 3
                          + [(True, None)] * 2)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -511,6 +512,53 @@ class TestHotPathContract:
         value, slope = _reference_bestcase(*args)
         assert _bits(_core.bestcase_revenue(*args)) == _bits(value)
         assert _bits(_core.bestcase_revenue_gradient(*args)) == _bits(slope)
+
+    @given(st.sampled_from(generate_random(count=30, seed=2)),
+           st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=8),
+           st.floats(0.2, 1.0), st.floats(0.2, 1.5), st.floats(0.3, 4.0),
+           st.floats(0.02, 0.98))
+    @settings(max_examples=300)
+    def test_slope_closure_matches_the_gradient_kernel(self, s, ats, alpha,
+                                                       beta, lam, p):
+        """One closure serves every tariff of a rider with the bits of the
+        kernel and of the formula taken whole; past the box's top, where
+        the best outcome falls below the alternative, both raise alike."""
+        rider = (s.u0, s.x_low, s.x_high, s.b_sm, alpha, beta, lam, p)
+        slope = _core.bestcase_slope(*rider)
+        for at in ats:
+            gamma = s.gamma_min + at * s.gamma_span
+            try:
+                want = _core.bestcase_revenue_gradient(gamma, *rider)
+            except InvalidScenarioError as err:
+                with pytest.raises(InvalidScenarioError) as got:
+                    slope(gamma)
+                assert str(got.value) == str(err) == (
+                    "alternative utility exceeds the best ride outcome at "
+                    "gamma=%r" % gamma)
+                continue
+            assert _bits(slope(gamma)) == _bits(want)
+            assert _bits(want) == _bits(_reference_bestcase(gamma, *rider)[1])
+
+    @given(st.sampled_from(generate_random(count=30, seed=2)),
+           st.floats(0.0, 1.0), st.floats(0.2, 1.5))
+    @settings(max_examples=200)
+    def test_slope_closure_on_a_zero_base(self, s, at, beta):
+        """Where x_high + b*gamma - u0 is exactly 0 the closure raises as
+        the kernel does below beta = 1, and agrees with it from there."""
+        gamma = s.gamma_min + at * s.gamma_span
+        u0 = s.x_high + s.b_sm * gamma  # the best outcome, so G = 0
+        rider = (u0, s.x_low, s.x_high, s.b_sm, 0.82, beta, 2.25, 0.75)
+        slope = _core.bestcase_slope(*rider)
+        if beta < 1.0:
+            for call in (slope, lambda g: _core.bestcase_revenue_gradient(
+                    g, *rider)):
+                with pytest.raises(SingularPointError, match=re.escape(
+                        "(x_high + b*gamma - u0)**(beta-1) is singular at a "
+                        "zero base")):
+                    call(gamma)
+        else:
+            assert _bits(slope(gamma)) == _bits(
+                _core.bestcase_revenue_gradient(gamma, *rider))
 
     @pytest.mark.parametrize("z, kernel_args, evaluator_args", CLAMP_CASES,
                              ids=["z=%r" % case[0] for case in CLAMP_CASES])

@@ -1,8 +1,11 @@
 """Unit tests for the scalar numeric kernels."""
 
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpt_sense import (
     BEST_CASE,
@@ -17,6 +20,8 @@ from cpt_sense import (
     revenue_gradient,
     solve,
 )
+
+from cpt_sense.numerics import _golden_section_max
 
 from finite_difference import central_derivative
 
@@ -99,19 +104,35 @@ class TestGridGoldenMaximize:
         xs = _grid(lo, hi, kwargs.get("presieve", 64))
         evaluated = ScalarFunctionHandle(f)
         want = grid_golden_maximize(evaluated, lo, hi, **kwargs)
-        supplied = ScalarFunctionHandle(f)
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return f(x)
+        supplied = ScalarFunctionHandle(probe)
         got = grid_golden_maximize(supplied, lo, hi,
-                                   grid_values=[f(x) for x in xs], **kwargs)
+                                   grid=(xs, [f(x) for x in xs]), **kwargs)
         assert [y.hex() for y in got] == [y.hex() for y in want]
-        # only the refinement is evaluated, and counted
+        # only the refinement is evaluated, and each golden step counted
         assert supplied.evaluations == evaluated.evaluations - len(xs)
+        assert supplied.evaluations == len(probes)
 
     def test_supplied_grid_values_checked(self):
         xs = _grid(0.0, 5.0, 64)
-        with pytest.raises(ValueError, match="need 65 grid values, got 64"):
-            grid_golden_maximize(lambda x: x, 0.0, 5.0, grid_values=xs[:-1])
-        with pytest.raises(ValueError, match="need 65 grid values, got 66"):
-            grid_golden_maximize(lambda x: x, 0.0, 5.0, grid_values=xs + [5.0])
+        for points, values, got in ((xs[:-1], xs[:-1], "64 and 64"),
+                                    (xs + [5.0], xs + [5.0], "66 and 66"),
+                                    (xs, xs[:-1], "65 and 64"),
+                                    (xs[:-1], xs, "64 and 65")):
+            with pytest.raises(ValueError, match="need 65 grid points and "
+                               "values, got %s" % got):
+                grid_golden_maximize(lambda x: x, 0.0, 5.0,
+                                     grid=(points, values))
+        for points in ([1.0] + xs[1:], xs[:-1] + [4.0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    "grid must run from lo to hi, got [%r, %r]"
+                    % (points[0], points[-1]))):
+                grid_golden_maximize(lambda x: x, 0.0, 5.0,
+                                     grid=(points, points))
         # a non-finite grid value raises what evaluating it would raise
         for bad in (math.nan, math.inf, -math.inf):
             def f(x):
@@ -120,7 +141,7 @@ class TestGridGoldenMaximize:
                 grid_golden_maximize(f, 0.0, 5.0)
             with pytest.raises(ValueError) as supplied:
                 grid_golden_maximize(f, 0.0, 5.0,
-                                     grid_values=[f(x) for x in xs])
+                                     grid=(xs, [f(x) for x in xs]))
             assert str(supplied.value) == str(evaluated.value)
             assert "x=%r" % xs[40] in str(supplied.value)
 
@@ -131,6 +152,87 @@ class TestGridGoldenMaximize:
             grid_golden_maximize(lambda x: x, 0.0, 1.0, presieve=4)
         with pytest.raises(ValueError):
             grid_golden_maximize(lambda x: x, 0.0, 1.0, tol=0.0)
+
+
+class TestGoldenSectionCount:
+    """``_golden_section_max`` calls the objective itself, checks each
+    value as it comes and returns how many it took, which
+    ``grid_golden_maximize`` adds to a handle once per bracket."""
+
+    @staticmethod
+    def counted(f):
+        """f, and the list its calls append their probes to."""
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return f(x)
+        return probe, probes
+
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+           share=st.floats(1e-6, 2.0), peak=st.floats(0.0, 1.0))
+    @settings(max_examples=500)
+    def test_count_is_the_calls_and_the_documented_bound(self, lo, width,
+                                                         share, peak):
+        hi = lo + width
+        w = hi - lo
+        assume(w > 0.0)
+        tol = share * w
+        ratio = math.log(w / tol) / math.log((1.0 + math.sqrt(5.0)) / 2.0)
+        # a width within rounding of tol times a power of phi may take a
+        # step more or fewer than the real-number count
+        assume(w <= tol or abs(ratio - round(ratio)) > 1e-9)
+        centre = lo + peak * w
+        f, probes = self.counted(lambda x: -(x - centre) ** 2)
+        x, y, n = _golden_section_max(f, lo, hi, tol)
+        assert n == len(probes)
+        assert n == (1 if w <= tol else 3 + math.ceil(ratio))
+        assert (x, y) == (probes[-1], f(probes[-1]))
+
+    @given(lo=st.floats(-10.0, 10.0), width=st.floats(0.1, 10.0),
+           share=st.floats(1e-4, 0.5), bad=st.sampled_from(
+               [math.nan, math.inf, -math.inf]), at=st.integers(0, 200))
+    @settings(max_examples=300)
+    def test_non_finite_value_mid_refinement_names_its_probe(
+            self, lo, width, share, bad, at):
+        hi = lo + width
+        tol = share * width
+
+        def failing(taken):
+            """(sin turning ``bad`` at call ``at`` of those ``taken``,
+            its probes)."""
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return bad if len(calls) == at % taken + 1 else math.sin(x)
+            return f, calls
+
+        # one bracket, called directly
+        f, probes = self.counted(math.sin)
+        f, calls = failing(_golden_section_max(f, lo, hi, tol)[2])
+        with pytest.raises(ValueError) as raised:
+            _golden_section_max(f, lo, hi, tol)
+        assert str(raised.value) == (
+            "objective returned non-finite value %r at x=%r"
+            % (bad, calls[-1]))
+        assert calls == probes[:len(calls)]
+        # the oracle on its grid's values: every call is a golden step, and
+        # the handle keeps the counts of the brackets refined before the
+        # one that raised
+        xs = _grid(lo, hi, 8)
+        clean = ScalarFunctionHandle(math.sin)
+        grid = (xs, [math.sin(x) for x in xs])
+        grid_golden_maximize(clean, lo, hi, presieve=8, tol=tol, grid=grid)
+        f, calls = failing(clean.evaluations)
+        handle = ScalarFunctionHandle(f)
+        with pytest.raises(ValueError) as raised:
+            grid_golden_maximize(handle, lo, hi, presieve=8, tol=tol,
+                                 grid=grid)
+        assert str(raised.value) == (
+            "objective returned non-finite value %r at x=%r"
+            % (bad, calls[-1]))
+        assert handle.evaluations < len(calls)
 
 
 class TestSkipNear:
@@ -151,7 +253,7 @@ class TestSkipNear:
         handle = ScalarFunctionHandle(probe)
         xs = _grid(lo, hi, 8)
         x, y = grid_golden_maximize(handle, lo, hi, presieve=8, tol=0.5,
-                                    grid_values=[f(x) for x in xs], **kwargs)
+                                    grid=(xs, [f(x) for x in xs]), **kwargs)
         return x, y, probes, handle.evaluations
 
     @staticmethod

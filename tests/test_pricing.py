@@ -713,15 +713,17 @@ class TestEvaluationContract:
     """The call counts a traced benchmark run checks, from outside the
     package: under the best-case reference each revenue value of a solve is
     one ``_core.bestcase_revenue`` call, looked up through the module so that
-    a wrapper installed there sees it, and each solve runs its oracle and its
-    KKT check once; under every other reference no best-case kernel runs,
+    a wrapper installed there sees it, each slope a call of the one closure
+    ``_core.bestcase_slope`` builds per solve, so that no solve calls the
+    gradient kernel, and each solve runs its oracle and its KKT check once;
+    under every other reference no best-case kernel runs,
     and each revenue value is a node value of ``_core.revenue_evaluator``'s
     pass or a call of its value closure.  The revenue bound of a cell takes
     no counted value under any reference, and no analysis or CLI command
     runs the general acceptance chain of ``model``."""
 
     BESTCASE_KERNELS = ("bestcase_revenue", "bestcase_revenue_gradient",
-                        "bestcase_partials")
+                        "bestcase_slope", "bestcase_partials")
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -777,8 +779,10 @@ class TestEvaluationContract:
             bounds.clear()
             record = solve(s, theta)
             assert calls["bestcase_revenue"] == record.evaluations, s.label
-            # a node is one value and one slope call, the start pass first
-            assert calls["bestcase_revenue_gradient"] > pricing.START_CELLS
+            # every slope, a node's or the polish's, is a call of the
+            # closure ``bestcase_slope`` built, not of the gradient kernel
+            assert calls["bestcase_revenue_gradient"] == 0, s.label
+            assert calls["bestcase_slope"] == 1, s.label
             assert calls["grid_golden_maximize"] == 1
             assert calls["kkt_residuals"] == 1
             assert bounds["calls"] > 0, s.label
@@ -866,9 +870,10 @@ class TestEvaluationContract:
         bound and, off the best case, one evaluator (the best case builds
         its bound alone), and outside the root finder takes the slope at
         gamma* at most once: in the polish's node at its root for an
-        interior answer, and for an answer on a bound in the start pass; a
-        node is one gradient call under the best case and no slope-closure
-        call otherwise."""
+        interior answer, and for an answer on a bound in the start pass.
+        Under the best case a node's slope is one call of the closure
+        ``_core.bestcase_slope`` builds, which the root finder calls too;
+        otherwise a node calls no slope closure."""
         counts = Counter()
         at = []  # (tariff, inside the root finder) of every slope taken
         depth = [0]
@@ -885,21 +890,23 @@ class TestEvaluationContract:
                 return wrapper
             return wrap
 
+        def watched(slope):
+            def counted_slope(gamma):
+                at.append((gamma, depth[0] > 0))
+                return slope(gamma)
+            return counted_slope
+
         def evaluator(original):
             def wrapper(*args):
                 counts["evaluators"] += 1
                 value, slope, nodes, bound = original(*args)
-
-                def counted_slope(gamma):
-                    at.append((gamma, depth[0] > 0))
-                    return slope(gamma)
-                return value, counted_slope, nodes, bound
+                return value, watched(slope), nodes, bound
             return wrapper
 
-        def gradient(original):
-            def wrapper(gamma, *args):
-                at.append((gamma, depth[0] > 0))
-                return original(gamma, *args)
+        def bestcase_slope(original):
+            def wrapper(*args):
+                counts["slope closures"] += 1
+                return watched(original(*args))
             return wrapper
 
         def root_finder(original):
@@ -914,7 +921,7 @@ class TestEvaluationContract:
         install(pricing, "_revenue_closures", counted("closures"))
         install(_core, "revenue_evaluator", evaluator)
         install(_core, "_revenue_bound", counted("bounds"))
-        install(_core, "bestcase_revenue_gradient", gradient)
+        install(_core, "bestcase_slope", bestcase_slope)
         install(pricing, "bracket_root", root_finder)
         seen = set()
         for s, theta in self.inputs():
@@ -925,6 +932,9 @@ class TestEvaluationContract:
             assert counts["closures"] == 1, s.label
             assert counts["bounds"] == 1, s.label
             assert counts["evaluators"] == (name != "best"), s.label
+            assert counts["slope closures"] == (name == "best"), s.label
+            if name == "best":  # the start pass's slopes at least
+                assert len(at) > pricing.START_CELLS, s.label
             outside = sum(1 for x, inside in at
                           if x == record.gamma_star and not inside)
             assert outside <= 1, s.label
@@ -1087,13 +1097,15 @@ class TestCrossCheck:
         def counted(f, lo, hi, **kwargs):
             before = f.evaluations
             result = original(f, lo, hi, **kwargs)
-            ys = kwargs["grid_values"]
+            points, ys = kwargs["grid"]
             n = pricing.START_CELLS
             assert len(ys) == n + 1
             assert kwargs["tol"] == 0.5 * (hi - lo) / n
             center, radius = kwargs["skip_near"]
             assert radius == 2.0 * (hi - lo) / n
+            # the search's start nodes are the oracle's grid, bit for bit
             xs = [lo + (hi - lo) * i / n for i in range(n)] + [hi]
+            assert [x.hex() for x in points] == [x.hex() for x in xs]
             brackets = [(0, 1, 5), (n - 1, n, 5)] + [
                 (i - 1, i + 1, 6) for i in range(1, n)
                 if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]]
@@ -1510,7 +1522,7 @@ def test_skipping_oracle_raises_wherever_the_full_oracle_does(draw, share):
 
     def raises(gamma, f_star, skip_near):
         gamma_oracle, f_oracle = grid_golden_maximize(
-            value, lo, hi, presieve=n, tol=0.5 * cell, grid_values=ys,
+            value, lo, hi, presieve=n, tol=0.5 * cell, grid=(xs, ys),
             skip_near=skip_near)
         return (f_oracle > f_star + 1e-12 * abs(f_star)
                 and abs(gamma - gamma_oracle) > 2.0 * cell)
