@@ -34,11 +34,7 @@ from cpt_sense.model import (
     reference_line,
     resolve_reference,
 )
-from cpt_sense.numerics import (
-    ScalarFunctionHandle,
-    bracket_root,
-    grid_golden_maximize,
-)
+from cpt_sense.numerics import bracket_root, grid_golden_maximize
 from cpt_sense.pricing import (
     ActiveSet,
     KktResiduals,
@@ -96,13 +92,13 @@ __all__ = [
     "InvalidScenarioError", "KktResiduals", "LagrangianDerivatives",
     "LocalDomain", "MismatchResult", "NOMINAL_PARAMS", "OptimumRecord",
     "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox", "PolicyKind",
-    "ReferencePolicy", "ScalarFunctionHandle", "Segment",
-    "SingularHessianError", "SingularPointError", "SolverDisagreementError",
-    "SweepRow", "SweepSpec", "TravelScenario", "acceptance_probability",
-    "all_domains", "bracket_root", "differentials", "expected_revenue",
-    "fixtures", "generate_random", "grid_golden_maximize", "is_valid",
-    "kernel_backend", "kkt_residuals", "lagrangian_derivatives",
-    "local_domain", "mismatch_loss", "numeric_sweep", "piecewise_continuation",
-    "reference_line", "require_valid", "resolve_reference", "revenue_function",
+    "ReferencePolicy", "Segment", "SingularHessianError",
+    "SingularPointError", "SolverDisagreementError", "SweepRow", "SweepSpec",
+    "TravelScenario", "acceptance_probability", "all_domains", "bracket_root",
+    "differentials", "expected_revenue", "fixtures", "generate_random",
+    "grid_golden_maximize", "is_valid", "kernel_backend", "kkt_residuals",
+    "lagrangian_derivatives", "local_domain", "mismatch_loss",
+    "numeric_sweep", "piecewise_continuation", "reference_line",
+    "require_valid", "resolve_reference", "revenue_function",
     "revenue_gradient", "solve", "taylor_predict", "utilities_at", "validate",
 ]

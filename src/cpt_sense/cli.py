@@ -33,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 from cpt_sense import scenario as scn
-from cpt_sense.errors import CptSenseError, InvalidScenarioError
+from cpt_sense.errors import CptSenseError
 from cpt_sense.model import (
     NOMINAL_PARAMS,
     PARAM_NAMES,
@@ -416,12 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(exc)
     except _Exit as exc:
         return exc.args[0]
-    except InvalidScenarioError as exc:
-        print("invalid scenario: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID_SCENARIO
-    except CptSenseError as exc:
-        print("failure: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

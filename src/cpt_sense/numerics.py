@@ -1,10 +1,12 @@
 """Generic scalar numerics: bounded maximization oracle and bracketed root
 finding.
 
-The maximizer is deliberately derivative-free (pattern presieve plus
-golden-section refinement) so that it shares no code path or failure mode
-with the derivative-based tariff solver it cross-checks.  All kernels are
-deterministic and reentrant.
+The maximizer is derivative-free: a pattern presieve plus golden-section
+refinement.  When it cross-checks the tariff solver it is given the
+search's own 9 start nodes and their values as its grid (``grid=``), so
+that grid shares the search's node pass.  Only its golden steps are
+independent of the search: they call the value closure, never the node
+pass or any slope.  All kernels are deterministic and reentrant.
 """
 
 from __future__ import annotations
@@ -20,29 +22,6 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 #: Four float epsilons: ``bracket_root``'s position tolerance relative to
 #: |x|.
 _FOUR_EPS = 4.0 * sys.float_info.epsilon
-
-
-class ScalarFunctionHandle:
-    """Callable of one real argument with an evaluation counter.
-
-    Every call counts, and a non-finite value raises ValueError naming the
-    probe location.  Evaluations must be side-effect-free on the underlying
-    problem state.  ``grid_golden_maximize`` calls a handle's function
-    directly in its golden steps, checks each value the same way, and adds
-    a bracket's steps to ``evaluations`` once the bracket is refined; a
-    bracket that raises adds none.
-    """
-
-    def __init__(self, fn: Callable[[float], float]):
-        self._fn = fn
-        self.evaluations = 0
-
-    def __call__(self, x: float) -> float:
-        self.evaluations += 1
-        y = self._fn(x)
-        if not math.isfinite(y):
-            raise _non_finite(y, x)
-        return y
 
 
 def _non_finite(y: float, x: float) -> ValueError:
@@ -105,7 +84,7 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
                          grid: tuple[Sequence[float], Sequence[float]]
                          | None = None,
                          skip_near: tuple[float, float] | None = None
-                         ) -> tuple[float, float]:
+                         ) -> tuple[float, float, int]:
     """Global maximum of ``f`` on [lo, hi] via presieve plus golden refinement.
 
     Evaluates a uniform (presieve+1)-point grid, golden-refines around every
@@ -120,8 +99,7 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     and 6 per interior peak (at tol = one cell, 1 and 5).
 
     Args:
-        f: objective; may be a plain callable or a ScalarFunctionHandle,
-            whose count each refined bracket adds its evaluations to.
+        f: objective; every value it returns is checked for finiteness.
         lo, hi: bounds, lo < hi.
         presieve: grid cell count, at least 8.
         tol: absolute interval tolerance of the golden refinement.
@@ -137,7 +115,8 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
             bracket.
 
     Returns:
-        (argmax, max value).
+        (argmax, max value, values of ``f`` taken): the grid's values when
+        it evaluated the grid, plus every golden step.
 
     Raises:
         ValueError: on bad arguments (a negative or non-finite radius
@@ -158,12 +137,12 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         if not 0.0 <= radius < math.inf:
             raise ValueError("radius must be finite and non-negative, got %r"
                              % radius)
-    handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
 
     if grid is None:
         xs = [lo + (hi - lo) * i / presieve for i in range(presieve + 1)]
         xs[-1] = hi
-        ys = [handle(x) for x in xs]
+        ys = [f(x) for x in xs]
+        taken = len(ys)
     else:
         xs, ys = grid
         if not len(xs) == len(ys) == presieve + 1:
@@ -172,9 +151,10 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         if xs[0] != lo or xs[-1] != hi:
             raise ValueError("grid must run from lo to hi, got [%r, %r]"
                              % (xs[0], xs[-1]))
-        if not all(map(math.isfinite, ys)):
-            raise next(_non_finite(y, x) for x, y in zip(xs, ys)
-                       if not math.isfinite(y))
+        taken = 0
+    if not all(map(math.isfinite, ys)):
+        raise next(_non_finite(y, x) for x, y in zip(xs, ys)
+                   if not math.isfinite(y))
 
     best_y = max(ys)
     best_x = xs[ys.index(best_y)]  # the first maximum, as max keeps it
@@ -183,14 +163,11 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
     for i in range(1, presieve):
         if ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]:
             brackets.append((xs[i - 1], xs[i + 1]))
-    # the golden steps call the objective itself and check each value
-    # there, a frame fewer per step than the handle's call
-    fn = handle._fn
     for a, b in brackets:
         if abs(center - a) <= radius and abs(center - b) <= radius:
             continue
-        x, y, n = _golden_section_max(fn, a, b, tol)
-        handle.evaluations += n
+        x, y, n = _golden_section_max(f, a, b, tol)
+        taken += n
         if y > best_y:
             best_x, best_y = x, y
 
@@ -199,7 +176,7 @@ def grid_golden_maximize(f: Callable[[float], float], lo: float, hi: float,
         best_x, best_y = xs[0], ys[0]
     if ys[-1] >= best_y:
         best_x, best_y = xs[-1], ys[-1]
-    return best_x, best_y
+    return best_x, best_y, taken
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float,
@@ -215,11 +192,11 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float,
     bracket's half-width is at most ``tol + 4*eps*|x|`` (x the bracket end
     of smaller |f|, which it returns), or on an exact zero; so the root
     it returns is the same whatever the scale of ``f``, and lies within
-    twice that bound of a sign change of ``f``.  ``f`` is called directly
-    at every probe, so a ScalarFunctionHandle counts each one.
+    twice that bound of a sign change of ``f``.  ``f`` is called once at
+    every probe, so a caller that wraps it counts each one.
 
     Args:
-        f: the function; may be a plain callable or a ScalarFunctionHandle.
+        f: the function.
         lo, hi: the bracket.
         tol: positive absolute tolerance on the root's position.
         f_lo, f_hi: f at lo and at hi when the caller already has them;

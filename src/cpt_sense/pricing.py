@@ -63,12 +63,7 @@ from cpt_sense.model import (
     ReferencePolicy,
     reference_line,
 )
-from cpt_sense.numerics import (
-    ScalarFunctionHandle,
-    _non_finite,
-    bracket_root,
-    grid_golden_maximize,
-)
+from cpt_sense.numerics import _non_finite, bracket_root, grid_golden_maximize
 from cpt_sense.scenario import TravelScenario, require_valid
 
 #: Residual gate for accepting a KKT point.
@@ -268,12 +263,11 @@ def solve(scenario: TravelScenario, params: CptParams,
     gtol = 1e-9 * span
 
     value, fgrad, nodes, bound = _revenue_closures(scenario, params, policy)
-    f = ScalarFunctionHandle(value)
     # the polish stops once the root's bracket is 1e-13 of the span (plus
     # 4*eps*|gamma|) wide each side, four decades below the gamma
     # tolerance, whatever the scale of the revenue
-    xs, ys, slopes, stationary = _certified_stationary(
-        scenario.label, lo, hi, f, fgrad, nodes, bound, 1e-4 * gtol)
+    xs, ys, slopes, stationary, taken = _certified_stationary(
+        scenario.label, lo, hi, fgrad, nodes, bound, 1e-4 * gtol)
 
     # Endpoints first so that they win value ties exactly on the bound.
     f_lo, f_hi = ys[0], ys[-1]
@@ -307,8 +301,8 @@ def solve(scenario: TravelScenario, params: CptParams,
     # whose ends both lie within two cells, by the verdict's own test, is
     # not refined
     cell = span / START_CELLS
-    gamma_oracle, f_oracle = grid_golden_maximize(
-        f, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid=(xs, ys),
+    gamma_oracle, f_oracle, oracle_taken = grid_golden_maximize(
+        value, lo, hi, presieve=START_CELLS, tol=0.5 * cell, grid=(xs, ys),
         skip_near=(gamma_star, 2.0 * cell))
     if (f_oracle > f_star + 1e-12 * abs(f_star)
             and abs(gamma_star - gamma_oracle) > 2.0 * cell):
@@ -320,7 +314,8 @@ def solve(scenario: TravelScenario, params: CptParams,
     # the fields in their order, positionally: a keyword per field costs
     # the frozen __init__ a name match each
     record = OptimumRecord(gamma_star, f_star, mu_low, mu_high, active, 0.0,
-                           degenerate, lo, hi, gamma_oracle, f.evaluations)
+                           degenerate, lo, hi, gamma_oracle,
+                           taken + oracle_taken)
     residual = kkt_residuals(record, slope_star).max_residual
     # the record is not shared yet: set its residual the way a frozen
     # dataclass's own __init__ sets every field, instead of copying it
@@ -329,13 +324,13 @@ def solve(scenario: TravelScenario, params: CptParams,
 
 
 def _certified_stationary(label: str, lo: float, hi: float,
-                          f: ScalarFunctionHandle,
                           fgrad: Callable[[float], float], nodes: Nodes,
                           bound: Bound, polish_tol: float
                           ) -> tuple[list[float], list[float], list[float],
-                                     list[tuple[float, float, float]]]:
-    """The start nodes with their values and slopes, and every
-    stationary candidate (tariff, revenue, slope) the certificate needs.
+                                     list[tuple[float, float, float]], int]:
+    """The start nodes with their values and slopes, every stationary
+    candidate (tariff, revenue, slope) the certificate needs, and the
+    revenue values the search took.
 
     One node pass takes the ``START_CELLS + 1`` lattice tariffs
     lo + span*i/64.  A cell whose end slopes go from + to - is bisected at
@@ -348,7 +343,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
     + to - one closes when ``bound`` holds it to f* + CERTIFY_RTOL*|f*|,
     f* the best candidate or box end so far; otherwise it is bisected, the
     cell of the highest bound first.  Each node, a polished root's among
-    them, is one counted value of ``f``.
+    them, is one revenue value taken.
 
     Raises:
         SolverDisagreementError: as ``solve`` states for the certificate.
@@ -359,7 +354,7 @@ def _certified_stationary(label: str, lo: float, hi: float,
     xs = [lo + span * i / LATTICE for i in index]
     xs[-1] = hi
     ys, slopes = nodes(xs)
-    f.evaluations += len(ys)
+    taken = len(ys)
     if not all(map(math.isfinite, ys)):
         raise next(_non_finite(y, x) for x, y in zip(xs, ys)
                    if not math.isfinite(y))
@@ -385,11 +380,13 @@ def _certified_stationary(label: str, lo: float, hi: float,
             if not s_a > 0.0 > s_b:
                 pending.append(cell)
             elif i_b - i_a >= 2:
-                lower, upper = _split(cell, lo, span, nodes, f, stationary)
+                lower, upper = _split(cell, lo, span, nodes, stationary)
+                taken += 1
                 work += (lower, upper)
                 top = max(top, (upper[2], upper[0]))
             else:
-                root, y, s = _polish(cell, f, fgrad, nodes, polish_tol)
+                root, y, s = _polish(cell, fgrad, nodes, polish_tol)
+                taken += 1
                 stationary.append((root, y, s))
                 # the root splits its cell in two of slope 0 at the root,
                 # which the bound closes like any other: a second peak
@@ -420,7 +417,8 @@ def _certified_stationary(label: str, lo: float, hi: float,
                 "revenue bound %r exceeds f*=%r after %d bisections"
                 % (label, cell[0], cell[1], -neg_u, best, bisections))
         bisections += 1
-        lower, upper = _split(cell, lo, span, nodes, f, stationary)
+        lower, upper = _split(cell, lo, span, nodes, stationary)
+        taken += 1
         work += (lower, upper)
         top = max(top, (upper[2], upper[0]))
 
@@ -428,50 +426,47 @@ def _certified_stationary(label: str, lo: float, hi: float,
         raise SolverDisagreementError(
             "scenario %r: revenue %r at gamma=%r exceeds the certified "
             "f*=%r" % (label, top[0], top[1], best))
-    return xs, ys, slopes, stationary
+    return xs, ys, slopes, stationary, taken
 
 
 def _split(cell: tuple, lo: float, span: float, nodes: Nodes,
-           f: ScalarFunctionHandle, stationary: list) -> tuple[tuple, tuple]:
+           stationary: list) -> tuple[tuple, tuple]:
     """The two halves of a cell, split at its lattice midpoint, or at its
-    midpoint below the lattice, by one counted node; a node of slope 0
-    joins the stationary candidates."""
+    midpoint below the lattice, by one node; a node of slope 0 joins the
+    stationary candidates."""
     a, b, f_a, f_b, s_a, s_b, i_a, i_b = cell
     if i_b - i_a >= 2:
         i_m = (i_a + i_b) // 2
         x = lo + span * i_m / LATTICE
     else:
         x, i_a, i_m, i_b = 0.5 * (a + b), -1, -1, -1
-    y, s = _node(x, nodes, f)
+    y, s = _node(x, nodes)
     if s == 0.0:
         stationary.append((x, y, s))
     return (a, x, f_a, y, s_a, s, i_a, i_m), (x, b, y, f_b, s, s_b, i_m, i_b)
 
 
-def _node(x: float, nodes: Nodes, f: ScalarFunctionHandle
-          ) -> tuple[float, float]:
-    """(revenue, slope) at x by a one-node pass, counted as one value of
-    ``f``, whose bits it has.
+def _node(x: float, nodes: Nodes) -> tuple[float, float]:
+    """(revenue, slope) at x by a one-node pass; the revenue has the value
+    function's bits.
 
     Raises:
         ValueError: the revenue is non-finite at x.
     """
     (y,), (s,) = nodes((x,))
-    f.evaluations += 1
     if not math.isfinite(y):
         raise _non_finite(y, x)
     return y, s
 
 
-def _polish(cell: tuple, f: ScalarFunctionHandle,
-            fgrad: Callable[[float], float], nodes: Nodes, polish_tol: float
-            ) -> tuple[float, float, float]:
+def _polish(cell: tuple, fgrad: Callable[[float], float], nodes: Nodes,
+            polish_tol: float) -> tuple[float, float, float]:
     """(root, revenue, slope) of the slope on a + to - cell, the root
     found from the slopes the cell holds at its ends and its revenue and
-    slope taken by one counted node."""
+    slope taken by one node."""
     a, b, f_a, f_b, s_a, s_b = cell[:6]
     root = bracket_root(fgrad, a, b, polish_tol, s_a, s_b)
-    return (root,) + _node(root, nodes, f)
+    return (root,) + _node(root, nodes)
 
 
 def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:

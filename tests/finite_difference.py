@@ -7,9 +7,10 @@ collected; test modules import it from their own directory.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from cpt_sense.numerics import ScalarFunctionHandle
+from cpt_sense.numerics import _non_finite
 
 
 def central_derivative(f: Callable[[float], float], x: float,
@@ -26,11 +27,16 @@ def central_derivative(f: Callable[[float], float], x: float,
     """
     if not 1 <= richardson_levels <= 4:
         raise ValueError("richardson_levels must be in [1, 4]")
-    handle = f if isinstance(f, ScalarFunctionHandle) else ScalarFunctionHandle(f)
     h = rel_step * abs(x) if x != 0.0 else 1e-6
 
+    def value(at: float) -> float:
+        y = f(at)
+        if not math.isfinite(y):
+            raise _non_finite(y, at)
+        return y
+
     def quotient(s: float) -> float:
-        return (handle(x + h * s) - handle(x - h * s)) / (2.0 * (h * s))
+        return (value(x + h * s) - value(x - h * s)) / (2.0 * (h * s))
 
     estimates = [quotient(0.5 ** k) for k in range(richardson_levels)]
     for level in range(1, richardson_levels):

@@ -248,7 +248,7 @@ def logged_polish(log: list[tuple[float, float, float, int]]):
     root included."""
     polish = pricing._polish
 
-    def logged(cell, f, fgrad, nodes, polish_tol):
+    def logged(cell, fgrad, nodes, polish_tol):
         probes = 0
 
         def slope(x):
@@ -260,7 +260,7 @@ def logged_polish(log: list[tuple[float, float, float, int]]):
             nonlocal probes
             probes += len(xs)
             return nodes(xs)
-        result = polish(cell, f, slope, node, polish_tol)
+        result = polish(cell, slope, node, polish_tol)
         log.append((cell[0], cell[1], result[0], probes))
         return result
 
@@ -299,9 +299,8 @@ def logged_oracle(log: list[int]):
     oracle = pricing.grid_golden_maximize
 
     def logged(f, lo, hi, **kwargs):
-        before = f.evaluations
         result = oracle(f, lo, hi, **kwargs)
-        log.append(f.evaluations - before)
+        log.append(result[2])
         return result
 
     pricing.grid_golden_maximize = logged

@@ -129,7 +129,7 @@ def test_criterion_01_oracle_equivalence():
     for s in pool:
         opt = solve(s, NOMINAL_PARAMS)
         f = revenue_function(s, NOMINAL_PARAMS)
-        g_oracle, f_oracle = grid_golden_maximize(
+        g_oracle, f_oracle, _ = grid_golden_maximize(
             f, s.gamma_min, s.gamma_max, presieve=64, tol=1e-6 * s.gamma_span)
         gamma_err = abs(opt.gamma_star - g_oracle) / s.gamma_span
         f_err = abs(opt.f_star - f_oracle) / abs(f_oracle)

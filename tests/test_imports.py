@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package's ``__all__`` lists each public name it binds.
 
 A deletion that leaves an import behind fails here.  A name counts as used
 when the module reads it, names it in an annotation (a string annotation
@@ -7,9 +8,12 @@ it in ``__all__``.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import cpt_sense
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cpt_sense"
 
@@ -66,3 +70,17 @@ def test_a_string_annotation_counts_and_a_dead_import_does_not():
                      "if TYPE_CHECKING:\n    from x import T\n"
                      "def f(a: 'T') -> None:\n    return TYPE_CHECKING\n")
     assert set(imported_names(tree)) - used_names(tree) == {"math"}
+
+
+def test_all_lists_each_public_name_once():
+    """``cpt_sense.__all__`` names each public name the package binds, once
+    and no other, so ``from cpt_sense import *`` imports them all."""
+    names = cpt_sense.__all__
+    assert len(names) == len(set(names))
+    star: dict = {}
+    exec("from cpt_sense import *", star)  # a name that does not resolve raises
+    assert set(names) <= set(star)
+    bound = {name for name, value in vars(cpt_sense).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert bound == set(names)

@@ -12,7 +12,6 @@ from cpt_sense import (
     BracketingError,
     NOMINAL_PARAMS,
     ReferencePolicy,
-    ScalarFunctionHandle,
     bracket_root,
     fixtures,
     grid_golden_maximize,
@@ -57,39 +56,43 @@ GRID_CASES = [
 
 class TestGridGoldenMaximize:
     def test_parabola(self):
-        x, y = grid_golden_maximize(lambda x: -(x - 2.0) ** 2, 0.0, 5.0,
-                                    tol=1e-12)
+        x, y, _ = grid_golden_maximize(lambda x: -(x - 2.0) ** 2, 0.0, 5.0,
+                                       tol=1e-12)
         assert x == pytest.approx(2.0, abs=1e-9)
         assert y == pytest.approx(0.0, abs=1e-15)
 
     def test_monotone_increasing_returns_upper_bound(self):
-        x, _ = grid_golden_maximize(lambda x: 3.0 * x + 1.0, -1.0, 7.0)
+        x, _, _ = grid_golden_maximize(lambda x: 3.0 * x + 1.0, -1.0, 7.0)
         assert x == 7.0
 
     def test_monotone_decreasing_returns_lower_bound(self):
-        x, _ = grid_golden_maximize(lambda x: -x, -1.0, 7.0)
+        x, _, _ = grid_golden_maximize(lambda x: -x, -1.0, 7.0)
         assert x == -1.0
 
     def test_two_peaks_global_found(self):
         def f(x):
             return math.exp(-(x - 1.0) ** 2) + 1.5 * math.exp(-8.0 * (x - 4.0) ** 2)
-        x, y = grid_golden_maximize(f, 0.0, 5.0, tol=1e-10)
+        x, y, _ = grid_golden_maximize(f, 0.0, 5.0, tol=1e-10)
         # global peak sits near 4 (the left Gaussian nudges it slightly left)
         assert x == pytest.approx(4.0, abs=1e-3)
         assert y >= f(4.0)
 
     def test_matches_tariff_solver_on_s1(self, s1):
         f = revenue_function(s1, NOMINAL_PARAMS)
-        x, _ = grid_golden_maximize(f, s1.gamma_min, s1.gamma_max,
-                                    presieve=64, tol=1e-9)
+        x, _, _ = grid_golden_maximize(f, s1.gamma_min, s1.gamma_max,
+                                       presieve=64, tol=1e-9)
         opt = solve(s1, NOMINAL_PARAMS)
         assert abs(x - opt.gamma_star) <= 2e-4 * s1.gamma_span
 
     def test_evaluation_budget(self):
-        handle = ScalarFunctionHandle(lambda x: math.sin(x))
-        grid_golden_maximize(handle, 0.0, 20.0, presieve=64, tol=1e-9)
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.sin(x)
+        taken = grid_golden_maximize(f, 0.0, 20.0, presieve=64, tol=1e-9)[2]
         peaks = 4  # interior pattern peaks of sin on [0, 20] at the presieve
-        assert handle.evaluations <= 64 + 1 + 200 * (peaks + 2)
+        assert taken == len(probes) <= 64 + 1 + 200 * (peaks + 2)
 
     def test_non_finite_objective_reported_with_location(self):
         def f(x):
@@ -102,20 +105,19 @@ class TestGridGoldenMaximize:
                              ids=[case[0] for case in GRID_CASES])
     def test_supplied_grid_values_give_the_same_bits(self, f, lo, hi, kwargs):
         xs = _grid(lo, hi, kwargs.get("presieve", 64))
-        evaluated = ScalarFunctionHandle(f)
-        want = grid_golden_maximize(evaluated, lo, hi, **kwargs)
         probes = []
 
         def probe(x):
             probes.append(x)
             return f(x)
-        supplied = ScalarFunctionHandle(probe)
-        got = grid_golden_maximize(supplied, lo, hi,
+        want = grid_golden_maximize(probe, lo, hi, **kwargs)
+        assert want[2] == len(probes)
+        probes.clear()
+        got = grid_golden_maximize(probe, lo, hi,
                                    grid=(xs, [f(x) for x in xs]), **kwargs)
-        assert [y.hex() for y in got] == [y.hex() for y in want]
+        assert [y.hex() for y in got[:2]] == [y.hex() for y in want[:2]]
         # only the refinement is evaluated, and each golden step counted
-        assert supplied.evaluations == evaluated.evaluations - len(xs)
-        assert supplied.evaluations == len(probes)
+        assert got[2] == want[2] - len(xs) == len(probes)
 
     def test_supplied_grid_values_checked(self):
         xs = _grid(0.0, 5.0, 64)
@@ -157,7 +159,7 @@ class TestGridGoldenMaximize:
 class TestGoldenSectionCount:
     """``_golden_section_max`` calls the objective itself, checks each
     value as it comes and returns how many it took, which
-    ``grid_golden_maximize`` adds to a handle once per bracket."""
+    ``grid_golden_maximize`` adds to its count once per bracket."""
 
     @staticmethod
     def counted(f):
@@ -217,22 +219,17 @@ class TestGoldenSectionCount:
             "objective returned non-finite value %r at x=%r"
             % (bad, calls[-1]))
         assert calls == probes[:len(calls)]
-        # the oracle on its grid's values: every call is a golden step, and
-        # the handle keeps the counts of the brackets refined before the
-        # one that raised
+        # the oracle on its grid's values: every call is a golden step
         xs = _grid(lo, hi, 8)
-        clean = ScalarFunctionHandle(math.sin)
         grid = (xs, [math.sin(x) for x in xs])
-        grid_golden_maximize(clean, lo, hi, presieve=8, tol=tol, grid=grid)
-        f, calls = failing(clean.evaluations)
-        handle = ScalarFunctionHandle(f)
+        taken = grid_golden_maximize(math.sin, lo, hi, presieve=8, tol=tol,
+                                     grid=grid)[2]
+        f, calls = failing(taken)
         with pytest.raises(ValueError) as raised:
-            grid_golden_maximize(handle, lo, hi, presieve=8, tol=tol,
-                                 grid=grid)
+            grid_golden_maximize(f, lo, hi, presieve=8, tol=tol, grid=grid)
         assert str(raised.value) == (
             "objective returned non-finite value %r at x=%r"
             % (bad, calls[-1]))
-        assert handle.evaluations < len(calls)
 
 
 class TestSkipNear:
@@ -241,20 +238,20 @@ class TestSkipNear:
 
     @staticmethod
     def probed(f, lo, hi, **kwargs):
-        """(argmax, max, the points the call evaluated, the evaluations a
-        ScalarFunctionHandle counted) of the oracle on [lo, hi] with 8
-        cells, half a cell's tolerance and the grid supplied, so that every
-        point it evaluates is a golden step."""
+        """(argmax, max, the points the call evaluated, the values it
+        reports taken) of the oracle on [lo, hi] with 8 cells, half a
+        cell's tolerance and the grid supplied, so that every point it
+        evaluates is a golden step."""
         probes = []
 
         def probe(x):
             probes.append(x)
             return f(x)
-        handle = ScalarFunctionHandle(probe)
         xs = _grid(lo, hi, 8)
-        x, y = grid_golden_maximize(handle, lo, hi, presieve=8, tol=0.5,
-                                    grid=(xs, [f(x) for x in xs]), **kwargs)
-        return x, y, probes, handle.evaluations
+        x, y, taken = grid_golden_maximize(
+            probe, lo, hi, presieve=8, tol=0.5,
+            grid=(xs, [f(x) for x in xs]), **kwargs)
+        return x, y, probes, taken
 
     @staticmethod
     def peak(x):
@@ -297,10 +294,9 @@ class TestSkipNear:
     def test_none_refines_every_bracket(self, f, lo, hi, kwargs, x, y,
                                         evaluations):
         for skip in ({}, dict(skip_near=None)):
-            handle = ScalarFunctionHandle(f)
-            got = grid_golden_maximize(handle, lo, hi, **kwargs, **skip)
-            assert [v.hex() for v in got] == [x, y]
-            assert handle.evaluations == evaluations
+            got = grid_golden_maximize(f, lo, hi, **kwargs, **skip)
+            assert [v.hex() for v in got[:2]] == [x, y]
+            assert got[2] == evaluations
 
     @pytest.mark.parametrize("skip_near", [None, (4.0, 1.0), (4.0, 4.0)])
     def test_endpoints_still_win_ties(self, skip_near):
@@ -365,35 +361,43 @@ class TestBracketRoot:
         assert root == pytest.approx(opt.gamma_star, abs=1e-6)
 
     def test_counts_evaluations(self):
-        handle = ScalarFunctionHandle(lambda x: x - 0.5)
-        bracket_root(handle, 0.0, 1.0, 1e-12)
-        assert handle.evaluations > 0
-
-    @pytest.mark.parametrize("handled", [False, True],
-                             ids=["plain", "handle"])
-    @pytest.mark.parametrize("where", ["lo", "hi", "interior"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "+inf", "-inf"])
-    def test_non_finite_probe_names_x(self, bad, where, handled):
-        """A non-finite value at an end or at an interior probe raises
-        ValueError naming that probe, from a plain callable as from a
-        handle, and a handle counts every probe up to it."""
-        lo, hi = 0.0, 1.0
+        """Each probe is one call of ``f``, and the root returned is one
+        of them when no end value is given."""
         probes = []
 
         def f(x):
             probes.append(x)
+            return x - 0.5
+        root = bracket_root(f, 0.0, 1.0, 1e-12)
+        assert probes[:2] == [0.0, 1.0] and root in probes
+
+    @pytest.mark.parametrize("given", [False, True], ids=["plain", "given"])
+    @pytest.mark.parametrize("where", ["lo", "hi", "interior"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_probe_names_x(self, bad, where, given):
+        """A non-finite value at an end or at an interior probe raises
+        ValueError naming that probe, whether the ends are probed or their
+        values given."""
+        lo, hi = 0.0, 1.0
+
+        def value(x):
             at = {"lo": x == lo, "hi": x == hi, "interior": lo < x < hi}
             return bad if at[where] else x - 0.3
-        fn = ScalarFunctionHandle(f) if handled else f
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return value(x)
+        ends = (value(lo), value(hi)) if given else ()
         with pytest.raises(ValueError) as err:
-            bracket_root(fn, lo, hi, 1e-12)
-        x = probes[-1]
+            bracket_root(f, lo, hi, 1e-12, *ends)
+        x = probes[-1] if probes else {"lo": lo, "hi": hi}[where]
         assert str(err.value) == (
             "objective returned non-finite value %r at x=%r" % (bad, x))
         assert {"lo": x == lo, "hi": x == hi, "interior": lo < x < hi}[where]
-        if handled:
-            assert fn.evaluations == len(probes)
+        if given:  # a given end is not probed
+            assert lo not in probes and hi not in probes
 
     @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-20])
     def test_root_position_does_not_depend_on_scale(self, scale):
@@ -409,25 +413,29 @@ class TestBracketRoot:
         def f(x):
             probes.append(x)
             return x ** 3 - 2.0
-        handle = ScalarFunctionHandle(f)
-        root = bracket_root(handle, 0.0, 2.0, 1e-15, -2.0, 6.0)
+        root = bracket_root(f, 0.0, 2.0, 1e-15, -2.0, 6.0)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
-        assert handle.evaluations == len(probes) > 0
+        assert len(probes) > 0
         assert 0.0 not in probes and 2.0 not in probes
         # the ends alone are probed again when their values are not given
-        again = ScalarFunctionHandle(lambda x: x ** 3 - 2.0)
-        assert bracket_root(again, 0.0, 2.0, 1e-15) == root
-        assert again.evaluations == handle.evaluations + 2
+        given = list(probes)
+        probes.clear()
+        assert bracket_root(f, 0.0, 2.0, 1e-15) == root
+        assert probes == [0.0, 2.0] + given
 
     def test_superlinear_convergence(self):
         """x**3 - 2 on [0, 2] to 1e-15 in at most 10 probes, the two ends
         included; a bracket method that converges only linearly takes
         dozens."""
-        handle = ScalarFunctionHandle(lambda x: x ** 3 - 2.0)
-        root = bracket_root(handle, 0.0, 2.0, 1e-15)
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x ** 3 - 2.0
+        root = bracket_root(f, 0.0, 2.0, 1e-15)
         bound = 2.0 * (1e-15 + 4.0 * 2.0 ** -52 * root)
         assert abs(root - 2.0 ** (1.0 / 3.0)) <= bound
-        assert handle.evaluations <= 10
+        assert len(probes) <= 10
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_tolerance_must_be_positive(self, tol):

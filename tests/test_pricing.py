@@ -1025,7 +1025,7 @@ class TestCrossCheck:
             value, slope, slope_lipschitz_bound(slope, curvature)))
         record = solve(s1, NOMINAL_PARAMS)
         cell = span / pricing.START_CELLS
-        fine_gamma, fine_f = grid_golden_maximize(
+        fine_gamma, fine_f, _ = grid_golden_maximize(
             value, s1.gamma_min, s1.gamma_max, presieve=pricing.LATTICE,
             tol=1e-6 * span)
         # the peak the solver did not return, which the oracle's 2-cell
@@ -1095,7 +1095,6 @@ class TestCrossCheck:
         spent = []
 
         def counted(f, lo, hi, **kwargs):
-            before = f.evaluations
             result = original(f, lo, hi, **kwargs)
             points, ys = kwargs["grid"]
             n = pricing.START_CELLS
@@ -1112,7 +1111,7 @@ class TestCrossCheck:
             budget = sum(values for i, j, values in brackets
                          if abs(center - xs[i]) > radius
                          or abs(center - xs[j]) > radius)
-            spent.append((f.evaluations - before, budget, center))
+            spent.append((result[2], budget, center))
             return result
 
         monkeypatch.setattr(pricing, "grid_golden_maximize", counted)
@@ -1521,7 +1520,7 @@ def test_skipping_oracle_raises_wherever_the_full_oracle_does(draw, share):
     ys = [value(x) for x in xs]
 
     def raises(gamma, f_star, skip_near):
-        gamma_oracle, f_oracle = grid_golden_maximize(
+        gamma_oracle, f_oracle, _ = grid_golden_maximize(
             value, lo, hi, presieve=n, tol=0.5 * cell, grid=(xs, ys),
             skip_near=skip_near)
         return (f_oracle > f_star + 1e-12 * abs(f_star)
