@@ -37,7 +37,6 @@ from cpt_sense.model import (
 from cpt_sense.numerics import bracket_root, grid_golden_maximize
 from cpt_sense.pricing import (
     ActiveSet,
-    KktResiduals,
     LagrangianDerivatives,
     OptimumRecord,
     kkt_residuals,
@@ -89,12 +88,12 @@ def kernel_backend() -> str:
 __all__ = [
     "ActiveSet", "BEST_CASE", "BinaryProspect", "BindingEvent",
     "BracketingError", "ContinuationError", "CptParams", "CptSenseError",
-    "InvalidScenarioError", "KktResiduals", "LagrangianDerivatives",
-    "LocalDomain", "MismatchResult", "NOMINAL_PARAMS", "OptimumRecord",
-    "PARAM_NAMES", "ParamSensitivity", "PiecewiseApprox", "PolicyKind",
-    "ReferencePolicy", "Segment", "SingularHessianError",
-    "SingularPointError", "SolverDisagreementError", "SweepRow", "SweepSpec",
-    "TravelScenario", "acceptance_probability", "all_domains", "bracket_root",
+    "InvalidScenarioError", "LagrangianDerivatives", "LocalDomain",
+    "MismatchResult", "NOMINAL_PARAMS", "OptimumRecord", "PARAM_NAMES",
+    "ParamSensitivity", "PiecewiseApprox", "PolicyKind", "ReferencePolicy",
+    "Segment", "SingularHessianError", "SingularPointError",
+    "SolverDisagreementError", "SweepRow", "SweepSpec", "TravelScenario",
+    "acceptance_probability", "all_domains", "bracket_root",
     "differentials", "expected_revenue", "fixtures", "generate_random",
     "grid_golden_maximize", "is_valid", "kernel_backend", "kkt_residuals",
     "lagrangian_derivatives", "local_domain", "mismatch_loss",

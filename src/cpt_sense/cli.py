@@ -58,12 +58,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_usage_error("%s: %s" % (self.prog, message)))
 
 
-class _UsageError(Exception):
-    """Malformed input found after parsing, reported as a usage error."""
-
-
 class _Exit(Exception):
-    """A command ends with the exit code ``args[0]``, its report printed."""
+    """A command ends with the exit code ``args[0]``, its report printed;
+    malformed input found after parsing is reported by ``_usage_error``."""
 
 
 def _usage_error(message) -> int:
@@ -91,7 +88,8 @@ def _write_all(files: list[tuple[Path, str]]) -> None:
         for (path, _), tmp in zip(files, tmps):
             os.replace(tmp, path)
     except OSError as exc:
-        raise _UsageError("cannot write %s: %s" % (path, exc)) from None
+        raise _Exit(_usage_error("cannot write %s: %s"
+                                 % (path, exc))) from None
     finally:
         for tmp in tmps:
             if os.path.exists(tmp):
@@ -134,18 +132,19 @@ def _scenarios(args) -> list[scn.TravelScenario]:
                          if Path(source).suffix.lower() == ".json"
                          else scn.scenarios_from_csv(text))
     except OSError as exc:
-        raise _UsageError("cannot read scenarios: %s" % exc) from None
+        raise _Exit(_usage_error("cannot read scenarios: %s" % exc)) from None
     except ValueError as exc:
-        raise _UsageError(exc) from None
+        raise _Exit(_usage_error(exc)) from None
     if not scenarios:
-        raise _UsageError("no scenarios in %r" % source)
+        raise _Exit(_usage_error("no scenarios in %r" % source))
     seen = set()
     for s in scenarios:
         if not s.label or any(c in s.label for c in "/\\\0"):
-            raise _UsageError("scenario label %r is empty or holds '/', '\\' "
-                              "or NUL" % s.label)
+            raise _Exit(_usage_error("scenario label %r is empty or holds "
+                                     "'/', '\\' or NUL" % s.label))
         if s.label in seen:
-            raise _UsageError("duplicate scenario label %r" % s.label)
+            raise _Exit(_usage_error("duplicate scenario label %r"
+                                     % s.label))
         seen.add(s.label)
     return scenarios
 
@@ -156,7 +155,7 @@ def _rider(args) -> CptParams:
         return CptParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
                          p_worst=args.p)
     except ValueError as exc:
-        raise _UsageError(exc) from None
+        raise _Exit(_usage_error(exc)) from None
 
 
 def _valid(s: scn.TravelScenario) -> bool:
@@ -265,7 +264,7 @@ def cmd_sweep(args) -> int:
         specs = [SweepSpec(theta_name=name, rel_range=args.range,
                            steps=args.steps) for name in names]
     except ValueError as exc:
-        raise _UsageError(exc) from None
+        raise _Exit(_usage_error(exc)) from None
     summary: dict[str, dict] = {}
 
     def work(s):
@@ -307,13 +306,14 @@ def cmd_mismatch(args) -> int:
     for item in args.assume:
         name, _, raw = item.partition("=")
         if name not in PARAM_NAMES or not raw:
-            raise _UsageError(
+            raise _Exit(_usage_error(
                 "unknown or malformed override %r (use name=value with name "
-                "in %s)" % (item, "/".join(PARAM_NAMES)))
+                "in %s)" % (item, "/".join(PARAM_NAMES))))
         try:
             assumed = assumed.replace(name, float(raw))
         except ValueError as exc:
-            raise _UsageError("bad override %r: %s" % (item, exc)) from None
+            raise _Exit(_usage_error("bad override %r: %s"
+                                     % (item, exc))) from None
 
     def work(s):
         res = mismatch_loss(s, params, assumed, args.reference)
@@ -325,7 +325,8 @@ def cmd_mismatch(args) -> int:
 
 def cmd_gen_scenarios(args) -> int:
     if args.count < 1:
-        raise _UsageError("--count must be >= 1, got %d" % args.count)
+        raise _Exit(_usage_error("--count must be >= 1, got %d"
+                                 % args.count))
     rows = [scn.scenario_row(s) for s in
             scn.generate_random(count=args.count, seed=args.seed)]
     path = _emit(args, "scenarios", rows)
@@ -412,8 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        return _usage_error(exc)
     except _Exit as exc:
         return exc.args[0]
 

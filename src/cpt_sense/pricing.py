@@ -29,7 +29,8 @@ whose ends both lie within two start cells of the answer holds no point
 that test reads, so the oracle does not refine it.  A solve builds its
 revenue closures once, and the slope at its answer is the one the search
 took there (a node's, or the polish's node at its root); the
-multiplier and ``kkt_residuals(record, slope)`` read that slope, so the
+multiplier and ``kkt_residuals(gamma, lo, hi, mu_low, mu_high, slope)``,
+the largest first-order residual as one float, read that slope, so the
 KKT check evaluates nothing again (``revenue_gradient`` at gamma* gives
 the same bits).  ``certificate_margin``, the paper's concavity
 inequality, is defined for the best-case reference only.
@@ -105,7 +106,8 @@ class OptimumRecord:
     of the span); it refines none whose ends both lie within two start
     cells of ``gamma_star``.  ``evaluations`` counts the revenue values the
     solve took: its nodes, its polished roots and the oracle's golden
-    steps in those brackets.
+    steps in those brackets.  ``kkt_residual`` is ``kkt_residuals`` at
+    the answer, taken before the record and set when it is built.
     """
 
     gamma_star: float
@@ -119,24 +121,6 @@ class OptimumRecord:
     gamma_max: float
     gamma_oracle: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class KktResiduals:
-    """Stationarity, complementary slackness, dual and primal residuals."""
-
-    stationarity: float
-    comp_slack_lower: float
-    comp_slack_upper: float
-    dual_lower_violation: float
-    dual_upper_violation: float
-    primal_violation: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.stationarity, self.comp_slack_lower,
-                   self.comp_slack_upper, self.dual_lower_violation,
-                   self.dual_upper_violation, self.primal_violation)
 
 
 @dataclass(frozen=True)
@@ -311,16 +295,12 @@ def solve(scenario: TravelScenario, params: CptParams,
             "%r at gamma*=%r more than 2 start cells away"
             % (scenario.label, f_oracle, gamma_oracle, f_star, gamma_star))
 
+    residual = kkt_residuals(gamma_star, lo, hi, mu_low, mu_high, slope_star)
     # the fields in their order, positionally: a keyword per field costs
     # the frozen __init__ a name match each
-    record = OptimumRecord(gamma_star, f_star, mu_low, mu_high, active, 0.0,
-                           degenerate, lo, hi, gamma_oracle,
-                           taken + oracle_taken)
-    residual = kkt_residuals(record, slope_star).max_residual
-    # the record is not shared yet: set its residual the way a frozen
-    # dataclass's own __init__ sets every field, instead of copying it
-    object.__setattr__(record, "kkt_residual", residual)
-    return record
+    return OptimumRecord(gamma_star, f_star, mu_low, mu_high, active,
+                         residual, degenerate, lo, hi, gamma_oracle,
+                         taken + oracle_taken)
 
 
 def _certified_stationary(label: str, lo: float, hi: float,
@@ -469,22 +449,21 @@ def _polish(cell: tuple, fgrad: Callable[[float], float], nodes: Nodes,
     return (root,) + _node(root, nodes)
 
 
-def kkt_residuals(record: OptimumRecord, slope: float) -> KktResiduals:
-    """First-order condition residuals of a solved record (diagnostic).
+def kkt_residuals(gamma: float, lo: float, hi: float, mu_low: float,
+                  mu_high: float, slope: float) -> float:
+    """Largest first-order condition residual at tariff ``gamma`` in the
+    box [lo, hi] with multipliers ``mu_low`` and ``mu_high``.
 
-    ``slope`` is the revenue slope at ``record.gamma_star``: ``solve``
-    passes the one it took, and ``revenue_gradient`` gives it with the same
-    bits.
+    ``slope`` is the revenue slope at ``gamma``: ``solve`` passes the one
+    it took, and ``revenue_gradient`` gives it with the same bits.
     """
-    gamma, lo, hi = record.gamma_star, record.gamma_min, record.gamma_max
-    mu_low, mu_high = record.mu_low, record.mu_high
     # stationarity, both complementary slacks, both dual and the primal
-    # violation, in field order
-    return KktResiduals(abs(-slope + mu_high - mu_low),
-                        abs(mu_low * (lo - gamma)),
-                        abs(mu_high * (gamma - hi)),
-                        max(0.0, -mu_low), max(0.0, -mu_high),
-                        max(lo - gamma, gamma - hi, 0.0))
+    # violation
+    return max(abs(-slope + mu_high - mu_low),
+               abs(mu_low * (lo - gamma)),
+               abs(mu_high * (gamma - hi)),
+               max(0.0, -mu_low), max(0.0, -mu_high),
+               max(lo - gamma, gamma - hi, 0.0))
 
 
 def certificate_margin(scenario: TravelScenario,

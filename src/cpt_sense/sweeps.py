@@ -87,7 +87,7 @@ class SweepRow:
     f_star_taylor2: float
     mu_low: float
     mu_high: float
-    active: ActiveSet
+    active: ActiveSet | None
     mismatch_loss: float
     clamped: bool = False
     error: str | None = None
@@ -95,14 +95,15 @@ class SweepRow:
 
 #: Sweep CSV column order, ``SweepRow``'s fields.  ``clamped`` marks a
 #: probability grid value moved into the clamp range; ``error`` holds the
-#: exception of a failed re-solve, whose ``active`` reads "error".
+#: exception of a failed re-solve, whose ``active`` is None and reads
+#: "error" in a sweep file.
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 #: The re-solve fields of a row whose re-solve failed.
 _FAILED_RESOLVE = dict(gamma_star_numeric=math.nan, f_star_numeric=math.nan,
                        mu_low=math.nan, mu_high=math.nan,
-                       active=ActiveSet.INTERIOR, mismatch_loss=math.nan)
+                       active=None, mismatch_loss=math.nan)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ times each phase by wrapping ``pricing``'s module bindings from outside
 (``require_valid``, ``_revenue_closures`` and the ``nodes`` and ``bound``
 closures it returns, ``_certified_stationary``,
 ``_split``, ``_polish``, ``bracket_root``, ``grid_golden_maximize``,
-``OptimumRecord`` and ``kkt_residuals``), as the benchmark's tracer does,
+``kkt_residuals`` and ``OptimumRecord``), as the benchmark's tracer does,
 and edits nothing in ``src/``.  The start pass is the ``nodes`` call made
 outside a split or a polish; the start-cell set-up runs from its end to
 the search's first split, polish or bound call; the polish and split loop
@@ -422,8 +422,8 @@ PHASE_PASSES = 5
 PHASE_ROWS = ("require_valid", "_revenue_closures", "start pass",
               "start-cell set-up", "polish and split loop",
               "split and polish calls (of the loop)", "Brent (of the calls)",
-              "bounds", "candidate pick", "oracle", "OptimumRecord",
-              "kkt_residuals", "other")
+              "bounds", "candidate pick", "oracle", "kkt_residuals",
+              "OptimumRecord", "other")
 #: Rows that are parts of the row above them, not of the solve's sum.
 PHASE_PARTS = PHASE_ROWS[5:7]
 

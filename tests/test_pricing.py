@@ -165,21 +165,45 @@ class TestSolve:
             solve(EDGE, NOMINAL_PARAMS, policy)
 
 
-class TestKktResiduals:
+def kkt_inputs(record, slope):
+    """``kkt_residuals``' keyword arguments at a solved record."""
+    return dict(gamma=record.gamma_star, lo=record.gamma_min,
+                hi=record.gamma_max, mu_low=record.mu_low,
+                mu_high=record.mu_high, slope=slope)
+
+
+# each moves one input of a solved interior record (both multipliers 0) out
+# of bounds: (the inputs it changes, the size of that violation)
+KKT_VIOLATIONS = {
+    "stationarity": lambda k: ({"slope": k["slope"] + 1.0},
+                               abs(k["slope"] + 1.0)),
+    "dual_lower": lambda k: ({"mu_low": -1.0}, 1.0),
+    "dual_upper": lambda k: ({"mu_high": -1.0}, 1.0),
+    "slack_lower": lambda k: ({"mu_low": 0.5}, 0.5 * (k["gamma"] - k["lo"])),
+    "slack_upper": lambda k: ({"mu_high": 0.5},
+                              0.5 * (k["hi"] - k["gamma"])),
+    "primal": lambda k: ({"gamma": k["hi"] + 1.0},
+                         (k["hi"] + 1.0) - k["hi"]),
+}
+
+
+class TestKktResidual:
     def test_accepted_solutions_within_gate(self, scenarios):
         for s in scenarios:
             opt = solve(s, NOMINAL_PARAMS)
-            res = kkt_residuals(
-                opt, revenue_gradient(s, NOMINAL_PARAMS)(opt.gamma_star))
-            assert res.max_residual <= KKT_TOL, s.label
+            res = kkt_residuals(**kkt_inputs(
+                opt, revenue_gradient(s, NOMINAL_PARAMS)(opt.gamma_star)))
+            assert res <= KKT_TOL, s.label
 
-    def test_negative_multiplier_flagged(self, s1):
+    @pytest.mark.parametrize("condition", list(KKT_VIOLATIONS))
+    def test_negative_multiplier_flagged(self, s1, condition):
         opt = solve(s1, NOMINAL_PARAMS)
-        tampered = dataclasses.replace(opt, mu_low=-1.0)
-        res = kkt_residuals(
-            tampered, revenue_gradient(s1, NOMINAL_PARAMS)(tampered.gamma_star))
-        assert res.dual_lower_violation == 1.0
-        assert res.max_residual > KKT_TOL
+        assert opt.active is ActiveSet.INTERIOR
+        k = kkt_inputs(opt,
+                       revenue_gradient(s1, NOMINAL_PARAMS)(opt.gamma_star))
+        changes, violation = KKT_VIOLATIONS[condition](k)
+        res = kkt_residuals(**{**k, **changes})
+        assert res >= violation > KKT_TOL
 
     def test_interior_stationarity_by_finite_difference(self, scenarios):
         for s in scenarios:
@@ -396,6 +420,27 @@ class TestLagrangianDerivatives:
         # u0 equal to the best outcome at gamma_max: zero loss base there
         with pytest.raises(SingularPointError, match="singular"):
             lagrangian_derivatives(2.0, EDGE, NOMINAL_PARAMS)
+
+    def test_non_finite_partial_is_named(self, s1, monkeypatch):
+        # each slot of the kernel's partials from 2 on feeds one Lagrangian
+        # partial: a NaN there, one slot at a time, raises naming it
+        labels = {2: "l_gg"}
+        for name, i in zip(PARAM_NAMES, range(3, 15, 3)):
+            labels.update({i: "l_theta[%s]" % name,
+                           i + 1: "l_gtheta[%s]" % name,
+                           i + 2: "l_thetatheta[%s]" % name})
+        kernel = _core.revenue_partials
+        gamma = s1.gamma_min + 0.5 * s1.gamma_span
+        for slot, label in labels.items():
+            def poisoned(*args, slot=slot):
+                partials = list(kernel(*args))
+                partials[slot] = math.nan
+                return partials
+
+            monkeypatch.setattr(_core, "revenue_partials", poisoned)
+            with pytest.raises(SingularPointError,
+                               match=re.escape(label + " is non-finite")):
+                lagrangian_derivatives(gamma, s1, NOMINAL_PARAMS)
 
     def test_partials_near_validity_edge_match_resolve(self, tmp_path):
         # R0003 of gen:5 seed 900025 is pinned to gamma_min under the
@@ -1542,5 +1587,5 @@ def test_held_slope_gives_the_public_residual(draw):
     s, theta, policy = draw
     record = solve(s, theta, policy)
     slope = revenue_gradient(s, theta, policy)(record.gamma_star)
-    public = kkt_residuals(record, slope).max_residual
+    public = kkt_residuals(**kkt_inputs(record, slope))
     assert record.kkt_residual.hex() == public.hex()

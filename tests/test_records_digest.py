@@ -15,6 +15,10 @@ The continuation digest (``golden_tool.py continuation``) pins every
 ``PiecewiseApprox`` of the fixtures under the five policies and four
 parameters the same way: a change that moves a breakpoint or a segment
 re-pins it here and says why in CHANGES.md.
+
+``golden_tool.py phases`` wraps ``pricing``'s bindings to time a solve's
+phases; a short run checks that it still prints every phase and that its
+wrapped solves run.
 """
 
 import golden_tool
@@ -47,3 +51,13 @@ def test_continuation_digest_is_pinned():
     digest, calls, errors = golden_tool.continuation_digest()
     assert (calls, errors) == (100, 0)
     assert digest == CONTINUATION_DIGEST, "continuation moved"
+
+
+def test_phases_prints_every_phase(capsys):
+    assert golden_tool.main_tool(
+        ["phases", "--count", "40", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    printed = [line.split(" | ")[0][2:] for line in out.splitlines()
+               if line.startswith("| ") and not line.startswith("| ---")]
+    assert printed == ["phase", *golden_tool.PHASE_ROWS]
+    assert out.rstrip().endswith(", 0 of 40 solves raised")

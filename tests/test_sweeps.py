@@ -174,6 +174,7 @@ class TestTypedFailures:
         rows = numeric_sweep(s1, NOMINAL_PARAMS, BEST_CASE, spec,
                              nominal=nominal, diffs=diffs)
         assert [r.error for r in rows] == ["BracketingError: no sign change"] * 3
+        assert [r.active for r in rows] == [None] * 3
         monkeypatch.setattr(sweeps, "solve",
                             solve_raising(ZeroDivisionError("a bug")))
         with pytest.raises(ZeroDivisionError):
