@@ -52,7 +52,7 @@ the scalar slope's, since ``slope(gamma)`` is the one-node pass.
 ``prelec_weight`` is cached per (p, alpha) with a bound of
 ``PRELEC_CACHE_SIZE`` = 256 entries, so the value kernel pays for w(p)
 once per rider rather than once per tariff.  The value kernel and the
-slope closure inline the clamped logistic of ``_stable_logistic``, and the
+slope closure inline the capped logistic of ``_stable_logistic``, and the
 evaluator's value closure and node pass inline it and the bases of
 ``_value_bases``, each in the same arithmetic order, so a value costs one
 Python frame, a pass one frame for all its nodes, and both return the same
@@ -64,7 +64,7 @@ import math
 
 from cpt_sense.errors import InvalidScenarioError, SingularPointError
 
-EXP_CLAMP = 700.0  # |exponent| cap before math.exp, avoids overflow
+EXP_CLAMP = 700.0  # upper exponent cap: math.exp overflows past ~709.78
 #: Bound of the per-(p, alpha) Prelec weight cache.  The rank weights ask
 #: for w(p) and w(1-p), so 256 keys hold a cycle of 128 distinct (p, alpha).
 PRELEC_CACHE_SIZE = 256
@@ -114,11 +114,9 @@ def rank_weights(p_worst, alpha, low_is_loss, high_is_gain):
 
 
 def _stable_logistic(delta):
-    """1 / (1 + exp(delta)) with the exponent clamped to +-EXP_CLAMP."""
+    """1 / (1 + exp(delta)), delta capped at EXP_CLAMP; underflow is exact."""
     if delta > EXP_CLAMP:
         delta = EXP_CLAMP
-    elif delta < -EXP_CLAMP:
-        delta = -EXP_CLAMP
     return 1.0 / (1.0 + math.exp(delta))
 
 
@@ -157,8 +155,6 @@ def bestcase_revenue(gamma, u0, x_low, x_high, b, alpha, beta, lam, p_worst):
     # _stable_logistic(z), inlined
     if z > EXP_CLAMP:
         z = EXP_CLAMP
-    elif z < -EXP_CLAMP:
-        z = -EXP_CLAMP
     return gamma * (1.0 / (1.0 + math.exp(z)))
 
 
@@ -199,8 +195,6 @@ def bestcase_slope(u0, x_low, x_high, b, alpha, beta, lam, p_worst):
         # _stable_logistic(z), inlined
         if z > EXP_CLAMP:
             z = EXP_CLAMP
-        elif z < -EXP_CLAMP:
-            z = -EXP_CLAMP
         sig = 1.0 / (1.0 + math.exp(z))
         s1 = -sig * (1.0 - sig)
         z_g = k_g * big_g ** beta_1
@@ -333,8 +327,6 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
         z = a_s - u_s
         if z > EXP_CLAMP:
             z = EXP_CLAMP
-        elif z < -EXP_CLAMP:
-            z = -EXP_CLAMP
         return gamma * (1.0 / (1.0 + math.exp(z)))
 
     # one loop in one frame: a per-node call would cost a frame per node
@@ -382,8 +374,6 @@ def revenue_evaluator(u0, x_low, x_high, b, ref_c, ref_g, ref_p,
             z = a_s - u_s
             if z > EXP_CLAMP:
                 z = EXP_CLAMP
-            elif z < -EXP_CLAMP:
-                z = -EXP_CLAMP
             sig = 1.0 / (1.0 + math.exp(z))
             values.append(gamma * sig)
             slopes.append(sig - gamma * sig * (1.0 - sig) * z_g)

@@ -106,7 +106,8 @@ def _parse_reference(text: str) -> ReferencePolicy:
             return ReferencePolicy.fixed(float(text.split(":", 1)[1]))
         except ValueError:
             raise argparse.ArgumentTypeError(
-                "fixed reference needs a numeric level, got %r" % text)
+                "fixed reference needs a numeric level that is finite, "
+                "got %r" % text)
     try:
         # a bare "fixed" names a kind but no level, which the policy refuses
         return ReferencePolicy(PolicyKind(text))

@@ -234,12 +234,17 @@ def piecewise_continuation(scenario: TravelScenario, params: CptParams,
     Raises:
         ContinuationError: more than 32 segments, or two consecutive
             breakpoints within 1e-10 of each other (oscillation).
+        ValueError: on a ``p`` axis, a nominal p outside ``SweepSpec.clamp``,
+            where the range would not contain it.
     """
     name = spec.theta_name
     theta0 = params.get(name)
     lo_range = theta0 * (1.0 - spec.rel_range)
     hi_range = theta0 * (1.0 + spec.rel_range)
     if name == "p":
+        if not spec.clamp[0] <= theta0 <= spec.clamp[1]:
+            raise ValueError("nominal p=%r outside SweepSpec.clamp %r"
+                             % (theta0, spec.clamp))
         lo_range = max(lo_range, spec.clamp[0])
         hi_range = min(hi_range, spec.clamp[1])
     bp_tol = 1e-6 * abs(theta0)

@@ -365,8 +365,10 @@ class TestReferenceFlag:
     @pytest.mark.parametrize("text, message", [
         ("fixed", "reference must be static|expected|best|worst|fixed:VALUE, "
                   "got 'fixed'"),
-        ("fixed:abc", "fixed reference needs a numeric level, got 'fixed:abc'"),
-        ("fixed:nan", "fixed reference needs a numeric level, got 'fixed:nan'"),
+        ("fixed:abc", "fixed reference needs a numeric level that is finite, "
+                      "got 'fixed:abc'"),
+        ("fixed:nan", "fixed reference needs a numeric level that is finite, "
+                      "got 'fixed:nan'"),
         ("bogus", "reference must be static|expected|best|worst|fixed:VALUE, "
                   "got 'bogus'"),
     ])
@@ -416,6 +418,8 @@ class TestUsageErrors:
         ["mismatch", "--param", "beta"],
         ["domain", "--range", "0.3"],
         ["validate", "--alpha", "0.9"],
+        ["solve", "--reference", "fixed:nan"],
+        ["solve", "--reference", "fixed:inf"],
     ], ids=" ".join)
     def test_malformed_input_exits_64(self, tmp_path, argv):
         s1_csv = scenarios_to_csv([fixtures()[0]])
@@ -445,6 +449,8 @@ class TestUsageErrors:
         assert len(proc.stderr.splitlines()) == 1
         if HEADER_ONLY in argv:  # rejected for the empty set, not a flag
             assert "no scenarios in" in proc.stderr
+        if "--reference" in argv:  # nan and inf parse, but are not finite
+            assert "needs a numeric level that is finite" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_scenario_file_exits_64(self, tmp_path, monkeypatch,

@@ -728,6 +728,13 @@ class TestConcavityCertificate:
                 convex.append(s.label)
         assert convex == ["S3", "S4"]
 
+    def test_zero_margin_at_the_box_end_is_finite(self):
+        # G = x_high + b*gamma_max - u0 = 0 on EDGE's last grid tariff,
+        # where G^(beta-1) is 0**-0.2: the bracket is -inf there
+        certified, margin = certificate_margin(EDGE, NOMINAL_PARAMS)
+        assert math.isfinite(margin)
+        assert (certified, margin) == (False, -1.0172923391284148)
+
     def test_s2_flat_curvature(self, s2):
         # the near-linear scenario: curvature stays small across the box
         assert abs(max_curvature(s2, NOMINAL_PARAMS)) < 0.05
@@ -1475,6 +1482,52 @@ class TestCertificate:
         level = top * (1.0 - 1e-5)
         assert max(value(a), value(b)) < level < top
         assert bound(a, b, value(a), value(b), level) >= top
+
+    def test_non_finite_start_value_names_its_tariff(self, monkeypatch, s1):
+        # the revenue is NaN on the right half of the box; the first start
+        # node there is lattice node 32
+        lo, span = s1.gamma_min, s1.gamma_span
+        value, slope, bound = gaussian_peaks(s1, TestCrossCheck.PEAKS)
+        half = lo + span * 32 / pricing.LATTICE
+        monkeypatch.setattr(pricing, "_revenue_closures", synthetic_closures(
+            lambda x: value(x) if x < half else math.nan, slope, bound))
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite value nan at x=%r" % half)):
+            solve(s1, NOMINAL_PARAMS)
+
+    def test_non_finite_split_value_names_its_tariff(self, monkeypatch, s1):
+        # finite on the start nodes alone: the peak's + to - cell, lattice
+        # nodes 16 to 24, splits first, at node 20
+        lo, span = s1.gamma_min, s1.gamma_span
+        value, slope, bound = gaussian_peaks(s1, [(1.0, 0.3, 0.08)])
+        starts = {lo + span * i / pricing.LATTICE
+                  for i in range(0, pricing.LATTICE + 1, 8)}
+        monkeypatch.setattr(pricing, "_revenue_closures", synthetic_closures(
+            lambda x: value(x) if x in starts else math.inf, slope, bound))
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite value inf at x=%r"
+                % (lo + span * 20 / pricing.LATTICE))):
+            solve(s1, NOMINAL_PARAMS)
+
+    def test_peak_on_a_split_node_is_a_candidate(self, monkeypatch, s1):
+        # a peak exactly on lattice node 12, the midpoint the search splits
+        # the + to - cell of nodes 8 to 16 at: the slope there is exactly
+        # 0, no cell is + to - after the split, and no polish runs, so the
+        # node itself must join the candidates
+        lo, span = s1.gamma_min, s1.gamma_span
+        peak = lo + span * 12 / pricing.LATTICE
+        value, slope, bound = gaussian_peaks(
+            s1, [(1.0, 12 / pricing.LATTICE, 0.08)])
+        assert slope(peak) == 0.0
+        monkeypatch.setattr(pricing, "_revenue_closures",
+                            synthetic_closures(value, slope, bound))
+
+        def no_polish(*args):
+            pytest.fail("a cell was polished")
+        monkeypatch.setattr(pricing, "_polish", no_polish)
+        record = solve(s1, NOMINAL_PARAMS)
+        assert (record.gamma_star, record.f_star) == (peak, 1.0)
+        assert record.active is ActiveSet.INTERIOR
 
     @settings(max_examples=200, deadline=None)
     @given(draw=wide_draws())

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -292,6 +293,12 @@ class TestLocalDomain:
         doms = all_domains(opt, diffs)
         assert set(doms) == set(PARAM_NAMES)
 
+    def test_unknown_parameter_refused(self, s2):
+        opt = solve(s2, NOMINAL_PARAMS)
+        diffs = differentials(opt, s2, NOMINAL_PARAMS)
+        with pytest.raises(ValueError, match="unknown parameter 'gamma'"):
+            local_domain(opt, diffs, "gamma")
+
     @pytest.mark.xfail(
         strict=True,
         reason="first-order domain estimates overshoot true active-set "
@@ -443,3 +450,49 @@ class TestSigns:
         df = diffs["lambda"].df_dtheta
         u_low = s.x_low + s.b_sm * opt.gamma_star
         assert df < 0.0 if s.u0 > u_low else df <= 0.0
+
+
+def prelec_partials(p, alpha):
+    """(dw/dalpha, dw/dp) of w = exp(-(-ln p)^alpha), written out."""
+    t = -math.log(p)
+    w = math.exp(-t ** alpha)
+    return -w * t ** alpha * math.log(t), w * alpha * t ** (alpha - 1.0) / p
+
+
+def alpha_p_products(opt, diffs, theta):
+    """((dgamma*/dalpha * w_p, dgamma*/dp * w_a),
+    (df*/dalpha * w_p, df*/dp * w_a)), equal pairs where alpha and p
+    enter the optimum only through w(p)."""
+    w_a, w_p = prelec_partials(theta.p_worst, theta.alpha)
+    a, p = diffs["alpha"], diffs["p"]
+    return ((a.dgamma_dtheta * w_p, p.dgamma_dtheta * w_a),
+            (a.df_dtheta * w_p, p.df_dtheta * w_a))
+
+
+class TestAlphaPIdentity:
+    """Under the best-case reference alpha and p reach z only through
+    w(p) (docs/derivatives.md, "Signs")."""
+
+    @given(st.sampled_from(SIGN_SCENARIOS), WIDE_THETA)
+    @settings(max_examples=300, deadline=None)
+    def test_best_case_alpha_and_p_move_the_optimum_through_w(self, s, theta):
+        opt, diffs = solved(s, theta, ReferencePolicy.best_case())
+        pairs = alpha_p_products(opt, diffs, theta)
+        # dgamma*'s numerator f_gt cancels to s'*z_t*P*/(1 - P*), so it
+        # loses about eps/P* relative (EXACT_MIN_ACCEPTANCE); the
+        # subnormal floor compares vanishing products absolutely
+        if opt.f_star / opt.gamma_star < EXACT_MIN_ACCEPTANCE:
+            pairs = pairs[1:]
+        for via_alpha, via_p in pairs:
+            assert abs(via_alpha - via_p) <= 1e-9 * max(
+                abs(via_alpha), abs(via_p), sys.float_info.min)
+
+    def test_expected_reference_breaks_it(self, s1):
+        # R moves with p, so p reaches z beside w(p): on S1 the df*
+        # products differ by half
+        policy = ReferencePolicy.expected_utility()
+        opt = solve(s1, NOMINAL_PARAMS, policy)
+        diffs = differentials(opt, s1, NOMINAL_PARAMS, policy)
+        via_alpha, via_p = alpha_p_products(opt, diffs, NOMINAL_PARAMS)[1]
+        assert via_alpha == pytest.approx(-0.11407971835835462, rel=1e-9)
+        assert via_p == pytest.approx(-0.0598713402236316, rel=1e-9)

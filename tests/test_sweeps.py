@@ -282,6 +282,15 @@ class TestPiecewiseContinuation:
 
 
 class TestContinuationGuards:
+    @pytest.mark.parametrize("p", [0.0005, 0.9995])
+    def test_nominal_p_outside_the_clamp_is_refused(self, s1, p):
+        # the clamped range [max(0.6p, 0.001), min(1.4p, 0.999)] would not
+        # contain p: at 0.0005 it is inverted, at 0.9995 it ends below p
+        with pytest.raises(ValueError, match=r"nominal p=%r outside "
+                           r"SweepSpec.clamp \(0.001, 0.999\)" % p):
+            piecewise_continuation(s1, NOMINAL_PARAMS.replace("p", p),
+                                   BEST_CASE, SweepSpec("p", rel_range=0.4))
+
     def test_too_many_anchors_in_one_direction(self, s1, monkeypatch):
         # S1 beta places six anchors above the nominal; two segments
         # allow four per direction
